@@ -244,7 +244,7 @@ inline void EmitRunResult(const std::string& bench,
   if (r.device_bytes_written > 0) {
     row.Num("device_bytes_written", r.device_bytes_written)
         .Num("device_bytes_per_user_byte", r.device_bytes_per_user_byte)
-        .Num("device_seconds", r.device_seconds)
+        .Num("backend_blocking_seconds", r.backend_blocking_seconds)
         .Num("device_fsyncs", r.device_fsyncs);
   }
   Emit(row);

@@ -148,7 +148,9 @@ void Panel(const char* workload_name, const WorkloadGenerator& workload,
             static_cast<double>(r.device_bytes_written) / (1024.0 * 1024.0);
         row.emplace_back(r.device_bytes_per_user_byte, 3);
         row.emplace_back(mb, 1);
-        row.emplace_back(r.device_seconds > 0 ? mb / r.device_seconds : 0.0,
+        row.emplace_back(r.backend_blocking_seconds > 0
+                             ? mb / r.backend_blocking_seconds
+                             : 0.0,
                          1);
         row.emplace_back(static_cast<int>(r.device_fsyncs));
       } else {
@@ -168,7 +170,6 @@ void Panel(const char* workload_name, const WorkloadGenerator& workload,
           .Num("predicted_device_bytes_per_user_byte", 1.0 + r.wamp)
           .Num("device_bytes_written", r.device_bytes_written)
           .Num("device_bytes_per_user_byte", r.device_bytes_per_user_byte)
-          .Num("device_seconds", r.device_seconds)
           .Num("device_fsyncs", r.device_fsyncs)
           .Num("backend_blocking_seconds", r.backend_blocking_seconds)
           .Num("uring_available", r.uring_available);

@@ -1,13 +1,18 @@
 // Micro-benchmarks (google-benchmark) for the store's hot paths: write
-// throughput per cleaning policy, victim-selection cost vs device size,
-// and Zipfian sampling. Not from the paper — these quantify simulator
-// overheads so the table/figure benches' runtimes are explainable.
+// throughput per cleaning policy, sharded writes from 1-4 client threads,
+// page-table lookups, victim-selection cost vs device size, and Zipfian
+// sampling. Not from the paper — these quantify simulator overheads so
+// the table/figure benches' runtimes are explainable.
 
 #include <benchmark/benchmark.h>
 
+#include <memory>
+
 #include "analysis/uniform_model.h"
 #include "bench/bench_common.h"
+#include "core/page_table.h"
 #include "core/policy_factory.h"
+#include "core/sharded_store.h"
 #include "core/store.h"
 #include "util/zipf.h"
 #include "workload/runner.h"
@@ -46,6 +51,57 @@ BENCHMARK(BM_StoreWrite)
     ->Arg(static_cast<int>(Variant::kCostBenefit))
     ->Arg(static_cast<int>(Variant::kMultiLog))
     ->Arg(static_cast<int>(Variant::kMdc));
+
+// Uniform writes from 1, 2 and 4 client threads into one 8-shard store at
+// fill 0.8, so every thread pays inline flushes and cleaning under its
+// shard's mutex. Real time: the threads' aggregate rate is the result.
+void BM_StoreWriteSharded(benchmark::State& state) {
+  static std::unique_ptr<ShardedStore> store;
+  static uint64_t user_pages = 0;
+  if (state.thread_index() == 0) {
+    StoreConfig cfg;
+    cfg.page_bytes = 4096;
+    cfg.segment_bytes = 128 * 4096;
+    cfg.num_segments = 2048;
+    cfg.clean_trigger_segments = 4;
+    cfg.clean_batch_segments = 8;
+    cfg.write_buffer_segments = 8;
+    ApplyVariantConfig(Variant::kMdc, &cfg);
+    store = ShardedStore::Create(cfg, 8,
+                                 [] { return MakePolicy(Variant::kMdc); });
+    user_pages = bench::UserPagesFor(cfg, 0.8);
+    for (PageId p = 0; p < user_pages; ++p) {
+      benchmark::DoNotOptimize(store->Write(p));
+    }
+  }
+  Rng rng(7 + state.thread_index());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(store->Write(rng.NextBounded(user_pages)));
+  }
+  state.SetItemsProcessed(state.iterations());
+  if (state.thread_index() == 0) store.reset();
+}
+BENCHMARK(BM_StoreWriteSharded)
+    ->Threads(1)
+    ->Threads(2)
+    ->Threads(4)
+    ->UseRealTime();
+
+// Random lookups into a table of `range(0)` present pages: the
+// shard-held read a write or a relocation makes.
+void BM_PageTableGet(benchmark::State& state) {
+  const PageId pages = static_cast<PageId>(state.range(0));
+  PageTable table;
+  for (PageId p = 0; p < pages; ++p) {
+    table.Ensure(p).loc = PageLocation{0, static_cast<uint32_t>(p)};
+  }
+  Rng rng(5);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(table.Get(rng.NextBounded(pages)).loc.index);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PageTableGet)->Arg(1 << 16)->Arg(1 << 20);
 
 void BM_VictimSelection(benchmark::State& state) {
   StoreConfig cfg;

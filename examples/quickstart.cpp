@@ -89,7 +89,7 @@ void PrintStats(const LogStructuredStore& store) {
                 static_cast<double>(stats.device_bytes_written) / (1u << 20),
                 stats.DeviceBytesPerUserByte());
     std::printf("device time          : %.3f s (%llu fsyncs)\n",
-                stats.DeviceSeconds(),
+                stats.BackendBlockingSeconds(),
                 static_cast<unsigned long long>(stats.device_fsyncs));
   }
 }

@@ -2,9 +2,10 @@
 #define LSS_CORE_PAGE_TABLE_H_
 
 #include <atomic>
+#include <cassert>
 #include <cstdint>
-#include <deque>
-#include <mutex>
+#include <memory>
+#include <utility>
 
 #include "core/types.h"
 
@@ -34,67 +35,60 @@ struct PageMeta {
   UpdateCount last_update = 0;
 };
 
-/// Lock-striped page table: PageId -> PageMeta. Page ids are expected to
-/// be small integers (workloads number their pages 0..P-1); the table
-/// grows on demand.
+/// Lock-free page table: PageId -> PageMeta for dense ids (workloads
+/// number pages 0..P-1) below kMaxPages = 2^32, grown on demand.
 ///
-/// Storage is split into kStripes independently locked stripes (page id
-/// low bits select the stripe), so shards of a ShardedStore can grow and
-/// read the shared table concurrently without a global lock — the same
-/// fine-grained-locking idiom an OS coremap uses for its physical page
-/// entries. Each stripe is a deque, so references returned by Ensure /
-/// GetMutable stay valid across later growth.
+/// A fixed directory of 168 chunk pointers covers every id. Chunk sizes
+/// double every 8 chunks (8 x 512 entries, 8 x 1 Ki, ...), so a partly
+/// used last chunk wastes at most an eighth of the table. Chunks never
+/// move, so references from Ensure stay valid across growth. A lookup is
+/// two dependent loads, chunk pointer (acquire) then entry; Ensure
+/// publishes a missing chunk by CAS (release), and a loser frees its own.
 ///
-/// Concurrency contract: the table protects its own *structure* (growth,
-/// slot lookup) with the stripe locks. The PageMeta *fields* themselves
-/// are not locked here — all accesses to a given page's meta must be
-/// serialized by the page's owner (in a ShardedStore, the owning shard's
-/// mutex; in a plain LogStructuredStore, the single-threaded caller).
+/// Concurrency contract: the table protects only its own *structure*.
+/// The PageMeta *fields* are not locked here — all accesses to a given
+/// page's meta must be serialized by the page's owner (in a ShardedStore,
+/// the owning shard's mutex; in a LogStructuredStore, the single caller).
 class PageTable {
  public:
-  static constexpr uint32_t kStripeBits = 6;
-  static constexpr uint32_t kStripes = 1u << kStripeBits;  // 64
+  static constexpr PageId kMaxPages = PageId{1} << 32;
 
   PageTable() = default;
   PageTable(const PageTable&) = delete;
   PageTable& operator=(const PageTable&) = delete;
+  ~PageTable() { for (auto& c : chunks_) delete[] c.load(); }
 
-  /// Returns the metadata slot for `page`, growing its stripe if needed.
+  /// The metadata slot for `page` (< kMaxPages); publishes its chunk.
   PageMeta& Ensure(PageId page) {
-    Stripe& s = stripes_[StripeOf(page)];
-    const size_t slot = SlotOf(page);
-    std::lock_guard<std::mutex> lock(s.mu);
-    if (s.metas.size() <= slot) s.metas.resize(slot + 1);
-    // Size() is the max ensured page id + 1, maintained monotonically.
-    PageId want = page + 1;
-    PageId cur = size_.load(std::memory_order_relaxed);
-    while (cur < want &&
-           !size_.compare_exchange_weak(cur, want, std::memory_order_acq_rel)) {
+    assert(page < kMaxPages);
+    const auto [c, index] = Locate(page);
+    PageMeta* chunk = chunks_[c].load(std::memory_order_acquire);
+    if (chunk == nullptr) {
+      std::unique_ptr<PageMeta[]> fresh(new PageMeta[ChunkEntries(c)]);
+      if (chunks_[c].compare_exchange_strong(chunk, fresh.get(),
+                                             std::memory_order_release,
+                                             std::memory_order_acquire)) {
+        chunk = fresh.release();
+      }  // else `chunk` is the winner's and `fresh` is freed
     }
-    return s.metas[slot];
+    // Size() is the max ensured page id + 1, maintained monotonically.
+    PageId cur = size_.load(std::memory_order_relaxed);
+    while (cur <= page && !size_.compare_exchange_weak(cur, page + 1)) {}
+    return chunk[index];
   }
 
   /// Metadata for `page`; pages never materialised read as an absent
-  /// default (exactly what a freshly grown slot would hold).
+  /// default (exactly what a freshly published chunk holds).
   const PageMeta& Get(PageId page) const {
     static const PageMeta kAbsent{};
-    const Stripe& s = stripes_[StripeOf(page)];
-    const size_t slot = SlotOf(page);
-    std::lock_guard<std::mutex> lock(s.mu);
-    if (slot >= s.metas.size()) return kAbsent;
-    return s.metas[slot];
+    if (page >= kMaxPages) return kAbsent;
+    const auto [c, index] = Locate(page);
+    const PageMeta* chunk = chunks_[c].load(std::memory_order_acquire);
+    return chunk != nullptr ? chunk[index] : kAbsent;
   }
-
-  /// Mutable metadata; materialises the slot if needed.
-  PageMeta& GetMutable(PageId page) { return Ensure(page); }
 
   /// True if `page` has ever been written and is currently present.
-  bool Present(PageId page) const {
-    const Stripe& s = stripes_[StripeOf(page)];
-    const size_t slot = SlotOf(page);
-    std::lock_guard<std::mutex> lock(s.mu);
-    return slot < s.metas.size() && s.metas[slot].loc.Present();
-  }
+  bool Present(PageId page) const { return Get(page).loc.Present(); }
 
   /// Number of page slots allocated (max page id ensured + 1).
   size_t Size() const { return size_.load(std::memory_order_acquire); }
@@ -102,27 +96,33 @@ class PageTable {
   /// Number of currently present pages (O(n); for tests/diagnostics).
   size_t CountPresent() const {
     size_t n = 0;
-    for (const Stripe& s : stripes_) {
-      std::lock_guard<std::mutex> lock(s.mu);
-      for (const PageMeta& m : s.metas) n += m.loc.Present() ? 1 : 0;
-    }
+    for (PageId p = 0; p < Size(); ++p) n += Present(p) ? 1 : 0;
     return n;
   }
 
+  /// Directory index of the chunk holding `page`.
+  static size_t ChunkOf(PageId page) { return Locate(page).first; }
+
  private:
-  struct Stripe {
-    mutable std::mutex mu;
-    std::deque<PageMeta> metas;
-  };
+  // Ids are offset by 2^kBandBits; offsets with top bit b form band
+  // b - kBandBits, 2^b ids cut into 2^kSplitBits equal chunks.
+  static constexpr int kBandBits = 12;
+  static constexpr int kSplitBits = 3;
+  static constexpr size_t kChunks = (33 - kBandBits) << kSplitBits;
 
-  static constexpr uint32_t StripeOf(PageId page) {
-    return static_cast<uint32_t>(page) & (kStripes - 1);
+  static size_t ChunkEntries(size_t c) {
+    return size_t{1} << (kBandBits - kSplitBits + (c >> kSplitBits));
   }
-  static constexpr size_t SlotOf(PageId page) {
-    return static_cast<size_t>(page >> kStripeBits);
+  /// (chunk, entry index within it) of `page`.
+  static std::pair<size_t, size_t> Locate(PageId page) {
+    const uint64_t off = page + (uint64_t{1} << kBandBits);
+    const int bits = 63 - __builtin_clzll(off) - kSplitBits;  // chunk log2
+    const size_t band = static_cast<size_t>(bits + kSplitBits - kBandBits);
+    const size_t sub = (off >> bits) & ((size_t{1} << kSplitBits) - 1);
+    return {(band << kSplitBits) | sub, off & ((uint64_t{1} << bits) - 1)};
   }
 
-  Stripe stripes_[kStripes];
+  std::atomic<PageMeta*> chunks_[kChunks] = {};
   std::atomic<PageId> size_{0};
 };
 

@@ -73,7 +73,6 @@ void Segment::Reset() {
   source_ = SegmentSource::kNone;
   log_ = 0;
   entries_.clear();
-  entries_.shrink_to_fit();
   used_bytes_ = 0;
   live_bytes_ = 0;
   live_count_ = 0;

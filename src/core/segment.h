@@ -107,7 +107,7 @@ class Segment {
   void Seal(UpdateCount now);
 
   /// Transitions kSealed (or kOpen, when resetting) -> kFree and drops all
-  /// entries.
+  /// entries, keeping the entry storage for the slot's next fill.
   void Reset();
 
   // --- Accessors -----------------------------------------------------

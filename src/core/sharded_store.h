@@ -40,8 +40,9 @@ using BackendFactory =
 /// segments, so shards never contend on a victim or a free list.
 ///
 /// Locking. One mutex per shard serialises all operations routed to it;
-/// cross-shard state is limited to the shared lock-striped PageTable
-/// (whose stripe locks protect table growth) and read-side aggregation.
+/// cross-shard state is limited to the shared lock-free PageTable (which
+/// publishes its chunks by CAS; each page's fields are owned by its
+/// shard's mutex) and read-side aggregation.
 /// With num_shards comfortably above the thread count, writers mostly
 /// land on distinct shards and proceed in parallel.
 ///

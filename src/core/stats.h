@@ -161,18 +161,13 @@ class StoreStats {
            static_cast<double>(user_bytes_written);
   }
 
-  /// Wall-clock seconds of device work (writes + fsyncs + CQE waits).
-  double DeviceSeconds() const {
-    return device_write_seconds + device_fsync_seconds + uring_wait_seconds;
-  }
-
   /// Wall-clock seconds the thread driving the backend (the seal
   /// pipeline's I/O thread in async mode, the writer itself in sync
-  /// mode) spent *blocked* on device work. For the file backend this is
-  /// all of DeviceSeconds(); for the uring backend the payload pwrite
-  /// time is replaced by submit time + CQE-wait time, so the difference
-  /// against the file backend at equal fsync policy is the overlap the
-  /// ring bought.
+  /// mode) spent *blocked* on device work: writes + fsyncs + CQE waits.
+  /// For the file backend that is all its device time; for the uring
+  /// backend the payload pwrite time is replaced by submit time +
+  /// CQE-wait time, so the difference against the file backend at equal
+  /// fsync policy is the overlap the ring bought.
   double BackendBlockingSeconds() const {
     return device_write_seconds + device_fsync_seconds + uring_wait_seconds;
   }

@@ -99,7 +99,6 @@ void StoreShard::SetExactFrequencyOracle(ExactFrequencyFn oracle) {
 
 double StoreShard::EstimateUpf(PageId page) const {
   if (oracle_) return oracle_(page);
-  if (page >= table_.Size()) return 0.0;
   const PageMeta& m = table_.Get(page);
   if (m.last_update == 0 || unow_ <= m.last_update) return 0.0;
   return 1.0 / static_cast<double>(unow_ - m.last_update);
@@ -143,6 +142,9 @@ Status StoreShard::Write(PageId page, uint32_t bytes) {
   if (bytes == 0) bytes = config_.page_bytes;
   if (bytes > config_.segment_bytes) {
     return Status::InvalidArgument("page larger than a segment");
+  }
+  if (page >= PageTable::kMaxPages) {
+    return Status::InvalidArgument("page id must be below 2^32");
   }
   assert(OwnsPage(page));
   ++unow_;
@@ -205,7 +207,7 @@ Status StoreShard::Write(PageId page, uint32_t bytes) {
 
   // Unbuffered: place immediately in arrival order. First writes get the
   // coldest possible estimate (up2 = 0), warming up as they are re-written.
-  Status s = PlacePage(page, bytes, up2, exact, est_upf, /*is_gc=*/false);
+  Status s = PlacePage(page, m, bytes, up2, exact, est_upf, /*is_gc=*/false);
   if (!s.ok()) sticky_error_ = s;
   return s;
 }
@@ -218,7 +220,7 @@ Status StoreShard::Delete(PageId page) {
     return Status::NotFound("page not present");
   }
   assert(OwnsPage(page));
-  PageMeta& m = table_.GetMutable(page);
+  PageMeta& m = table_.Ensure(page);
   if (m.loc.InBuffer()) {
     BufferedWrite& w = buffer_.GetMutable(m.loc.index);
     // Tombstone the buffer slot; flush skips it. The buffered bytes stay
@@ -265,8 +267,8 @@ Status StoreShard::Checkpoint() {
 }
 
 Status StoreShard::ReadPage(PageId page, std::vector<uint8_t>* out) const {
-  if (!table_.Present(page)) return Status::NotFound("page not present");
   const PageMeta& m = table_.Get(page);
+  if (!m.loc.Present()) return Status::NotFound("page not present");
   if (m.loc.InBuffer()) {
     return Status::InvalidArgument("page still in write buffer");
   }
@@ -331,16 +333,17 @@ Status StoreShard::FlushUserBuffer() {
       const double interval = static_cast<double>(unow_) - w.up2;
       est = interval > 0 ? 2.0 / interval : 2.0;
     }
-    Status s = PlacePage(w.page, w.bytes, w.up2, w.exact_upf, est,
-                         /*is_gc=*/false, /*dead_on_arrival=*/w.superseded);
+    Status s = PlacePage(w.page, table_.Ensure(w.page), w.bytes, w.up2,
+                         w.exact_upf, est, /*is_gc=*/false,
+                         /*dead_on_arrival=*/w.superseded);
     if (!s.ok()) return s;
   }
   return Status::OK();
 }
 
-Status StoreShard::PlacePage(PageId page, uint32_t bytes, double up2,
-                             double exact_upf, double est_upf, bool is_gc,
-                             bool dead_on_arrival) {
+Status StoreShard::PlacePage(PageId page, PageMeta& meta, uint32_t bytes,
+                             double up2, double exact_upf, double est_upf,
+                             bool is_gc, bool dead_on_arrival) {
   const uint32_t log = policy_->PlacementLog(*this, page, is_gc, est_upf);
   const uint32_t stream =
       (is_gc && !config_.gc_shares_user_stream) ? kGcStream : kUserStream;
@@ -368,7 +371,6 @@ Status StoreShard::PlacePage(PageId page, uint32_t bytes, double up2,
                  : sticky_error_;
     }
   }
-  const PageMeta& meta = table_.Get(page);
   const uint32_t idx =
       seg->Append(page, bytes, up2, exact_upf, ++write_seq_, meta.last_update);
   if (dead_on_arrival) {
@@ -378,7 +380,7 @@ Status StoreShard::PlacePage(PageId page, uint32_t bytes, double up2,
     // resurrect it (the flush sort makes its seq order meaningless).
     seg->Kill(idx, exact_upf, /*dead_on_arrival=*/true);
   } else {
-    table_.GetMutable(page).loc = PageLocation{id, idx};
+    meta.loc = PageLocation{id, idx};
   }
   if (is_gc) {
     ++stats_.gc_pages_written;
@@ -906,12 +908,14 @@ uint64_t StoreShard::HarvestVictims(const std::vector<SegmentId>& victims,
       mp.bytes = e.bytes;
       mp.up2 = seg_up2;
       mp.exact_upf = oracle_ ? oracle_(e.page) : 0.0;
+      // A live entry's last_update is its page's (CheckInvariants, 4).
+      assert(e.last_update == table_.Get(e.page).last_update);
       if (oracle_) {
         mp.est_upf = mp.exact_upf;
       } else {
-        const UpdateCount last = table_.Get(e.page).last_update;
-        mp.est_upf =
-            unow_ > last ? 1.0 / static_cast<double>(unow_ - last) : 0.0;
+        mp.est_upf = unow_ > e.last_update
+                         ? 1.0 / static_cast<double>(unow_ - e.last_update)
+                         : 0.0;
       }
       moved->push_back(mp);
     }
@@ -934,8 +938,8 @@ bool StoreShard::SuccessorRecorded(PageId page) const {
   // runs before emitting frees. Buffered or mid-placement versions (the
   // table still pointing at a stale or dangling location) are not
   // recorded anywhere yet.
-  if (!table_.Present(page)) return true;
   const PageMeta& m = table_.Get(page);
+  if (!m.loc.Present()) return true;
   if (m.loc.InBuffer()) return false;
   if (m.loc.segment >= segments_.size()) return false;
   const Segment& s = segments_[m.loc.segment];
@@ -951,8 +955,8 @@ bool StoreShard::SuccessorEmitted(PageId page) const {
   // segments covered). Note this can never match the victim's own entry
   // a caller is testing — the victim was Reset at harvest, so a table
   // location still pointing there is dangling, not a match.
-  if (!table_.Present(page)) return true;
   const PageMeta& m = table_.Get(page);
+  if (!m.loc.Present()) return true;
   if (m.loc.InBuffer()) return false;
   if (m.loc.segment >= segments_.size()) return false;
   const Segment& s = segments_[m.loc.segment];
@@ -1100,8 +1104,8 @@ Status StoreShard::Clean(uint32_t triggering_log) {
     int emergencies = 0;
     for (size_t i = 0; i < moved.size();) {
       const MovedPage& mp = moved[i];
-      Status s = PlacePage(mp.page, mp.bytes, mp.up2, mp.exact_upf,
-                           mp.est_upf, /*is_gc=*/true);
+      Status s = PlacePage(mp.page, table_.Ensure(mp.page), mp.bytes, mp.up2,
+                           mp.exact_upf, mp.est_upf, /*is_gc=*/true);
       if (s.ok()) {
         // The copy is placed: the page's table location now points at
         // the destination, so the source victim's needed entry for it
@@ -1292,6 +1296,9 @@ Status StoreShard::Recover() {
   }
   std::unordered_map<PageId, const Placed*> winner;
   for (const Placed& p : placed) {
+    if (p.page >= PageTable::kMaxPages) {
+      return Status::Corruption("recovery: page id beyond the page table");
+    }
     auto it = latest_delete.find(p.page);
     if (it != latest_delete.end() && it->second > p.seq) continue;
     const Placed*& w = winner[p.page];
@@ -1429,7 +1436,8 @@ Status StoreShard::CheckInvariants() const {
     }
   }
   // 4. Every present page owned by this shard points at a live entry
-  // holding its id, and every live entry is pointed at by exactly its
+  // holding its id, size and last_update (HarvestVictims reads the
+  // entry's copy), and every live entry is pointed at by exactly its
   // page. (The page table is shared; pages of other shards point into
   // their own shard's segments and are skipped here.)
   uint64_t live_entries = 0;
@@ -1462,6 +1470,9 @@ Status StoreShard::CheckInvariants() const {
     const Segment::Entry& e = s.entries()[m.loc.index];
     if (e.page != p) return Status::Corruption("entry does not hold page");
     if (e.bytes != m.bytes) return Status::Corruption("entry size mismatch");
+    if (e.last_update != m.last_update) {
+      return Status::Corruption("entry last_update mismatch");
+    }
   }
   if (present_in_segments != live_entries) {
     return Status::Corruption("live entry count != present page count");

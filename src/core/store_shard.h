@@ -36,10 +36,10 @@ inline uint32_t PageShard(PageId page, uint32_t num_shards) {
 /// owns several and routes pages to them by hash.
 ///
 /// The page table is *shared*: each shard holds a reference to a
-/// lock-striped PageTable so that a dense global table serves all shards.
-/// A shard only ever touches metadata of pages it owns (PageShard), so
-/// per-page accesses need no further synchronisation beyond the table's
-/// stripe locks and the shard-level serialisation below.
+/// lock-free PageTable so that a dense global table serves all shards.
+/// The table synchronises only its own chunk publication. A shard only
+/// ever touches metadata of pages it owns (PageShard), so the shard-level
+/// serialisation below is all the per-page fields need.
 ///
 /// Concurrency contract: a StoreShard is NOT internally synchronised.
 /// All calls on one shard must be serialised by the caller (ShardedStore
@@ -128,7 +128,8 @@ class StoreShard {
 
   /// Size in bytes of the current version of `page` (0 if absent).
   uint32_t PageSize(PageId page) const {
-    return table_.Present(page) ? table_.Get(page).bytes : 0;
+    const PageMeta& m = table_.Get(page);
+    return m.loc.Present() ? m.bytes : 0;
   }
 
   // --- Introspection (used by policies, benches and tests) -----------
@@ -218,9 +219,11 @@ class StoreShard {
   Status FlushUserBuffer();
 
   // Appends one page version to the open segment of the policy-chosen
-  // log. Updates the page table and stats.
-  Status PlacePage(PageId page, uint32_t bytes, double up2, double exact_upf,
-                   double est_upf, bool is_gc, bool dead_on_arrival = false);
+  // log. `meta` is `page`'s table slot, which is remapped to the new
+  // version (unless dead on arrival). Updates stats.
+  Status PlacePage(PageId page, PageMeta& meta, uint32_t bytes, double up2,
+                   double exact_upf, double est_upf, bool is_gc,
+                   bool dead_on_arrival = false);
 
   // Returns the open segment for (log, stream), opening one if needed.
   // Returns nullptr on out-of-space.

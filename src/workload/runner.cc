@@ -24,7 +24,6 @@ RunResult Fail(Status s, const std::string& variant) {
 void FillDeviceMetrics(const StoreStats& stats, RunResult* r) {
   r->device_bytes_written = stats.device_bytes_written;
   r->device_bytes_per_user_byte = stats.DeviceBytesPerUserByte();
-  r->device_seconds = stats.DeviceSeconds();
   r->device_fsyncs = stats.device_fsyncs;
   r->backend_blocking_seconds = stats.BackendBlockingSeconds();
   r->uring_available = stats.uring_available;

@@ -50,14 +50,13 @@ struct RunResult {
   /// of the simulator's 1 + Wamp prediction (plus segment-tail and
   /// metadata overhead).
   double device_bytes_per_user_byte = 0.0;
-  /// Wall-clock seconds spent in pwrite + fsync during measurement.
-  double device_seconds = 0.0;
   /// fsync calls during measurement.
   uint64_t device_fsyncs = 0;
   /// Seconds the thread driving the backend spent *blocked* on device
-  /// work (StoreStats::BackendBlockingSeconds): for the file backend all
-  /// of device_seconds, for the uring backend submit + CQE-wait time —
-  /// the difference at equal fsync policy is the overlap the ring bought.
+  /// work during measurement (StoreStats::BackendBlockingSeconds): for
+  /// the file backend its pwrite + fsync time, for the uring backend
+  /// submit + CQE-wait time — the difference at equal fsync policy is
+  /// the overlap the ring bought.
   double backend_blocking_seconds = 0.0;
   /// Shards whose io_uring capability probe found a working ring (zero
   /// on other backends or when the kernel/seccomp disallows io_uring).

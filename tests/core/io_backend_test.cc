@@ -295,6 +295,34 @@ TEST_F(IoBackendTest, ShardCountMismatchIsDetected) {
   EXPECT_EQ(st.code(), Status::Code::kCorruption);
 }
 
+// Page ids are bounded by the page table; a log naming a larger one is
+// rejected, not materialised.
+TEST_F(IoBackendTest, RecoveredPageIdBeyondTheTableIsCorruption) {
+  const StoreConfig cfg = FileConfig();
+  {
+    StoreStats stats;
+    FileBackend backend;
+    ASSERT_TRUE(backend.Open(cfg, 0, 1, &stats, /*recover=*/false).ok());
+    BackendSegmentRecord rec;
+    rec.id = 0;
+    rec.source = SegmentSource::kUser;
+    rec.seal_time = 1;
+    rec.unow = 1;
+    Segment::Entry e;
+    e.page = PageTable::kMaxPages;
+    e.bytes = 4096;
+    e.seq = 1;
+    rec.entries.push_back(e);
+    ASSERT_TRUE(backend.SealSegment(rec).ok());
+    ASSERT_TRUE(backend.Close().ok());
+  }
+  Status st;
+  auto store =
+      LogStructuredStore::Open(cfg, MakePolicy(Variant::kGreedy), &st);
+  EXPECT_EQ(store, nullptr);
+  EXPECT_EQ(st.code(), Status::Code::kCorruption);
+}
+
 TEST_F(IoBackendTest, OpenWithoutDurableStateFails) {
   Status st;
   auto store = LogStructuredStore::Open(FileConfig(),

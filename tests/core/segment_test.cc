@@ -136,5 +136,27 @@ TEST(SegmentTest, CountersConsistentUnderChurn) {
   EXPECT_TRUE(s.CheckCountersConsistent());
 }
 
+// A reused slot keeps its entry storage across Reset, but its next fill
+// starts from a clean slate.
+TEST(SegmentTest, ReuseAfterResetStartsAtOffsetZero) {
+  Segment s(kCap);
+  s.Open(0, SegmentSource::kUser, 0);
+  for (PageId p = 0; p < kCap / 4096; ++p) s.Append(p, 4096, 1.0, 0);
+  s.Kill(1, 0);
+  s.Seal(5);
+  s.Reset();
+  s.Open(2, SegmentSource::kGc, 9);
+  EXPECT_TRUE(s.entries().empty());
+  EXPECT_TRUE(s.CheckCountersConsistent());
+  EXPECT_EQ(s.live_count(), 0u);
+  const uint32_t first = s.Append(40, 1024, 2.0, 0);
+  const uint32_t second = s.Append(41, 2048, 2.0, 0);
+  EXPECT_EQ(first, 0u);
+  EXPECT_EQ(s.entries()[first].offset, 0u);
+  EXPECT_EQ(s.entries()[second].offset, 1024u);
+  EXPECT_EQ(s.live_count(), 2u);
+  EXPECT_TRUE(s.CheckCountersConsistent());
+}
+
 }  // namespace
 }  // namespace lss

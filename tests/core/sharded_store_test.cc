@@ -219,7 +219,7 @@ TEST(ShardedStoreTest, MultiThreadedStressKeepsInvariants) {
   }
 }
 
-// Concurrent growth of the shared striped page table from many threads:
+// Concurrent growth of the shared lock-free page table from many threads:
 // disjoint page ranges ensured in parallel must all be present and hold
 // their values afterwards.
 TEST(PageTableConcurrencyTest, ParallelEnsureAndReadback) {

@@ -95,6 +95,16 @@ TEST(StoreTest, RejectsPageLargerThanSegment) {
             Status::Code::kInvalidArgument);
 }
 
+TEST(StoreTest, RejectsPageIdsBeyondTheTable) {
+  auto store = MakeStore(SmallConfig());
+  EXPECT_EQ(store->Write(PageTable::kMaxPages).code(),
+            Status::Code::kInvalidArgument);
+  EXPECT_EQ(store->Write(kInvalidPage).code(), Status::Code::kInvalidArgument);
+  EXPECT_FALSE(store->Contains(PageTable::kMaxPages));
+  EXPECT_TRUE(store->Write(3).ok());  // rejections leave the store usable
+  EXPECT_TRUE(store->CheckInvariants().ok());
+}
+
 TEST(StoreTest, DeleteRemovesPage) {
   auto store = MakeStore(SmallConfig());
   ASSERT_TRUE(store->Write(3).ok());
