@@ -14,7 +14,7 @@
 
 #include "bench/bench_common.h"
 #include "core/policies/cost_benefit_policy.h"
-#include "core/store.h"
+#include "core/sharded_store.h"
 #include "util/table_printer.h"
 #include "workload/runner.h"
 #include "workload/zipfian_workload.h"
@@ -28,8 +28,9 @@ double RunWith(CostBenefitPolicy::Formula formula,
   StoreConfig cfg = base;
   ApplyVariantConfig(Variant::kCostBenefit, &cfg);
   Status st;
-  auto store = LogStructuredStore::Create(
-      cfg, std::make_unique<CostBenefitPolicy>(formula), &st);
+  auto store = ShardedStore::Create(
+      cfg, 1,
+      [formula] { return std::make_unique<CostBenefitPolicy>(formula); }, &st);
   if (store == nullptr) return -1;
   Rng rng(42);
   const uint64_t user_pages = bench::UserPagesFor(cfg, f);
@@ -40,11 +41,11 @@ double RunWith(CostBenefitPolicy::Formula formula,
   for (uint64_t i = 0; i < warm; ++i) {
     if (!store->Write(workload.NextPage(rng)).ok()) return -1;
   }
-  store->mutable_stats().ResetMeasurement();
+  store->shard(0).mutable_stats().ResetMeasurement();
   for (uint64_t i = 0; i < 12 * user_pages; ++i) {
     if (!store->Write(workload.NextPage(rng)).ok()) return -1;
   }
-  return store->stats().WriteAmplification();
+  return store->shard(0).stats().WriteAmplification();
 }
 
 void Run() {

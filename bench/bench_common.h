@@ -241,11 +241,11 @@ inline void EmitRunResult(const std::string& bench,
       .Num("mean_clean_emptiness", r.mean_clean_emptiness)
       .Num("measured_updates", r.measured_updates)
       .Num("effective_fill", r.effective_fill);
-  if (r.device_bytes_written > 0) {
-    row.Num("device_bytes_written", r.device_bytes_written)
-        .Num("device_bytes_per_user_byte", r.device_bytes_per_user_byte)
-        .Num("backend_blocking_seconds", r.backend_blocking_seconds)
-        .Num("device_fsyncs", r.device_fsyncs);
+  if (r.stats.device_bytes_written > 0) {
+    row.Num("device_bytes_written", r.stats.device_bytes_written)
+        .Num("device_bytes_per_user_byte", r.stats.DeviceBytesPerUserByte())
+        .Num("backend_blocking_seconds", r.stats.BackendBlockingSeconds())
+        .Num("device_fsyncs", r.stats.device_fsyncs);
   }
   Emit(row);
 }

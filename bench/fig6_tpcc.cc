@@ -17,7 +17,7 @@
 //   LSS_BENCH_SCALE=N     multiply warehouses / transaction counts
 //   LSS_BENCH_THREADS=N   worker threads for trace generation AND shards
 //                         for trace replay (default 1 = the serial
-//                         pipeline; replay at N>1 runs RunTraceParallel
+//                         pipeline; replay at N>1 runs RunTrace
 //                         over an N-shard store)
 //   LSS_BENCH_SMOKE=1     tiny cardinality + one fill factor, for CI
 //   LSS_BENCH_NO_CACHE=1  always regenerate the trace
@@ -172,8 +172,8 @@ CachedTrace GenerateOrLoadTrace(const tpcc::TpccConfig& tc,
   if (cache_enabled && LoadMeta(meta_path, &out.gen) &&
       out.gen.trace.LoadFrom(trace_path) && !out.gen.trace.Empty()) {
     // The per-shard sub-traces ride in sibling files; a damaged or
-    // missing one just forfeits the fast path (the router re-derives the
-    // same routing from the main trace).
+    // missing one just forfeits the cached split (the replay re-splits
+    // the main trace the same way).
     if (out.gen.presplit.shards == presplit_shards &&
         presplit_shards > 0) {
       out.gen.presplit.sub.resize(presplit_shards);
@@ -349,17 +349,9 @@ void Run() {
     std::vector<TablePrinter::Cell> row;
     row.emplace_back(f, 2);
     for (Variant v : lines) {
-      RunResult r;
-      double replay_seconds = 0.0;
-      if (replay_shards > 1) {
-        const ParallelRunResult pr = RunTraceParallel(
-            cfg, v, gen.trace, gen.measure_from, replay_shards,
-            gen.presplit.Valid() ? &gen.presplit : nullptr);
-        r = pr.result;
-        replay_seconds = pr.measure_seconds;
-      } else {
-        r = RunTrace(cfg, v, gen.trace, gen.measure_from);
-      }
+      const RunResult r =
+          RunTrace(cfg, v, gen.trace, gen.measure_from, replay_shards,
+                   gen.presplit.Valid() ? &gen.presplit : nullptr);
       if (!r.status.ok()) {
         std::fprintf(stderr, "%s F=%.2f failed: %s\n", VariantName(v).c_str(),
                      f, r.status.ToString().c_str());
@@ -375,14 +367,14 @@ void Run() {
             .Num("measured_updates", r.measured_updates)
             .Num("effective_fill", r.effective_fill)
             .Num("threads", static_cast<uint64_t>(threads));
-        if (replay_shards > 1) json.Num("replay_seconds", replay_seconds);
+        if (replay_shards > 1) json.Num("replay_seconds", r.measure_seconds);
         bench::Emit(json);
       }
     }
     table.AddRow(std::move(row));
   }
   if (replay_shards > 1) {
-    std::printf("replay: RunTraceParallel over %u shards (per-page order "
+    std::printf("replay: RunTrace over %u shards (per-page order "
                 "preserved; Wamp is the per-shard-cleaned aggregate)\n\n",
                 replay_shards);
   }

@@ -41,7 +41,7 @@
 
 #include "bench/bench_common.h"
 #include "core/io_backend.h"
-#include "core/store.h"
+#include "core/sharded_store.h"
 #include "util/rng.h"
 #include "util/table_printer.h"
 #include "workload/runner.h"
@@ -143,16 +143,15 @@ void Panel(const char* workload_name, const WorkloadGenerator& workload,
       // Sealed segments are (nearly) full, so every physical byte the
       // device sees is a user byte, a GC byte or metadata: 1 + Wamp.
       row.emplace_back(1.0 + r.wamp, 3);
-      if (r.device_bytes_written > 0) {
+      const StoreStats& st = r.stats;
+      if (st.device_bytes_written > 0) {
         const double mb =
-            static_cast<double>(r.device_bytes_written) / (1024.0 * 1024.0);
-        row.emplace_back(r.device_bytes_per_user_byte, 3);
+            static_cast<double>(st.device_bytes_written) / (1024.0 * 1024.0);
+        const double blocking_s = st.BackendBlockingSeconds();
+        row.emplace_back(st.DeviceBytesPerUserByte(), 3);
         row.emplace_back(mb, 1);
-        row.emplace_back(r.backend_blocking_seconds > 0
-                             ? mb / r.backend_blocking_seconds
-                             : 0.0,
-                         1);
-        row.emplace_back(static_cast<int>(r.device_fsyncs));
+        row.emplace_back(blocking_s > 0 ? mb / blocking_s : 0.0, 1);
+        row.emplace_back(static_cast<int>(st.device_fsyncs));
       } else {
         row.emplace_back("-");
         row.emplace_back("-");
@@ -168,11 +167,11 @@ void Panel(const char* workload_name, const WorkloadGenerator& workload,
           .Num("fill", fill)
           .Num("wamp", r.wamp)
           .Num("predicted_device_bytes_per_user_byte", 1.0 + r.wamp)
-          .Num("device_bytes_written", r.device_bytes_written)
-          .Num("device_bytes_per_user_byte", r.device_bytes_per_user_byte)
-          .Num("device_fsyncs", r.device_fsyncs)
-          .Num("backend_blocking_seconds", r.backend_blocking_seconds)
-          .Num("uring_available", r.uring_available);
+          .Num("device_bytes_written", st.device_bytes_written)
+          .Num("device_bytes_per_user_byte", st.DeviceBytesPerUserByte())
+          .Num("device_fsyncs", st.device_fsyncs)
+          .Num("backend_blocking_seconds", st.BackendBlockingSeconds())
+          .Num("uring_available", st.uring_available);
       bench::Emit(json);
     }
   }
@@ -224,31 +223,29 @@ void SealPipelinePanel(double fill, const std::string& dir) {
       RunSpec run = bench::DefaultSpec(fill);
       run.warmup_multiplier = 4;
       run.measure_multiplier = 6;
-      const ParallelRunResult pr =
-          RunSyntheticParallel(cfg, Variant::kMdc, workload, run,
-                               /*threads=*/1, /*shards=*/1);
+      const RunResult r = RunSynthetic(cfg, Variant::kMdc, workload, run);
       const std::string label = spec.substr(0, spec.find(':'));
-      if (!pr.result.status.ok()) {
+      if (!r.status.ok()) {
         std::fprintf(stderr, "%s/%s failed: %s\n", m.label, label.c_str(),
-                     pr.result.status.ToString().c_str());
+                     r.status.ToString().c_str());
         continue;
       }
-      const RunResult& r = pr.result;
+      const StoreStats& st = r.stats;
       std::vector<TablePrinter::Cell> row;
       row.emplace_back(m.label);
       row.emplace_back(label);
       row.emplace_back(r.wamp, 3);
-      row.emplace_back(pr.updates_per_second / 1000.0, 1);
-      row.emplace_back(pr.measure_seconds, 2);
-      row.emplace_back(r.backend_blocking_seconds * 1000.0, 1);
+      row.emplace_back(r.updates_per_second / 1000.0, 1);
+      row.emplace_back(r.measure_seconds, 2);
+      row.emplace_back(st.BackendBlockingSeconds() * 1000.0, 1);
       row.emplace_back(
-          static_cast<double>(r.device_bytes_written) / (1024.0 * 1024.0), 1);
-      row.emplace_back(static_cast<int>(r.device_fsyncs));
-      row.emplace_back(static_cast<int>(r.group_fsyncs));
-      row.emplace_back(static_cast<int>(r.seal_queue_stalls));
-      row.emplace_back(static_cast<int>(r.checkpoints_written));
-      row.emplace_back(static_cast<int>(r.withheld_slot_reuses_rehomed));
-      row.emplace_back(static_cast<int>(r.withheld_slot_reuses_plain));
+          static_cast<double>(st.device_bytes_written) / (1024.0 * 1024.0), 1);
+      row.emplace_back(static_cast<int>(st.device_fsyncs));
+      row.emplace_back(static_cast<int>(st.group_fsyncs));
+      row.emplace_back(static_cast<int>(st.seal_queue_stalls));
+      row.emplace_back(static_cast<int>(st.checkpoints_written));
+      row.emplace_back(static_cast<int>(st.withheld_slot_reuses_rehomed));
+      row.emplace_back(static_cast<int>(st.withheld_slot_reuses_plain));
       table.AddRow(std::move(row));
 
       bench::JsonRow json("io_backend_seal_pipeline");
@@ -257,22 +254,22 @@ void SealPipelinePanel(double fill, const std::string& dir) {
           .Str("variant", r.variant)
           .Num("fill", fill)
           .Num("wamp", r.wamp)
-          .Num("updates_per_second", pr.updates_per_second)
-          .Num("measure_seconds", pr.measure_seconds)
-          .Num("backend_blocking_seconds", r.backend_blocking_seconds)
-          .Num("uring_available", r.uring_available)
-          .Num("uring_submitted", r.uring_submitted)
-          .Num("device_bytes_written", r.device_bytes_written)
-          .Num("device_fsyncs", r.device_fsyncs)
-          .Num("group_fsyncs", r.group_fsyncs)
-          .Num("seal_queue_stalls", r.seal_queue_stalls)
-          .Num("checkpoints_written", r.checkpoints_written)
-          .Num("checkpoint_rounds", r.checkpoint_rounds)
-          .Num("checkpoint_full_records", r.checkpoint_full_records)
-          .Num("checkpoint_delta_records", r.checkpoint_delta_records)
-          .Num("checkpoint_bytes_written", r.checkpoint_bytes_written)
-          .Num("withheld_slot_reuses_rehomed", r.withheld_slot_reuses_rehomed)
-          .Num("withheld_slot_reuses_plain", r.withheld_slot_reuses_plain);
+          .Num("updates_per_second", r.updates_per_second)
+          .Num("measure_seconds", r.measure_seconds)
+          .Num("backend_blocking_seconds", st.BackendBlockingSeconds())
+          .Num("uring_available", st.uring_available)
+          .Num("uring_submitted", st.uring_submitted)
+          .Num("device_bytes_written", st.device_bytes_written)
+          .Num("device_fsyncs", st.device_fsyncs)
+          .Num("group_fsyncs", st.group_fsyncs)
+          .Num("seal_queue_stalls", st.seal_queue_stalls)
+          .Num("checkpoints_written", st.checkpoints_written)
+          .Num("checkpoint_rounds", st.checkpoint_rounds)
+          .Num("checkpoint_full_records", st.checkpoint_full_records)
+          .Num("checkpoint_delta_records", st.checkpoint_delta_records)
+          .Num("checkpoint_bytes_written", st.checkpoint_bytes_written)
+          .Num("withheld_slot_reuses_rehomed", st.withheld_slot_reuses_rehomed)
+          .Num("withheld_slot_reuses_plain", st.withheld_slot_reuses_plain);
       bench::Emit(json);
     }
   }
@@ -304,9 +301,8 @@ BarrierRun RunBarrierWorkload(const StoreConfig& cfg,
   BarrierRun out;
   StoreConfig store_cfg = cfg;
   ApplyVariantConfig(Variant::kMdc, &store_cfg);
-  auto store = LogStructuredStore::Create(store_cfg,
-                                          MakePolicy(Variant::kMdc),
-                                          &out.status);
+  auto store = ShardedStore::Create(
+      store_cfg, 1, [] { return MakePolicy(Variant::kMdc); }, &out.status);
   if (store == nullptr) return out;
   store->SetExactFrequencyOracle(
       [&workload](PageId p) { return workload.ExactFrequency(p); });
@@ -335,7 +331,7 @@ BarrierRun RunBarrierWorkload(const StoreConfig& cfg,
   store->ResetMeasurement();
   out.status = run_updates(4 * user_pages);
   if (!out.status.ok()) return out;
-  out.stats = store->StatsSnapshot();
+  out.stats = store->AggregatedStats();
   out.wamp = out.stats.WriteAmplification();
   return out;
 }

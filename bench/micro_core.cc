@@ -13,7 +13,6 @@
 #include "core/page_table.h"
 #include "core/policy_factory.h"
 #include "core/sharded_store.h"
-#include "core/store.h"
 #include "util/zipf.h"
 #include "workload/runner.h"
 #include "workload/zipfian_workload.h"
@@ -31,7 +30,7 @@ void BM_StoreWrite(benchmark::State& state) {
   cfg.clean_batch_segments = 8;
   cfg.write_buffer_segments = 8;
   ApplyVariantConfig(v, &cfg);
-  auto store = LogStructuredStore::Create(cfg, MakePolicy(v));
+  auto store = ShardedStore::Create(cfg, 1, [v] { return MakePolicy(v); });
   if (VariantNeedsOracle(v)) {
     store->SetExactFrequencyOracle([](PageId) { return 1.0; });
   }
@@ -111,18 +110,19 @@ void BM_VictimSelection(benchmark::State& state) {
   cfg.clean_trigger_segments = 4;
   cfg.clean_batch_segments = 16;
   cfg.write_buffer_segments = 4;
-  auto store = LogStructuredStore::Create(cfg, MakePolicy(Variant::kMdc));
+  auto store = ShardedStore::Create(
+      cfg, 1, [] { return MakePolicy(Variant::kMdc); });
   const uint64_t user_pages = bench::UserPagesFor(cfg, 0.8);
   Rng rng(2);
   for (PageId p = 0; p < user_pages; ++p) store->Write(p).ok();
   for (uint64_t i = 0; i < 2 * user_pages; ++i) {
     store->Write(rng.NextBounded(user_pages)).ok();
   }
-  const auto& policy = store->policy();
+  const auto& policy = store->shard(0).policy();
   std::vector<SegmentId> victims;
   for (auto _ : state) {
     victims.clear();
-    policy.SelectVictims(store->shard(), 0, 16, &victims);
+    policy.SelectVictims(store->shard(0), 0, 16, &victims);
     benchmark::DoNotOptimize(victims.data());
   }
   state.SetItemsProcessed(state.iterations());

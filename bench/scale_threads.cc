@@ -6,7 +6,7 @@
 // What to expect: write amplification is a property of the write pattern
 // (paper §6.1.1 — device size does not affect Wamp), so the aggregate and
 // per-shard Wamp should sit within a few percent of the single-threaded
-// LogStructuredStore baseline at every thread count — sharding must not
+// 1-shard baseline at every thread count — sharding must not
 // change the *quality* of cleaning, only its parallelism. Throughput
 // should scale with threads on multi-core hardware (shards > threads
 // keeps routing collisions low); on a single core the sweep degenerates
@@ -69,7 +69,7 @@ void Run() {
       shards, fill, static_cast<unsigned long long>(user_pages),
       bench::ScaleFactor());
 
-  // Single-threaded LogStructuredStore baseline: the Wamp reference the
+  // Single-threaded 1-shard baseline: the Wamp reference the
   // per-shard spread is judged against.
   const RunResult baseline = RunSynthetic(cfg, Variant::kMdc, workload, spec);
   if (!baseline.status.ok()) {
@@ -84,11 +84,11 @@ void Run() {
                       "shard Wamp min", "shard Wamp max", "spread vs base"});
   double base_rate = 0.0;
   for (uint32_t threads : ThreadSweep()) {
-    const ParallelRunResult r = RunSyntheticParallel(
-        cfg, Variant::kMdc, workload, spec, threads, shards);
-    if (!r.result.status.ok()) {
+    const RunResult r =
+        RunSynthetic(cfg, Variant::kMdc, workload, spec, threads, shards);
+    if (!r.status.ok()) {
       std::fprintf(stderr, "%u threads failed: %s\n", threads,
-                   r.result.status.ToString().c_str());
+                   r.status.ToString().c_str());
       continue;
     }
     double wmin = r.shard_wamp.empty() ? 0.0 : r.shard_wamp[0];
@@ -110,7 +110,7 @@ void Run() {
     row.emplace_back(r.measure_seconds, 2);
     row.emplace_back(r.updates_per_second / 1e6, 3);
     row.emplace_back(base_rate > 0 ? r.updates_per_second / base_rate : 0.0, 2);
-    row.emplace_back(r.result.wamp, 4);
+    row.emplace_back(r.wamp, 4);
     row.emplace_back(wmin, 4);
     row.emplace_back(wmax, 4);
     row.emplace_back(std::string(TablePrinter::Cell(100.0 * spread, 1).text) +
@@ -121,7 +121,7 @@ void Run() {
                     .Num("shards", static_cast<uint64_t>(shards))
                     .Num("measure_seconds", r.measure_seconds)
                     .Num("updates_per_second", r.updates_per_second)
-                    .Num("wamp", r.result.wamp)
+                    .Num("wamp", r.wamp)
                     .Num("baseline_wamp", baseline.wamp)
                     .Num("shard_wamp_min", wmin)
                     .Num("shard_wamp_max", wmax)

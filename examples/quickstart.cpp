@@ -5,14 +5,15 @@
 //   $ ./build/examples/quickstart
 //
 // Part 1 walks the core public API on the paper's bookkeeping-only
-// simulator: StoreConfig, MakePolicy / Variant,
-// LogStructuredStore::Write/Delete/Flush, and StoreStats.
+// simulator: StoreConfig, MakePolicy / Variant, a 1-shard ShardedStore
+// (the paper's single-threaded store: one shard owns the whole device)
+// with Write/Flush, and StoreStats.
 //
 // Part 2 selects the file backend (ApplyBackendSpec), runs the same
 // workload with every sealed segment physically written to a temp
-// directory, closes the store, reopens it with LogStructuredStore::Open
-// — recovering the page table from the segment files — and verifies
-// every live page is still there and readable.
+// directory, closes the store, reopens it with ShardedStore::Open —
+// recovering the page table from the segment files — and verifies every
+// live page is still there and readable.
 
 #include <cstdio>
 #include <cstdlib>
@@ -25,7 +26,7 @@
 
 #include "core/io_backend.h"
 #include "core/policy_factory.h"
-#include "core/store.h"
+#include "core/sharded_store.h"
 #include "util/rng.h"
 
 namespace {
@@ -47,8 +48,8 @@ StoreConfig BaseConfig() {
 // Fill fraction `f` of the device with pages 0..N-1, then update them at
 // random: a 90:10 hot/cold split (90% of updates hit the first 10% of
 // pages). Returns the page count, or 0 on failure.
-uint64_t RunWorkload(LogStructuredStore* store, double f) {
-  const uint64_t user_pages = store->config().UserPagesForFillFactor(f);
+uint64_t RunWorkload(ShardedStore* store, double f) {
+  const uint64_t user_pages = store->shard_config().UserPagesForFillFactor(f);
   for (PageId p = 0; p < user_pages; ++p) {
     if (Status s = store->Write(p); !s.ok()) {
       std::fprintf(stderr, "write failed: %s\n", s.ToString().c_str());
@@ -68,11 +69,12 @@ uint64_t RunWorkload(LogStructuredStore* store, double f) {
   return user_pages;
 }
 
-void PrintStats(const LogStructuredStore& store) {
-  const StoreStats& stats = store.stats();
-  std::printf("policy               : %s\n", store.policy().name().c_str());
+void PrintStats(const ShardedStore& store) {
+  const StoreStats stats = store.AggregatedStats();
+  std::printf("policy               : %s\n",
+              store.shard(0).policy().name().c_str());
   std::printf("backend              : %s\n",
-              BackendSpecName(store.config()).c_str());
+              BackendSpecName(store.shard_config()).c_str());
   std::printf("user updates         : %llu\n",
               static_cast<unsigned long long>(stats.user_updates));
   std::printf("user pages written   : %llu\n",
@@ -106,7 +108,8 @@ int Part1Simulator() {
   ApplyVariantConfig(variant, &config);
 
   Status status;
-  auto store = LogStructuredStore::Create(config, MakePolicy(variant), &status);
+  auto store = ShardedStore::Create(
+      config, 1, [variant] { return MakePolicy(variant); }, &status);
   if (store == nullptr) {
     std::fprintf(stderr, "create failed: %s\n", status.ToString().c_str());
     return 1;
@@ -151,8 +154,8 @@ int Part2FileBackendAndReopen() {
   uint64_t user_pages = 0;
   {
     Status status;
-    auto store =
-        LogStructuredStore::Create(config, MakePolicy(variant), &status);
+    auto store = ShardedStore::Create(
+        config, 1, [variant] { return MakePolicy(variant); }, &status);
     if (store == nullptr) {
       std::fprintf(stderr, "create failed: %s\n", status.ToString().c_str());
       return 1;
@@ -173,7 +176,8 @@ int Part2FileBackendAndReopen() {
   // "Restart": reopen from the segment files alone. The recovery scan
   // rebuilds the page table, segment bookkeeping and clocks.
   Status status;
-  auto store = LogStructuredStore::Open(config, MakePolicy(variant), &status);
+  auto store = ShardedStore::Open(
+      config, 1, [variant] { return MakePolicy(variant); }, &status);
   if (store == nullptr) {
     std::fprintf(stderr, "reopen failed: %s\n", status.ToString().c_str());
     return 1;
@@ -208,7 +212,7 @@ int Part2FileBackendAndReopen() {
     }
   }
   std::printf("20000 post-reopen updates OK (Wamp %.3f)\n",
-              store->stats().WriteAmplification());
+              store->AggregatedStats().WriteAmplification());
 
   store->Close().ok();
   ::unlink(FileBackend::DataPath(dir, 0).c_str());

@@ -9,7 +9,7 @@
 #   --tsan:   rebuild with -fsanitize=thread in ./build-tsan (or the given
 #             build dir) and run the concurrency test suites under
 #             ThreadSanitizer — the data-race gate for ShardedStore, the
-#             striped PageTable, the per-shard async seal pipeline
+#             lock-free PageTable, the per-shard async seal pipeline
 #             (AsyncSeal* cases in tests/core/sharded_store_test.cc), the
 #             latch-striped buffer pool (BufferPoolParallel*, which
 #             includes the latch-free CLOCK hit-path stress), the
@@ -154,7 +154,7 @@ cmake --build "$BUILD_DIR" -j "$JOBS"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 
 # Small-scale parallel TPC-C smoke: 2-worker trace generation, replay
-# through RunTraceParallel over 2 shards, machine-readable output — the
+# through RunTrace over 2 shards, machine-readable output — the
 # end-to-end gate for the concurrent fig6 pipeline (seconds, not
 # minutes; the full bench is LSS_BENCH_SCALE/LSS_BENCH_THREADS).
 if [[ -x "$BUILD_DIR/bench/fig6_tpcc" ]]; then

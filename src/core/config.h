@@ -13,7 +13,7 @@ namespace lss {
 /// are counted but never performed. kFile gives every shard its own
 /// segment file pair so write-amplification predictions can be compared
 /// against real device traffic, and lets a store survive process
-/// restart (LogStructuredStore::Open / ShardedStore::Open). kUring is
+/// restart (ShardedStore::Open). kUring is
 /// the file backend with payload writes overlapped through a raw
 /// io_uring ring (core/uring_backend.h): same files, byte-identical
 /// metadata log, and a runtime probe that degrades to the synchronous
@@ -24,7 +24,8 @@ enum class BackendKind : uint8_t {
   kUring,
 };
 
-/// Configuration of a LogStructuredStore.
+/// Configuration of a store (per shard, once ShardedStore has divided
+/// num_segments).
 ///
 /// Paper defaults (§6.1.1): 4 KB pages, 2 MB segments (512 pages), 100 GB
 /// device (51 200 segments), cleaning triggered when the free pool drops

@@ -566,8 +566,7 @@ class FaultInjectionBackend : public SegmentBackend {
 std::unique_ptr<SegmentBackend> MakeBackend(const StoreConfig& config);
 
 /// Rejects configs whose backend cannot support reopen-after-restart
-/// (the null backend persists nothing). Shared by
-/// LogStructuredStore::Open and ShardedStore::Open.
+/// (the null backend persists nothing). ShardedStore::Open checks it.
 Status ValidateReopenConfig(const StoreConfig& config);
 
 }  // namespace lss

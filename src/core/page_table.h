@@ -47,8 +47,8 @@ struct PageMeta {
 ///
 /// Concurrency contract: the table protects only its own *structure*.
 /// The PageMeta *fields* are not locked here — all accesses to a given
-/// page's meta must be serialized by the page's owner (in a ShardedStore,
-/// the owning shard's mutex; in a LogStructuredStore, the single caller).
+/// page's meta must be serialized by the page's owner (the owning
+/// shard's mutex in a ShardedStore).
 class PageTable {
  public:
   static constexpr PageId kMaxPages = PageId{1} << 32;

@@ -51,9 +51,15 @@ using BackendFactory =
 /// is the global Wamp while shard(i).stats() exposes the per-shard view
 /// (bench/scale_threads.cc reports the spread).
 ///
-/// A 1-shard ShardedStore executes the exact instruction sequence of a
-/// LogStructuredStore (same StoreShard code, same routing), which the
-/// determinism test pins down bit-for-bit.
+/// A 1-shard ShardedStore is the paper's single-threaded simulator: its
+/// one StoreShard owns the whole device. Reach shard internals (stats,
+/// segments, unow, EstimateUpf) through shard(0).
+///
+/// Typical use:
+///   auto store = ShardedStore::Create(
+///       cfg, 1, [] { return MakePolicy(Variant::kMdc); });
+///   for (...) store->Write(page_id);
+///   double wamp = store->AggregatedStats().WriteAmplification();
 class ShardedStore {
  public:
   /// Creates a store with `num_shards` shards, giving each shard

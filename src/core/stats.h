@@ -7,7 +7,8 @@
 
 namespace lss {
 
-/// Counters accumulated by a LogStructuredStore. The headline metric is
+/// Counters accumulated by a StoreShard (ShardedStore::AggregatedStats
+/// merges them across shards). The headline metric is
 /// write amplification Wamp = (GC page moves) / (user page writes), the
 /// paper's Equation 2 measured empirically. ResetMeasurement() zeroes the
 /// counters without disturbing store state, so benches can warm up to

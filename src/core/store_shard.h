@@ -32,8 +32,8 @@ inline uint32_t PageShard(PageId page, uint32_t num_shards) {
 /// One independent log-structured log: segments, free pool, open
 /// segments, user write buffer, update-count clock, stats and cleaning
 /// policy — the complete single-log state of the paper's simulator
-/// (§6.1.1). A LogStructuredStore is exactly one shard; a ShardedStore
-/// owns several and routes pages to them by hash.
+/// (§6.1.1). A ShardedStore owns one or more shards and routes pages to
+/// them by hash; with one shard it is the paper's simulator.
 ///
 /// The page table is *shared*: each shard holds a reference to a
 /// lock-free PageTable so that a dense global table serves all shards.
@@ -43,8 +43,7 @@ inline uint32_t PageShard(PageId page, uint32_t num_shards) {
 ///
 /// Concurrency contract: a StoreShard is NOT internally synchronised.
 /// All calls on one shard must be serialised by the caller (ShardedStore
-/// wraps every shard in its own mutex; LogStructuredStore is
-/// single-threaded by construction). The cleaning policy instance is
+/// wraps every shard in its own mutex). The cleaning policy instance is
 /// owned by the shard, so policy state (e.g. multi-log's band maps) is
 /// confined to the shard and needs no locking of its own. With
 /// StoreConfig::async_seal the shard additionally owns a SealPipeline —

@@ -49,7 +49,7 @@ struct TpccTraceResult {
 
   /// Pre-split replay feeds (empty unless requested): sub-trace per
   /// replay shard, computed once here so every replay of a cached trace
-  /// takes ReplayTraceParallel's zero-router fast path.
+  /// skips ReplayTraceParallel's own SplitTrace.
   ShardedTrace presplit;
 };
 
@@ -76,7 +76,7 @@ struct TpccTraceResult {
 /// `presplit_shards` > 0 additionally splits the finished trace into
 /// that many per-shard sub-traces (SplitTrace), stored in
 /// result.presplit; benches cache the split alongside the trace so
-/// parallel replays never pay router work.
+/// parallel replays never pay the split.
 TpccTraceResult GenerateTpccTrace(const TpccConfig& config,
                                   uint64_t warm_txns, uint64_t measure_txns,
                                   uint64_t checkpoint_every = 0,

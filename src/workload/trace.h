@@ -59,10 +59,9 @@ class Trace {
 /// A trace pre-split by replay shard: sub-trace `s` holds exactly the
 /// subsequence of records that PageShard routes to shard `s`, in trace
 /// order, with the measure_from boundary translated into each
-/// subsequence. Splitting once at generation time lets every parallel
-/// replay of the same trace skip the router entirely
-/// (ReplayTraceParallel's fast path): shard threads stream their own
-/// sub-trace with zero routing work or queue hand-offs.
+/// subsequence. ReplayTraceParallel replays these sub-traces, one shard
+/// thread each; splitting once at generation time lets every parallel
+/// replay of the same trace reuse the split.
 struct ShardedTrace {
   uint32_t shards = 0;  // 0 = not split
   std::vector<Trace> sub;
@@ -77,7 +76,7 @@ struct ShardedTrace {
 };
 
 /// Splits `trace` for `shards`-way replay (PageShard routing, the same
-/// function ReplayTraceParallel's router applies record by record).
+/// function ShardedStore routes pages with).
 ShardedTrace SplitTrace(const Trace& trace, size_t measure_from,
                         uint32_t shards);
 

@@ -14,7 +14,6 @@
 
 #include "core/policy_factory.h"
 #include "core/sharded_store.h"
-#include "core/store.h"
 #include "core/uring_backend.h"
 #include "util/rng.h"
 
@@ -33,6 +32,17 @@ StoreConfig SmallConfig() {
   c.separate_user_writes = false;
   c.separate_gc_writes = false;
   return c;
+}
+
+// Wraps each shard's FileBackend in a FaultInjectionBackend and leaves a
+// pointer to the last one in `*handle` (single-shard tests drive it).
+BackendFactory FaultyFileBackendFactory(FaultInjectionBackend** handle) {
+  return [handle](uint32_t) {
+    auto fault = std::make_unique<FaultInjectionBackend>(
+        std::make_unique<FileBackend>());
+    *handle = fault.get();
+    return fault;
+  };
 }
 
 // A scratch directory per test, removed (with its shard files) on exit.
@@ -135,7 +145,8 @@ TEST_F(IoBackendTest, NullBackendIsBitForBitIdenticalToFileBackend) {
   auto run = [](const StoreConfig& cfg) {
     StoreConfig c2 = cfg;
     ApplyVariantConfig(Variant::kMdc, &c2);
-    auto store = LogStructuredStore::Create(c2, MakePolicy(Variant::kMdc));
+    auto store = ShardedStore::Create(
+        c2, 1, [] { return MakePolicy(Variant::kMdc); });
     EXPECT_NE(store, nullptr);
     for (PageId p = 0; p < 32; ++p) EXPECT_TRUE(store->Write(p).ok());
     Rng rng(11);
@@ -146,8 +157,8 @@ TEST_F(IoBackendTest, NullBackendIsBitForBitIdenticalToFileBackend) {
   };
   auto null_store = run(SmallConfig());
   auto file_store = run(FileConfig());
-  const StoreStats& a = null_store->stats();
-  const StoreStats& b = file_store->stats();
+  const StoreStats& a = null_store->shard(0).stats();
+  const StoreStats& b = file_store->shard(0).stats();
   EXPECT_EQ(a.user_updates, b.user_updates);
   EXPECT_EQ(a.user_pages_written, b.user_pages_written);
   EXPECT_EQ(a.gc_pages_written, b.gc_pages_written);
@@ -169,7 +180,8 @@ TEST_F(IoBackendTest, WriteCloseReopenRecoversEverything) {
   Rng rng(3);
   std::vector<uint32_t> expect(48, 0);  // page -> live size (0 = absent)
   {
-    auto store = LogStructuredStore::Create(cfg, MakePolicy(Variant::kGreedy));
+    auto store = ShardedStore::Create(
+        cfg, 1, [] { return MakePolicy(Variant::kGreedy); });
     ASSERT_NE(store, nullptr);
     // Churn with variable sizes and deletes so recovery must resolve
     // overwritten versions, GC moves and tombstones.
@@ -191,7 +203,8 @@ TEST_F(IoBackendTest, WriteCloseReopenRecoversEverything) {
   }
 
   Status st;
-  auto store = LogStructuredStore::Open(cfg, MakePolicy(Variant::kGreedy), &st);
+  auto store = ShardedStore::Open(
+      cfg, 1, [] { return MakePolicy(Variant::kGreedy); }, &st);
   ASSERT_NE(store, nullptr) << st.ToString();
   EXPECT_TRUE(store->CheckInvariants().ok());
   for (PageId p = 0; p < expect.size(); ++p) {
@@ -217,23 +230,25 @@ TEST_F(IoBackendTest, ReopenPreservesFrequencyClocks) {
   const StoreConfig cfg = FileConfig();
   UpdateCount unow_before = 0;
   {
-    auto store = LogStructuredStore::Create(cfg, MakePolicy(Variant::kGreedy));
+    auto store = ShardedStore::Create(
+        cfg, 1, [] { return MakePolicy(Variant::kGreedy); });
     ASSERT_NE(store, nullptr);
     for (PageId p = 0; p < 24; ++p) ASSERT_TRUE(store->Write(p).ok());
     Rng rng(5);
     for (int i = 0; i < 500; ++i) {
       ASSERT_TRUE(store->Write(rng.NextBounded(24)).ok());
     }
-    unow_before = store->unow();
+    unow_before = store->shard(0).unow();
     ASSERT_TRUE(store->Close().ok());
   }
-  auto store = LogStructuredStore::Open(cfg, MakePolicy(Variant::kGreedy));
+  auto store = ShardedStore::Open(
+      cfg, 1, [] { return MakePolicy(Variant::kGreedy); });
   ASSERT_NE(store, nullptr);
-  EXPECT_EQ(store->unow(), unow_before);
+  EXPECT_EQ(store->shard(0).unow(), unow_before);
   // last_update survived, so the up2-based frequency estimate works
   // immediately (nonzero for a page updated before close).
   ASSERT_TRUE(store->Write(999).ok());  // ticks unow past last_update
-  EXPECT_GT(store->EstimateUpf(0), 0.0);
+  EXPECT_GT(store->shard(0).EstimateUpf(0), 0.0);
 }
 
 TEST_F(IoBackendTest, ShardedStoreReopensAcrossShards) {
@@ -318,23 +333,24 @@ TEST_F(IoBackendTest, RecoveredPageIdBeyondTheTableIsCorruption) {
   }
   Status st;
   auto store =
-      LogStructuredStore::Open(cfg, MakePolicy(Variant::kGreedy), &st);
+      ShardedStore::Open(
+          cfg, 1, [] { return MakePolicy(Variant::kGreedy); }, &st);
   EXPECT_EQ(store, nullptr);
   EXPECT_EQ(st.code(), Status::Code::kCorruption);
 }
 
 TEST_F(IoBackendTest, OpenWithoutDurableStateFails) {
   Status st;
-  auto store = LogStructuredStore::Open(FileConfig(),
-                                        MakePolicy(Variant::kGreedy), &st);
+  auto store = ShardedStore::Open(
+      FileConfig(), 1, [] { return MakePolicy(Variant::kGreedy); }, &st);
   EXPECT_EQ(store, nullptr);
   EXPECT_EQ(st.code(), Status::Code::kNotFound);
 }
 
 TEST(IoBackendPlainTest, OpenWithNullBackendIsRejected) {
   Status st;
-  auto store = LogStructuredStore::Open(SmallConfig(),
-                                        MakePolicy(Variant::kGreedy), &st);
+  auto store = ShardedStore::Open(
+      SmallConfig(), 1, [] { return MakePolicy(Variant::kGreedy); }, &st);
   EXPECT_EQ(store, nullptr);
   EXPECT_EQ(st.code(), Status::Code::kInvalidArgument);
 }
@@ -346,7 +362,8 @@ TEST_F(IoBackendTest, DirectIoConfigRoundTrips) {
   cfg.backend_direct_io = true;
   ASSERT_TRUE(cfg.Validate().ok());
   {
-    auto store = LogStructuredStore::Create(cfg, MakePolicy(Variant::kGreedy));
+    auto store = ShardedStore::Create(
+        cfg, 1, [] { return MakePolicy(Variant::kGreedy); });
     ASSERT_NE(store, nullptr);
     Rng rng(13);
     for (PageId p = 0; p < 32; ++p) ASSERT_TRUE(store->Write(p).ok());
@@ -355,7 +372,8 @@ TEST_F(IoBackendTest, DirectIoConfigRoundTrips) {
     }
     ASSERT_TRUE(store->Close().ok());
   }
-  auto store = LogStructuredStore::Open(cfg, MakePolicy(Variant::kGreedy));
+  auto store = ShardedStore::Open(
+      cfg, 1, [] { return MakePolicy(Variant::kGreedy); });
   ASSERT_NE(store, nullptr);
   EXPECT_TRUE(store->CheckInvariants().ok());
   EXPECT_EQ(store->LivePageCount(), 32u);
@@ -366,13 +384,15 @@ TEST_F(IoBackendTest, BufferedStoreFlushesThroughCloseAndRecovers) {
   cfg.write_buffer_segments = 2;
   ApplyVariantConfig(Variant::kMdc, &cfg);
   {
-    auto store = LogStructuredStore::Create(cfg, MakePolicy(Variant::kMdc));
+    auto store = ShardedStore::Create(
+        cfg, 1, [] { return MakePolicy(Variant::kMdc); });
     ASSERT_NE(store, nullptr);
     // Leave writes in the buffer: Close must drain and persist them.
     for (PageId p = 0; p < 5; ++p) ASSERT_TRUE(store->Write(p).ok());
     ASSERT_TRUE(store->Close().ok());
   }
-  auto store = LogStructuredStore::Open(cfg, MakePolicy(Variant::kMdc));
+  auto store = ShardedStore::Open(
+      cfg, 1, [] { return MakePolicy(Variant::kMdc); });
   ASSERT_NE(store, nullptr);
   for (PageId p = 0; p < 5; ++p) {
     EXPECT_TRUE(store->Contains(p)) << p;
@@ -384,7 +404,8 @@ TEST_F(IoBackendTest, BufferedStoreFlushesThroughCloseAndRecovers) {
 TEST_F(IoBackendTest, ReadPageRequiresSealedSegment) {
   StoreConfig cfg = FileConfig();
   cfg.write_buffer_segments = 2;
-  auto store = LogStructuredStore::Create(cfg, MakePolicy(Variant::kMdc));
+  auto store = ShardedStore::Create(
+      cfg, 1, [] { return MakePolicy(Variant::kMdc); });
   ASSERT_NE(store, nullptr);
   ASSERT_TRUE(store->Write(1).ok());
   std::vector<uint8_t> data;
@@ -402,7 +423,8 @@ TEST_F(IoBackendTest, CrashTruncatedMetaTailIsDiscarded) {
   const StoreConfig cfg = FileConfig();
   size_t live_before = 0;
   {
-    auto store = LogStructuredStore::Create(cfg, MakePolicy(Variant::kGreedy));
+    auto store = ShardedStore::Create(
+        cfg, 1, [] { return MakePolicy(Variant::kGreedy); });
     ASSERT_NE(store, nullptr);
     Rng rng(17);
     for (PageId p = 0; p < 32; ++p) ASSERT_TRUE(store->Write(p).ok());
@@ -429,7 +451,8 @@ TEST_F(IoBackendTest, CrashTruncatedMetaTailIsDiscarded) {
   }
   // First reopen: the tail is discarded (and truncated off the file).
   {
-    auto store = LogStructuredStore::Open(cfg, MakePolicy(Variant::kGreedy));
+    auto store = ShardedStore::Open(
+        cfg, 1, [] { return MakePolicy(Variant::kGreedy); });
     ASSERT_NE(store, nullptr);
     EXPECT_TRUE(store->CheckInvariants().ok());
     EXPECT_EQ(store->LivePageCount(), live_before);
@@ -441,7 +464,8 @@ TEST_F(IoBackendTest, CrashTruncatedMetaTailIsDiscarded) {
   }
   // ...must itself survive a second reopen (stale pre-crash bytes past
   // the truncation point must not resurface as records).
-  auto store = LogStructuredStore::Open(cfg, MakePolicy(Variant::kGreedy));
+  auto store = ShardedStore::Open(
+      cfg, 1, [] { return MakePolicy(Variant::kGreedy); });
   ASSERT_NE(store, nullptr);
   EXPECT_TRUE(store->CheckInvariants().ok());
   EXPECT_EQ(store->LivePageCount(), live_before);
@@ -614,7 +638,8 @@ TEST_F(IoBackendTest, Pr3FormatMetadataLogStillRecovers) {
   const StoreConfig cfg = FileConfig();
   size_t live_before = 0;
   {
-    auto store = LogStructuredStore::Create(cfg, MakePolicy(Variant::kGreedy));
+    auto store = ShardedStore::Create(
+        cfg, 1, [] { return MakePolicy(Variant::kGreedy); });
     ASSERT_NE(store, nullptr);
     Rng rng(23);
     for (PageId p = 0; p < 32; ++p) ASSERT_TRUE(store->Write(p).ok());
@@ -629,7 +654,8 @@ TEST_F(IoBackendTest, Pr3FormatMetadataLogStillRecovers) {
   {
     Status st;
     auto store =
-        LogStructuredStore::Open(cfg, MakePolicy(Variant::kGreedy), &st);
+        ShardedStore::Open(
+            cfg, 1, [] { return MakePolicy(Variant::kGreedy); }, &st);
     ASSERT_NE(store, nullptr) << st.ToString();
     EXPECT_TRUE(store->CheckInvariants().ok());
     EXPECT_EQ(store->LivePageCount(), live_before);
@@ -639,7 +665,8 @@ TEST_F(IoBackendTest, Pr3FormatMetadataLogStillRecovers) {
   // A format newer than this reader must refuse loudly, not truncate.
   PatchGeometryFormat(dir_, 99);
   Status st;
-  auto store = LogStructuredStore::Open(cfg, MakePolicy(Variant::kGreedy), &st);
+  auto store = ShardedStore::Open(
+      cfg, 1, [] { return MakePolicy(Variant::kGreedy); }, &st);
   EXPECT_EQ(store, nullptr);
   EXPECT_EQ(st.code(), Status::Code::kCorruption);
 }
@@ -650,7 +677,8 @@ TEST_F(IoBackendTest, CheckpointFormatMetadataLogStillRecovers) {
   const StoreConfig cfg = FileConfig();
   size_t live_before = 0;
   {
-    auto store = LogStructuredStore::Create(cfg, MakePolicy(Variant::kGreedy));
+    auto store = ShardedStore::Create(
+        cfg, 1, [] { return MakePolicy(Variant::kGreedy); });
     ASSERT_NE(store, nullptr);
     Rng rng(31);
     for (PageId p = 0; p < 32; ++p) ASSERT_TRUE(store->Write(p).ok());
@@ -667,7 +695,8 @@ TEST_F(IoBackendTest, CheckpointFormatMetadataLogStillRecovers) {
 
   PatchGeometryFormat(dir_, 1);
   Status st;
-  auto store = LogStructuredStore::Open(cfg, MakePolicy(Variant::kGreedy), &st);
+  auto store = ShardedStore::Open(
+      cfg, 1, [] { return MakePolicy(Variant::kGreedy); }, &st);
   ASSERT_NE(store, nullptr) << st.ToString();
   EXPECT_TRUE(store->CheckInvariants().ok());
   EXPECT_EQ(store->LivePageCount(), live_before);
@@ -685,7 +714,8 @@ TEST_F(IoBackendTest, RehomeFormatMetadataLogStillRecovers) {
   cfg.checkpoint_delta = false;
   size_t live_before = 0;
   {
-    auto store = LogStructuredStore::Create(cfg, MakePolicy(Variant::kGreedy));
+    auto store = ShardedStore::Create(
+        cfg, 1, [] { return MakePolicy(Variant::kGreedy); });
     ASSERT_NE(store, nullptr);
     Rng rng(41);
     for (PageId p = 0; p < 32; ++p) ASSERT_TRUE(store->Write(p).ok());
@@ -702,7 +732,8 @@ TEST_F(IoBackendTest, RehomeFormatMetadataLogStillRecovers) {
 
   PatchGeometryFormat(dir_, 2);
   Status st;
-  auto store = LogStructuredStore::Open(cfg, MakePolicy(Variant::kGreedy), &st);
+  auto store = ShardedStore::Open(
+      cfg, 1, [] { return MakePolicy(Variant::kGreedy); }, &st);
   ASSERT_NE(store, nullptr) << st.ToString();
   EXPECT_TRUE(store->CheckInvariants().ok());
   EXPECT_EQ(store->LivePageCount(), live_before);
@@ -870,7 +901,8 @@ TEST_F(IoBackendTest, GenerationChangeForcesFullCheckpoint) {
   StoreConfig cfg = FileConfig();
   cfg.checkpoint_interval_ops = 1u << 30;  // only explicit barriers
   cfg.checkpoint_delta = true;
-  auto store = LogStructuredStore::Create(cfg, MakePolicy(Variant::kGreedy));
+  auto store = ShardedStore::Create(
+      cfg, 1, [] { return MakePolicy(Variant::kGreedy); });
   ASSERT_NE(store, nullptr);
 
   // Two pages into a 4-page segment, then a barrier: the chain starts
@@ -878,20 +910,20 @@ TEST_F(IoBackendTest, GenerationChangeForcesFullCheckpoint) {
   ASSERT_TRUE(store->Write(0).ok());
   ASSERT_TRUE(store->Write(1).ok());
   ASSERT_TRUE(store->Checkpoint().ok());
-  StoreStats s = store->StatsSnapshot();
+  StoreStats s = store->AggregatedStats();
   EXPECT_EQ(s.checkpoint_full_records, 1u);
   EXPECT_EQ(s.checkpoint_delta_records, 0u);
 
   // One more page: the next barrier extends the chain with a delta.
   ASSERT_TRUE(store->Write(2).ok());
   ASSERT_TRUE(store->Checkpoint().ok());
-  s = store->StatsSnapshot();
+  s = store->AggregatedStats();
   EXPECT_EQ(s.checkpoint_full_records, 1u);
   EXPECT_EQ(s.checkpoint_delta_records, 1u);
 
   // An unchanged open segment is already covered: barrier is a no-op.
   ASSERT_TRUE(store->Checkpoint().ok());
-  s = store->StatsSnapshot();
+  s = store->AggregatedStats();
   EXPECT_EQ(s.checkpoint_full_records, 1u);
   EXPECT_EQ(s.checkpoint_delta_records, 1u);
 
@@ -900,7 +932,7 @@ TEST_F(IoBackendTest, GenerationChangeForcesFullCheckpoint) {
   ASSERT_TRUE(store->Write(3).ok());
   ASSERT_TRUE(store->Write(0).ok());
   ASSERT_TRUE(store->Checkpoint().ok());
-  s = store->StatsSnapshot();
+  s = store->AggregatedStats();
   EXPECT_EQ(s.checkpoint_full_records, 2u);
   EXPECT_EQ(s.checkpoint_delta_records, 1u);
 
@@ -908,7 +940,8 @@ TEST_F(IoBackendTest, GenerationChangeForcesFullCheckpoint) {
   ASSERT_TRUE(store->Close().ok());
   Status st;
   auto reopened =
-      LogStructuredStore::Open(cfg, MakePolicy(Variant::kGreedy), &st);
+      ShardedStore::Open(
+          cfg, 1, [] { return MakePolicy(Variant::kGreedy); }, &st);
   ASSERT_NE(reopened, nullptr) << st.ToString();
   EXPECT_TRUE(reopened->CheckInvariants().ok());
   EXPECT_EQ(reopened->LivePageCount(), 4u);
@@ -972,7 +1005,8 @@ TEST_F(IoBackendTest, MixedVersionUpgradeLogRecoversNewestWins) {
   const StoreConfig cfg = FileConfig(/*fsync=*/true);
   size_t live_before = 0;
   {
-    auto store = LogStructuredStore::Create(cfg, MakePolicy(Variant::kGreedy));
+    auto store = ShardedStore::Create(
+        cfg, 1, [] { return MakePolicy(Variant::kGreedy); });
     ASSERT_NE(store, nullptr);
     Rng rng(37);
     for (PageId p = 0; p < 32; ++p) ASSERT_TRUE(store->Write(p).ok());
@@ -1011,7 +1045,8 @@ TEST_F(IoBackendTest, MixedVersionUpgradeLogRecoversNewestWins) {
   // win their equal-seq ties by ordinal and get materialised into a
   // fresh slot; nothing is lost, everything stays readable.
   Status st;
-  auto store = LogStructuredStore::Open(cfg, MakePolicy(Variant::kGreedy), &st);
+  auto store = ShardedStore::Open(
+      cfg, 1, [] { return MakePolicy(Variant::kGreedy); }, &st);
   ASSERT_NE(store, nullptr) << st.ToString();
   EXPECT_TRUE(store->CheckInvariants().ok());
   EXPECT_EQ(store->LivePageCount(), live_before);
@@ -1025,12 +1060,11 @@ TEST_F(IoBackendTest, MixedVersionUpgradeLogRecoversNewestWins) {
 }
 
 TEST_F(IoBackendTest, CrashAfterOpsTearsFilesAndKillsBackend) {
-  auto fault =
-      std::make_unique<FaultInjectionBackend>(std::make_unique<FileBackend>());
-  FaultInjectionBackend* handle = fault.get();
+  FaultInjectionBackend* handle = nullptr;
   StoreConfig cfg = FileConfig(/*fsync=*/true);
-  auto store = LogStructuredStore::CreateWithBackend(
-      cfg, MakePolicy(Variant::kGreedy), std::move(fault));
+  auto store = ShardedStore::Create(
+      cfg, 1, [] { return MakePolicy(Variant::kGreedy); }, nullptr,
+      FaultyFileBackendFactory(&handle));
   ASSERT_NE(store, nullptr);
   handle->CrashAfterOps(5, /*seed=*/77);
 
@@ -1051,7 +1085,8 @@ TEST_F(IoBackendTest, CrashAfterOpsTearsFilesAndKillsBackend) {
   // The torn files must still recover to a consistent, usable store.
   Status st;
   auto reopened =
-      LogStructuredStore::Open(cfg, MakePolicy(Variant::kGreedy), &st);
+      ShardedStore::Open(
+          cfg, 1, [] { return MakePolicy(Variant::kGreedy); }, &st);
   ASSERT_NE(reopened, nullptr) << st.ToString();
   EXPECT_TRUE(reopened->CheckInvariants().ok());
   for (PageId p = 0; p < 48; ++p) {
@@ -1072,7 +1107,8 @@ TEST_F(IoBackendTest, AsyncSealStoreReadsAndRecovers) {
   cfg.checkpoint_interval_ops = 8;
   size_t live_before = 0;
   {
-    auto store = LogStructuredStore::Create(cfg, MakePolicy(Variant::kGreedy));
+    auto store = ShardedStore::Create(
+        cfg, 1, [] { return MakePolicy(Variant::kGreedy); });
     ASSERT_NE(store, nullptr);
     Rng rng(31);
     for (PageId p = 0; p < 32; ++p) ASSERT_TRUE(store->Write(p).ok());
@@ -1092,7 +1128,7 @@ TEST_F(IoBackendTest, AsyncSealStoreReadsAndRecovers) {
       }
     }
     ASSERT_TRUE(store->Checkpoint().ok());
-    const StoreStats snap = store->StatsSnapshot();
+    const StoreStats snap = store->AggregatedStats();
     EXPECT_GT(snap.seal_queue_enqueued, 0u);
     EXPECT_GT(snap.group_fsyncs, 0u);
     EXPECT_GT(snap.checkpoints_written, 0u);
@@ -1102,7 +1138,8 @@ TEST_F(IoBackendTest, AsyncSealStoreReadsAndRecovers) {
   }
   // Reopen in async mode too: recovery + pipeline restart.
   Status st;
-  auto store = LogStructuredStore::Open(cfg, MakePolicy(Variant::kGreedy), &st);
+  auto store = ShardedStore::Open(
+      cfg, 1, [] { return MakePolicy(Variant::kGreedy); }, &st);
   ASSERT_NE(store, nullptr) << st.ToString();
   EXPECT_TRUE(store->CheckInvariants().ok());
   EXPECT_EQ(store->LivePageCount(), live_before);
@@ -1115,13 +1152,12 @@ TEST_F(IoBackendTest, AsyncSealStoreReadsAndRecovers) {
 TEST_F(IoBackendTest, FaultInjectionWrapsFileBackend) {
   // The double composes with a real backend, so fault tests can also run
   // against real files.
-  auto inner = std::make_unique<FileBackend>();
-  auto fault = std::make_unique<FaultInjectionBackend>(std::move(inner));
-  FaultInjectionBackend* handle = fault.get();
-  handle->FailSealsAfter(2, Status::Corruption("injected"));
-  auto store = LogStructuredStore::CreateWithBackend(
-      FileConfig(), MakePolicy(Variant::kGreedy), std::move(fault));
+  FaultInjectionBackend* handle = nullptr;
+  auto store = ShardedStore::Create(
+      FileConfig(), 1, [] { return MakePolicy(Variant::kGreedy); }, nullptr,
+      FaultyFileBackendFactory(&handle));
   ASSERT_NE(store, nullptr);
+  handle->FailSealsAfter(2, Status::Corruption("injected"));
   Status last = Status::OK();
   for (PageId p = 0; p < 64 && last.ok(); ++p) last = store->Write(p);
   EXPECT_EQ(last.code(), Status::Code::kCorruption);
@@ -1317,7 +1353,8 @@ TEST_F(UringParityTest, StoreChurnMatchesFileBackendBitForBit) {
   auto churn = [](const StoreConfig& cfg) {
     StoreConfig c = cfg;
     c.checkpoint_interval_ops = 64;
-    auto store = LogStructuredStore::Create(c, MakePolicy(Variant::kGreedy));
+    auto store = ShardedStore::Create(
+        c, 1, [] { return MakePolicy(Variant::kGreedy); });
     EXPECT_NE(store, nullptr);
     Rng rng(19);
     for (PageId p = 0; p < 32; ++p) EXPECT_TRUE(store->Write(p).ok());
@@ -1335,8 +1372,8 @@ TEST_F(UringParityTest, StoreChurnMatchesFileBackendBitForBit) {
 
   auto file_store = churn(FileConfig(/*fsync=*/true));
   auto uring_store = churn(UringConfig(/*fsync=*/true));
-  const StoreStats a = file_store->StatsSnapshot();
-  const StoreStats b = uring_store->StatsSnapshot();
+  const StoreStats a = file_store->AggregatedStats();
+  const StoreStats b = uring_store->AggregatedStats();
   EXPECT_EQ(b.uring_available, 1u);
   EXPECT_GT(b.uring_submitted, 0u);
   EXPECT_EQ(a.user_updates, b.user_updates);
@@ -1358,8 +1395,11 @@ TEST_F(UringParityTest, StoreChurnMatchesFileBackendBitForBit) {
 
   // The uring-written store recovers through the uring backend too.
   Status st;
-  auto reopened = LogStructuredStore::Open(
-      UringConfig(/*fsync=*/true), MakePolicy(Variant::kGreedy), &st);
+  auto reopened = ShardedStore::Open(
+      UringConfig(/*fsync=*/true),
+      1,
+      [] { return MakePolicy(Variant::kGreedy); },
+      &st);
   ASSERT_NE(reopened, nullptr) << st.ToString();
   EXPECT_TRUE(reopened->CheckInvariants().ok());
   EXPECT_EQ(reopened->LivePageCount(), file_live);
@@ -1383,7 +1423,8 @@ TEST_F(UringParityTest, AsyncSealPipelineOverUringRecovers) {
   cfg.checkpoint_interval_ops = 32;
   size_t live_before = 0;
   {
-    auto store = LogStructuredStore::Create(cfg, MakePolicy(Variant::kGreedy));
+    auto store = ShardedStore::Create(
+        cfg, 1, [] { return MakePolicy(Variant::kGreedy); });
     ASSERT_NE(store, nullptr);
     Rng rng(43);
     for (PageId p = 0; p < 32; ++p) ASSERT_TRUE(store->Write(p).ok());
@@ -1399,7 +1440,7 @@ TEST_F(UringParityTest, AsyncSealPipelineOverUringRecovers) {
         }
       }
     }
-    const StoreStats snap = store->StatsSnapshot();
+    const StoreStats snap = store->AggregatedStats();
     EXPECT_EQ(snap.uring_available, 1u);
     EXPECT_GT(snap.uring_submitted, 0u);
     EXPECT_GT(snap.group_fsyncs, 0u);
@@ -1407,7 +1448,8 @@ TEST_F(UringParityTest, AsyncSealPipelineOverUringRecovers) {
     ASSERT_TRUE(store->Close().ok());
   }
   Status st;
-  auto store = LogStructuredStore::Open(cfg, MakePolicy(Variant::kGreedy), &st);
+  auto store = ShardedStore::Open(
+      cfg, 1, [] { return MakePolicy(Variant::kGreedy); }, &st);
   ASSERT_NE(store, nullptr) << st.ToString();
   EXPECT_TRUE(store->CheckInvariants().ok());
   EXPECT_EQ(store->LivePageCount(), live_before);

@@ -8,7 +8,7 @@
 #include "core/policies/mdc_policy.h"
 #include "core/policies/multilog_policy.h"
 #include "core/policy_factory.h"
-#include "core/store.h"
+#include "core/sharded_store.h"
 #include "util/rng.h"
 
 namespace lss {
@@ -29,31 +29,34 @@ StoreConfig TinyConfig() {
   return c;
 }
 
-std::unique_ptr<LogStructuredStore> MakeStore(
-    std::unique_ptr<CleaningPolicy> policy) {
+// A 1-shard store whose policy is a `Policy` built from `args`.
+template <typename Policy, typename... Args>
+std::unique_ptr<ShardedStore> MakeStore(Args... args) {
   Status st;
-  auto store = LogStructuredStore::Create(TinyConfig(), std::move(policy), &st);
+  auto store = ShardedStore::Create(
+      TinyConfig(), 1, [args...] { return std::make_unique<Policy>(args...); },
+      &st);
   EXPECT_TRUE(st.ok()) << st.ToString();
   return store;
 }
 
 // Writes pages [base, base+n) once each; with 4-page segments this seals
 // a segment per 4 pages.
-void WriteRange(LogStructuredStore* store, PageId base, int n) {
+void WriteRange(ShardedStore* store, PageId base, int n) {
   for (int i = 0; i < n; ++i) {
     ASSERT_TRUE(store->Write(base + i).ok());
   }
 }
 
 TEST(AgePolicyTest, PicksOldestSealedSegment) {
-  auto store = MakeStore(std::make_unique<AgePolicy>());
+  auto store = MakeStore<AgePolicy>();
   WriteRange(store.get(), 0, 12);  // seals segments in write order
   AgePolicy policy;
   std::vector<SegmentId> victims;
-  policy.SelectVictims(store->shard(), 0, 2, &victims);
+  policy.SelectVictims(store->shard(0), 0, 2, &victims);
   ASSERT_EQ(victims.size(), 2u);
   // Victims must be the two earliest-sealed segments.
-  const auto& segs = store->segments();
+  const auto& segs = store->shard(0).segments();
   for (SegmentId id = 0; id < segs.size(); ++id) {
     if (segs[id].state() != SegmentState::kSealed) continue;
     EXPECT_GE(segs[id].seal_time(), segs[victims[0]].seal_time());
@@ -62,7 +65,7 @@ TEST(AgePolicyTest, PicksOldestSealedSegment) {
 }
 
 TEST(GreedyPolicyTest, PicksEmptiestSegment) {
-  auto store = MakeStore(std::make_unique<GreedyPolicy>());
+  auto store = MakeStore<GreedyPolicy>();
   WriteRange(store.get(), 0, 12);
   // Punch holes: overwrite 3 of the 4 pages of the first segment.
   ASSERT_TRUE(store->Write(0).ok());
@@ -70,9 +73,9 @@ TEST(GreedyPolicyTest, PicksEmptiestSegment) {
   ASSERT_TRUE(store->Write(2).ok());
   GreedyPolicy policy;
   std::vector<SegmentId> victims;
-  policy.SelectVictims(store->shard(), 0, 1, &victims);
+  policy.SelectVictims(store->shard(0), 0, 1, &victims);
   ASSERT_EQ(victims.size(), 1u);
-  const auto& segs = store->segments();
+  const auto& segs = store->shard(0).segments();
   for (SegmentId id = 0; id < segs.size(); ++id) {
     if (segs[id].state() != SegmentState::kSealed) continue;
     EXPECT_LE(segs[id].available_bytes(), segs[victims[0]].available_bytes());
@@ -81,7 +84,7 @@ TEST(GreedyPolicyTest, PicksEmptiestSegment) {
 }
 
 TEST(CostBenefitPolicyTest, PrefersOldColdOverYoungEqualEmptiness) {
-  auto store = MakeStore(std::make_unique<CostBenefitPolicy>());
+  auto store = MakeStore<CostBenefitPolicy>();
   // Segment A (pages 0..3) sealed early, segment B (4..7) later; give both
   // one dead page, then advance the clock with unrelated writes.
   WriteRange(store.get(), 0, 8);
@@ -90,10 +93,10 @@ TEST(CostBenefitPolicyTest, PrefersOldColdOverYoungEqualEmptiness) {
   WriteRange(store.get(), 100, 4);    // advance clock
   CostBenefitPolicy policy;
   std::vector<SegmentId> victims;
-  policy.SelectVictims(store->shard(), 0, 1, &victims);
+  policy.SelectVictims(store->shard(0), 0, 1, &victims);
   ASSERT_EQ(victims.size(), 1u);
   // The older of the two equally-empty segments wins on age.
-  const auto& segs = store->segments();
+  const auto& segs = store->shard(0).segments();
   SegmentId oldest = kInvalidSegment;
   for (SegmentId id = 0; id < segs.size(); ++id) {
     if (segs[id].state() != SegmentState::kSealed) continue;
@@ -107,47 +110,47 @@ TEST(CostBenefitPolicyTest, PrefersOldColdOverYoungEqualEmptiness) {
 }
 
 TEST(CostBenefitPolicyTest, NeverPicksFullyLiveSegmentFirst) {
-  auto store = MakeStore(std::make_unique<CostBenefitPolicy>());
+  auto store = MakeStore<CostBenefitPolicy>();
   WriteRange(store.get(), 0, 12);
   ASSERT_TRUE(store->Write(0).ok());  // only segment 0 has a hole
   CostBenefitPolicy policy;
   std::vector<SegmentId> victims;
-  policy.SelectVictims(store->shard(), 0, 1, &victims);
+  policy.SelectVictims(store->shard(0), 0, 1, &victims);
   ASSERT_EQ(victims.size(), 1u);
-  EXPECT_GT(store->segments()[victims[0]].Emptiness(), 0.0);
+  EXPECT_GT(store->shard(0).segments()[victims[0]].Emptiness(), 0.0);
 }
 
 TEST(MdcPolicyTest, FullyEmptySegmentCleanedFirst) {
-  auto store = MakeStore(std::make_unique<MdcPolicy>());
+  auto store = MakeStore<MdcPolicy>();
   WriteRange(store.get(), 0, 12);
   // Kill all pages of the second segment (pages 4..7).
   for (PageId p = 4; p < 8; ++p) ASSERT_TRUE(store->Write(p).ok());
   MdcPolicy policy;
   std::vector<SegmentId> victims;
-  policy.SelectVictims(store->shard(), 0, 1, &victims);
+  policy.SelectVictims(store->shard(0), 0, 1, &victims);
   ASSERT_EQ(victims.size(), 1u);
-  EXPECT_DOUBLE_EQ(store->segments()[victims[0]].Emptiness(), 1.0);
+  EXPECT_DOUBLE_EQ(store->shard(0).segments()[victims[0]].Emptiness(), 1.0);
 }
 
 TEST(MdcPolicyTest, FullyLiveSegmentCleanedLast) {
-  auto store = MakeStore(std::make_unique<MdcPolicy>());
+  auto store = MakeStore<MdcPolicy>();
   WriteRange(store.get(), 0, 12);
   ASSERT_TRUE(store->Write(0).ok());
   ASSERT_TRUE(store->Write(4).ok());
   MdcPolicy policy;
   std::vector<SegmentId> victims;
   // Ask for all sealed victims; the fully-live ones must sort to the end.
-  policy.SelectVictims(store->shard(), 0, 100, &victims);
+  policy.SelectVictims(store->shard(0), 0, 100, &victims);
   ASSERT_GE(victims.size(), 3u);
-  EXPECT_EQ(store->segments()[victims.back()].Emptiness(), 0.0);
-  EXPECT_GT(store->segments()[victims.front()].Emptiness(), 0.0);
+  EXPECT_EQ(store->shard(0).segments()[victims.back()].Emptiness(), 0.0);
+  EXPECT_GT(store->shard(0).segments()[victims.front()].Emptiness(), 0.0);
 }
 
 // §4.5: for a uniform distribution MDC orders segments exactly as greedy:
 // (1-E)/E^2 is monotone decreasing in E, so smallest-decline = largest-E,
 // provided update frequencies are equal.
 TEST(MdcPolicyTest, MatchesGreedyOrderUnderEqualFrequency) {
-  auto store = MakeStore(std::make_unique<MdcPolicy>(true));
+  auto store = MakeStore<MdcPolicy>(true);
   store->SetExactFrequencyOracle([](PageId) { return 1.0; });
   WriteRange(store.get(), 0, 16);
   // Punch a different number of holes per segment.
@@ -161,13 +164,14 @@ TEST(MdcPolicyTest, MatchesGreedyOrderUnderEqualFrequency) {
   MdcPolicy mdc(true);
   GreedyPolicy greedy;
   std::vector<SegmentId> mdc_victims, greedy_victims;
-  mdc.SelectVictims(store->shard(), 0, 3, &mdc_victims);
-  greedy.SelectVictims(store->shard(), 0, 3, &greedy_victims);
+  mdc.SelectVictims(store->shard(0), 0, 3, &mdc_victims);
+  greedy.SelectVictims(store->shard(0), 0, 3, &greedy_victims);
   ASSERT_EQ(mdc_victims.size(), 3u);
   // Compare by emptiness rank rather than id (ties may reorder ids).
   for (size_t i = 0; i < 3; ++i) {
-    EXPECT_DOUBLE_EQ(store->segments()[mdc_victims[i]].Emptiness(),
-                     store->segments()[greedy_victims[i]].Emptiness());
+    const auto& segs = store->shard(0).segments();
+    EXPECT_DOUBLE_EQ(segs[mdc_victims[i]].Emptiness(),
+                     segs[greedy_victims[i]].Emptiness());
   }
 }
 
@@ -176,7 +180,7 @@ TEST(MdcPolicyTest, MatchesGreedyOrderUnderEqualFrequency) {
 // expected decline and must be cleaned first (§4.1 "process first the
 // objects with the smallest rates of decline").
 TEST(MdcPolicyTest, ColderOfEqualEmptinessCleanedFirst) {
-  auto store = MakeStore(std::make_unique<MdcPolicy>(true));
+  auto store = MakeStore<MdcPolicy>(true);
   // Give pages 0..3 high frequency, 4..7 low, via the oracle.
   store->SetExactFrequencyOracle(
       [](PageId p) { return p < 4 ? 8.0 : 0.125; });
@@ -185,42 +189,44 @@ TEST(MdcPolicyTest, ColderOfEqualEmptinessCleanedFirst) {
   ASSERT_TRUE(store->Write(4).ok());  // one hole in cold segment
   MdcPolicy policy(true);
   std::vector<SegmentId> victims;
-  policy.SelectVictims(store->shard(), 0, 2, &victims);
+  policy.SelectVictims(store->shard(0), 0, 2, &victims);
   ASSERT_EQ(victims.size(), 2u);
   // First victim: the cold segment (pages 5..7 live, upf 0.125).
-  const Segment& first = store->segments()[victims[0]];
+  const Segment& first = store->shard(0).segments()[victims[0]];
   double mean_upf = first.exact_upf_sum() / first.live_count();
   EXPECT_LT(mean_upf, 1.0);
 }
 
 TEST(MultiLogPolicyTest, SingleLogWithoutHistory) {
   MultiLogPolicy policy;
-  auto store = MakeStore(std::make_unique<MultiLogPolicy>());
+  auto store = MakeStore<MultiLogPolicy>();
   // Unknown frequency (first writes): everything goes to one log.
-  const uint32_t log0 = policy.PlacementLog(store->shard(), 0, false, 0.0);
-  const uint32_t log1 = policy.PlacementLog(store->shard(), 1, false, 0.0);
+  const uint32_t log0 = policy.PlacementLog(store->shard(0), 0, false, 0.0);
+  const uint32_t log1 = policy.PlacementLog(store->shard(0), 1, false, 0.0);
   EXPECT_EQ(log0, log1);
   EXPECT_EQ(policy.NumLogs(), 1u);
 }
 
 TEST(MultiLogPolicyTest, DistinctBandsGetDistinctLogs) {
   MultiLogPolicy policy;
-  auto store = MakeStore(std::make_unique<MultiLogPolicy>());
-  const uint32_t hot = policy.PlacementLog(store->shard(), 0, false, 1.0 / 4.0);
-  const uint32_t cold = policy.PlacementLog(store->shard(), 1, false, 1.0 / 4096.0);
+  auto store = MakeStore<MultiLogPolicy>();
+  const StoreShard& shard = store->shard(0);
+  const uint32_t hot = policy.PlacementLog(shard, 0, false, 1.0 / 4.0);
+  const uint32_t cold = policy.PlacementLog(shard, 1, false, 1.0 / 4096.0);
   EXPECT_NE(hot, cold);
   // Same band maps to the same log.
-  EXPECT_EQ(policy.PlacementLog(store->shard(), 2, false, 1.0 / 5.0), hot);
+  EXPECT_EQ(policy.PlacementLog(shard, 2, false, 1.0 / 5.0), hot);
 }
 
 TEST(MultiLogPolicyTest, LogCapFallsBackToNearestBand) {
   MultiLogPolicy policy(false, /*max_logs=*/2);
-  auto store = MakeStore(std::make_unique<MultiLogPolicy>());
-  const uint32_t a = policy.PlacementLog(store->shard(), 0, false, 1.0 / 2.0);
-  const uint32_t b = policy.PlacementLog(store->shard(), 1, false, 1.0 / (1 << 20));
+  auto store = MakeStore<MultiLogPolicy>();
+  const StoreShard& shard = store->shard(0);
+  const uint32_t a = policy.PlacementLog(shard, 0, false, 1.0 / 2.0);
+  const uint32_t b = policy.PlacementLog(shard, 1, false, 1.0 / (1 << 20));
   EXPECT_EQ(policy.NumLogs(), 2u);
   // A third band must reuse one of the two existing logs.
-  const uint32_t c = policy.PlacementLog(store->shard(), 2, false, 1.0 / (1 << 10));
+  const uint32_t c = policy.PlacementLog(shard, 2, false, 1.0 / (1 << 10));
   EXPECT_TRUE(c == a || c == b);
   EXPECT_EQ(policy.NumLogs(), 2u);
 }
@@ -234,16 +240,23 @@ TEST(MultiLogPolicyTest, SelectsVictimFromOwnOrNeighbourLogs) {
   Status st;
   StoreConfig cfg = TinyConfig();
   cfg.gc_shares_user_stream = true;
-  auto policy_owned = std::make_unique<MultiLogPolicy>();
-  MultiLogPolicy* policy = policy_owned.get();
-  auto store = LogStructuredStore::Create(cfg, std::move(policy_owned), &st);
+  MultiLogPolicy* policy = nullptr;
+  auto store = ShardedStore::Create(
+      cfg, 1,
+      [&policy] {
+        auto owned = std::make_unique<MultiLogPolicy>();
+        policy = owned.get();
+        return owned;
+      },
+      &st);
   ASSERT_TRUE(st.ok());
   // Fill with first writes: all in the unknown-frequency log.
   for (PageId p = 0; p < 12; ++p) ASSERT_TRUE(store->Write(p).ok());
   std::vector<SegmentId> victims;
-  policy->SelectVictims(store->shard(), /*triggering_log=*/0, 4, &victims);
+  policy->SelectVictims(store->shard(0), /*triggering_log=*/0, 4, &victims);
   ASSERT_EQ(victims.size(), 1u);  // one at a time
-  EXPECT_EQ(store->segments()[victims[0]].state(), SegmentState::kSealed);
+  EXPECT_EQ(store->shard(0).segments()[victims[0]].state(),
+            SegmentState::kSealed);
 }
 
 TEST(PolicyFactoryTest, NamesRoundTrip) {

@@ -3,13 +3,13 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/policy_factory.h"
-#include "core/store.h"
 #include "util/rng.h"
 #include "workload/runner.h"
 
@@ -104,46 +104,60 @@ TEST(ShardedStoreTest, DeleteAndFlushWork) {
   EXPECT_TRUE(store->CheckInvariants().ok());
 }
 
-// The tentpole determinism property: one shard, one thread == the plain
-// single-threaded store, bit for bit. Drives both stores with the same
-// update sequence and compares every counter.
-TEST(ShardedStoreTest, OneShardMatchesLogStructuredStoreBitForBit) {
-  for (Variant v : {Variant::kGreedy, Variant::kMultiLog, Variant::kMdc}) {
+// The paper's single-threaded simulator is a 1-shard ShardedStore. Its
+// counters are pinned to golden values recorded from the standalone
+// single-shard store before that store was folded into ShardedStore, so
+// any change to the simulation shows up here. Doubles are hex-float
+// literals: the comparison is bit for bit.
+TEST(ShardedStoreTest, OneShardMatchesGoldenCounters) {
+  struct Golden {
+    Variant v;
+    uint64_t user_pages_written;
+    uint64_t gc_pages_written;
+    uint64_t segments_cleaned;
+    uint64_t cleanings;
+    double wamp;
+    double mean_clean_emptiness;
+  };
+  const Golden kGolden[] = {
+      {Variant::kGreedy, 22000, 3551, 1344, 336, 0x1.4a90d975da643p-3,
+       0x1.ab73cf3cf3cf4p-1},
+      {Variant::kMultiLog, 22000, 4131, 1388, 1388, 0x1.808efcd5bc9a3p-3,
+       0x1.a0c2c43df89f6p-1},
+      {Variant::kMdc, 21984, 3495, 1340, 335, 0x1.4596eac283e9ap-3,
+       0x1.ac898d5f85bb4p-1},
+  };
+  for (const Golden& g : kGolden) {
     StoreConfig cfg = SmallConfig();
-    ApplyVariantConfig(v, &cfg);
+    ApplyVariantConfig(g.v, &cfg);
     Status st;
-    auto single = LogStructuredStore::Create(cfg, MakePolicy(v), &st);
-    ASSERT_NE(single, nullptr) << st.ToString();
-    auto sharded = ShardedStore::Create(cfg, 1, FactoryFor(v), &st);
-    ASSERT_NE(sharded, nullptr) << st.ToString();
+    auto store = ShardedStore::Create(cfg, 1, FactoryFor(g.v), &st);
+    ASSERT_NE(store, nullptr) << st.ToString();
 
     const PageId pages = 2000;
-    for (PageId p = 0; p < pages; ++p) {
-      ASSERT_TRUE(single->Write(p).ok());
-      ASSERT_TRUE(sharded->Write(p).ok());
-    }
-    Rng rng_a(7), rng_b(7);
+    for (PageId p = 0; p < pages; ++p) ASSERT_TRUE(store->Write(p).ok());
+    Rng rng(7);
     for (int i = 0; i < 20000; ++i) {
-      ASSERT_TRUE(single->Write(rng_a.NextBounded(pages)).ok());
-      ASSERT_TRUE(sharded->Write(rng_b.NextBounded(pages)).ok());
+      ASSERT_TRUE(store->Write(rng.NextBounded(pages)).ok());
     }
 
-    const StoreStats& a = single->stats();
-    const StoreStats b = sharded->AggregatedStats();
-    EXPECT_EQ(a.user_updates, b.user_updates) << VariantName(v);
-    EXPECT_EQ(a.user_pages_written, b.user_pages_written) << VariantName(v);
-    EXPECT_EQ(a.gc_pages_written, b.gc_pages_written) << VariantName(v);
-    EXPECT_EQ(a.segments_cleaned, b.segments_cleaned) << VariantName(v);
-    EXPECT_EQ(a.cleanings, b.cleanings) << VariantName(v);
-    // Bit-for-bit: the doubles must be identical, not just close.
-    EXPECT_EQ(a.WriteAmplification(), b.WriteAmplification()) << VariantName(v);
-    EXPECT_EQ(a.MeanCleanEmptiness(), b.MeanCleanEmptiness()) << VariantName(v);
-    EXPECT_TRUE(sharded->CheckInvariants().ok());
+    const StoreStats s = store->AggregatedStats();
+    const std::string name = VariantName(g.v);
+    EXPECT_EQ(s.user_updates, 22000u) << name;
+    EXPECT_EQ(s.user_pages_written, g.user_pages_written) << name;
+    EXPECT_EQ(s.gc_pages_written, g.gc_pages_written) << name;
+    EXPECT_EQ(s.segments_cleaned, g.segments_cleaned) << name;
+    EXPECT_EQ(s.cleanings, g.cleanings) << name;
+    EXPECT_EQ(s.WriteAmplification(), g.wamp) << name;
+    EXPECT_EQ(s.MeanCleanEmptiness(), g.mean_clean_emptiness) << name;
+    EXPECT_TRUE(store->CheckInvariants().ok());
   }
 }
 
-// Same property via the runner entry points (what the benches compare).
-TEST(ShardedStoreTest, ParallelRunnerOneThreadMatchesRunSynthetic) {
+// The same property through the runner (what the benches call): a
+// 1-thread, 1-shard RunSynthetic reproduces the golden counters of the
+// single-threaded run loop it replaced.
+TEST(ShardedStoreTest, RunSyntheticOneThreadMatchesGoldenCounters) {
   StoreConfig cfg = SmallConfig();
   UniformWorkload workload(2500);
   RunSpec spec;
@@ -152,21 +166,24 @@ TEST(ShardedStoreTest, ParallelRunnerOneThreadMatchesRunSynthetic) {
   spec.measure_multiplier = 4;
   spec.seed = 11;
 
-  const RunResult single = RunSynthetic(cfg, Variant::kMdc, workload, spec);
-  ASSERT_TRUE(single.status.ok()) << single.status.ToString();
-  const ParallelRunResult par =
-      RunSyntheticParallel(cfg, Variant::kMdc, workload, spec,
-                           /*threads=*/1, /*shards=*/1);
-  ASSERT_TRUE(par.result.status.ok()) << par.result.status.ToString();
-  EXPECT_EQ(par.result.wamp, single.wamp);
-  EXPECT_EQ(par.result.measured_updates, single.measured_updates);
-  EXPECT_EQ(par.result.mean_clean_emptiness, single.mean_clean_emptiness);
+  const RunResult r = RunSynthetic(cfg, Variant::kMdc, workload, spec,
+                                   /*threads=*/1, /*shards=*/1);
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  EXPECT_EQ(r.shards, 1u);
+  EXPECT_EQ(r.measured_updates, 10000u);
+  EXPECT_EQ(r.stats.user_updates, 10000u);
+  EXPECT_EQ(r.stats.gc_pages_written, 4410u);
+  EXPECT_EQ(r.stats.segments_cleaned, 904u);
+  EXPECT_EQ(r.stats.cleanings, 226u);
+  EXPECT_EQ(r.wamp, 0x1.c2dcd4a6d98f2p-2);
+  EXPECT_EQ(r.mean_clean_emptiness, 0x1.63e4d06cbe4dp-1);
+  EXPECT_EQ(r.effective_fill, 0x1.388p-1);
 }
 
 // Concurrency stress: many threads hammer a sharded store with writes,
 // deletes and flushes, then every shard must pass its full invariant
 // cross-check. Run under TSan (scripts/check.sh --tsan) this doubles as
-// the data-race detector for the striped page table and shard locking.
+// the data-race detector for the lock-free page table and shard locking.
 TEST(ShardedStoreTest, MultiThreadedStressKeepsInvariants) {
   StoreConfig cfg = SmallConfig();
   cfg.num_segments = 512;
@@ -277,7 +294,7 @@ TEST(ShardedStoreTest, AsyncSealKeepsSimulationCountersBitForBit) {
     async_cfg.seal_queue_depth = 2;
 
     auto drive = [](const StoreConfig& cfg, Variant var) {
-      auto store = LogStructuredStore::Create(cfg, MakePolicy(var));
+      auto store = ShardedStore::Create(cfg, 1, FactoryFor(var));
       EXPECT_NE(store, nullptr);
       for (PageId p = 0; p < 1500; ++p) EXPECT_TRUE(store->Write(p).ok());
       Rng rng(19);
@@ -288,8 +305,8 @@ TEST(ShardedStoreTest, AsyncSealKeepsSimulationCountersBitForBit) {
     };
     auto sync_store = drive(sync_cfg, v);
     auto async_store = drive(async_cfg, v);
-    const StoreStats& a = sync_store->stats();
-    const StoreStats& b = async_store->stats();
+    const StoreStats& a = sync_store->shard(0).stats();
+    const StoreStats& b = async_store->shard(0).stats();
     EXPECT_EQ(a.user_updates, b.user_updates) << VariantName(v);
     EXPECT_EQ(a.user_pages_written, b.user_pages_written) << VariantName(v);
     EXPECT_EQ(a.gc_pages_written, b.gc_pages_written) << VariantName(v);
@@ -300,8 +317,8 @@ TEST(ShardedStoreTest, AsyncSealKeepsSimulationCountersBitForBit) {
     EXPECT_EQ(a.WriteAmplification(), b.WriteAmplification()) << VariantName(v);
     EXPECT_EQ(a.MeanCleanEmptiness(), b.MeanCleanEmptiness()) << VariantName(v);
     // And the pipeline actually ran.
-    EXPECT_GT(async_store->StatsSnapshot().seal_queue_enqueued, 0u);
-    EXPECT_EQ(sync_store->StatsSnapshot().seal_queue_enqueued, 0u);
+    EXPECT_GT(async_store->AggregatedStats().seal_queue_enqueued, 0u);
+    EXPECT_EQ(sync_store->AggregatedStats().seal_queue_enqueued, 0u);
     EXPECT_TRUE(async_store->CheckInvariants().ok());
   }
 }
@@ -319,17 +336,26 @@ class SlowBackend : public NullBackend {
   std::atomic<int64_t> seals_{0};
 };
 
+// Builds a SlowBackend per shard and leaves a pointer to the last one in
+// `*out` (single-shard tests inspect it after the run).
+BackendFactory SlowBackendFactory(SlowBackend** out) {
+  return [out](uint32_t) {
+    auto backend = std::make_unique<SlowBackend>();
+    *out = backend.get();
+    return backend;
+  };
+}
+
 TEST(ShardedStoreTest, AsyncSealBackpressureBoundsTheQueue) {
   StoreConfig cfg = SmallConfig();
   cfg.write_buffer_segments = 0;
   cfg.num_segments = 64;
   cfg.async_seal = true;
   cfg.seal_queue_depth = 1;
-  auto backend = std::make_unique<SlowBackend>();
-  SlowBackend* slow = backend.get();
+  SlowBackend* slow = nullptr;
   Status st;
-  auto store = LogStructuredStore::CreateWithBackend(
-      cfg, MakePolicy(Variant::kGreedy), std::move(backend), &st);
+  auto store = ShardedStore::Create(cfg, 1, FactoryFor(Variant::kGreedy), &st,
+                                    SlowBackendFactory(&slow));
   ASSERT_NE(store, nullptr) << st.ToString();
 
   // ~48 seals at 2 ms each, produced far faster than they drain: with a
@@ -338,7 +364,7 @@ TEST(ShardedStoreTest, AsyncSealBackpressureBoundsTheQueue) {
     ASSERT_TRUE(store->Write(p % 768).ok());
   }
   ASSERT_TRUE(store->Close().ok());
-  const StoreStats s = store->StatsSnapshot();
+  const StoreStats s = store->AggregatedStats();
   EXPECT_GT(s.seal_queue_stalls, 0u);
   EXPECT_GE(s.seal_queue_enqueued, static_cast<uint64_t>(slow->seals_.load()));
   EXPECT_GT(slow->seals_.load(), 10);
@@ -353,18 +379,17 @@ TEST(ShardedStoreTest, CloseDrainsTheSealQueue) {
   cfg.num_segments = 64;
   cfg.async_seal = true;
   cfg.seal_queue_depth = 2;
-  auto backend = std::make_unique<SlowBackend>();
-  SlowBackend* slow = backend.get();
+  SlowBackend* slow = nullptr;
   Status st;
-  auto store = LogStructuredStore::CreateWithBackend(
-      cfg, MakePolicy(Variant::kGreedy), std::move(backend), &st);
+  auto store = ShardedStore::Create(cfg, 1, FactoryFor(Variant::kGreedy), &st,
+                                    SlowBackendFactory(&slow));
   ASSERT_NE(store, nullptr) << st.ToString();
   for (PageId p = 0; p < 12 * 16; ++p) {
     ASSERT_TRUE(store->Write(p).ok());
   }
   // Several seals are still queued behind the slow backend right now.
   ASSERT_TRUE(store->Close().ok());
-  const StoreStats s = store->StatsSnapshot();
+  const StoreStats s = store->AggregatedStats();
   // Every emitted op was applied — nothing was dropped at shutdown.
   EXPECT_EQ(s.seal_queue_enqueued, static_cast<uint64_t>(slow->seals_.load()));
   EXPECT_GE(slow->seals_.load(), 12);
@@ -460,11 +485,11 @@ TEST(ShardedStoreTest, ParallelRunMatchesSingleThreadedWamp) {
 
   const RunResult single = RunSynthetic(cfg, Variant::kGreedy, workload, spec);
   ASSERT_TRUE(single.status.ok()) << single.status.ToString();
-  const ParallelRunResult par = RunSyntheticParallel(
-      cfg, Variant::kGreedy, workload, spec, /*threads=*/4, /*shards=*/4);
-  ASSERT_TRUE(par.result.status.ok()) << par.result.status.ToString();
+  const RunResult par = RunSynthetic(cfg, Variant::kGreedy, workload, spec,
+                                     /*threads=*/4, /*shards=*/4);
+  ASSERT_TRUE(par.status.ok()) << par.status.ToString();
 
-  EXPECT_NEAR(par.result.wamp, single.wamp, 0.05 * single.wamp + 0.05);
+  EXPECT_NEAR(par.wamp, single.wamp, 0.05 * single.wamp + 0.05);
   ASSERT_EQ(par.shard_wamp.size(), 4u);
   for (double w : par.shard_wamp) {
     EXPECT_NEAR(w, single.wamp, 0.10 * single.wamp + 0.10);

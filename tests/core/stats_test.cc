@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/policy_factory.h"
-#include "core/store.h"
+#include "core/sharded_store.h"
 #include "util/rng.h"
 
 namespace lss {
@@ -78,14 +78,15 @@ TEST(StoreStatsTest, CleaningCountersBalance) {
   c.write_buffer_segments = 0;
   c.separate_user_writes = false;
   c.separate_gc_writes = false;
-  auto store = LogStructuredStore::Create(c, MakePolicy(Variant::kGreedy));
+  auto store = ShardedStore::Create(
+      c, 1, [] { return MakePolicy(Variant::kGreedy); });
   const uint64_t user_pages = c.UserPagesForFillFactor(0.7);
   Rng rng(5);
   for (PageId p = 0; p < user_pages; ++p) ASSERT_TRUE(store->Write(p).ok());
   for (uint64_t i = 0; i < 10 * user_pages; ++i) {
     ASSERT_TRUE(store->Write(rng.NextBounded(user_pages)).ok());
   }
-  const StoreStats& s = store->stats();
+  const StoreStats& s = store->shard(0).stats();
   ASSERT_GT(s.segments_cleaned, 0u);
   // gc moves = sum over cleaned segments of live pages
   //          = segments_cleaned * S * (1 - mean E)   (all pages 4 KB).
@@ -113,20 +114,21 @@ TEST(StoreStatsTest, MeasurementWindowIsolated) {
   c.write_buffer_segments = 0;
   c.separate_user_writes = false;
   c.separate_gc_writes = false;
-  auto store = LogStructuredStore::Create(c, MakePolicy(Variant::kAge));
+  auto store = ShardedStore::Create(
+      c, 1, [] { return MakePolicy(Variant::kAge); });
   const uint64_t user_pages = c.UserPagesForFillFactor(0.6);
   Rng rng(6);
   for (PageId p = 0; p < user_pages; ++p) ASSERT_TRUE(store->Write(p).ok());
   for (uint64_t i = 0; i < 5 * user_pages; ++i) {
     ASSERT_TRUE(store->Write(rng.NextBounded(user_pages)).ok());
   }
-  store->mutable_stats().ResetMeasurement();
-  EXPECT_EQ(store->stats().WriteAmplification(), 0.0);
+  store->shard(0).mutable_stats().ResetMeasurement();
+  EXPECT_EQ(store->shard(0).stats().WriteAmplification(), 0.0);
   for (uint64_t i = 0; i < 5 * user_pages; ++i) {
     ASSERT_TRUE(store->Write(rng.NextBounded(user_pages)).ok());
   }
-  EXPECT_GT(store->stats().WriteAmplification(), 0.0);
-  EXPECT_EQ(store->stats().user_updates, 5 * user_pages);
+  EXPECT_GT(store->shard(0).stats().WriteAmplification(), 0.0);
+  EXPECT_EQ(store->shard(0).stats().user_updates, 5 * user_pages);
 }
 
 }  // namespace

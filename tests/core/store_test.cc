@@ -1,4 +1,4 @@
-#include "core/store.h"
+#include "core/sharded_store.h"
 
 #include <memory>
 #include <utility>
@@ -26,10 +26,10 @@ StoreConfig SmallConfig() {
   return c;
 }
 
-std::unique_ptr<LogStructuredStore> MakeStore(const StoreConfig& cfg,
-                                              Variant v = Variant::kGreedy) {
+std::unique_ptr<ShardedStore> MakeStore(const StoreConfig& cfg,
+                                        Variant v = Variant::kGreedy) {
   Status st;
-  auto store = LogStructuredStore::Create(cfg, MakePolicy(v), &st);
+  auto store = ShardedStore::Create(cfg, 1, [v] { return MakePolicy(v); }, &st);
   EXPECT_TRUE(st.ok()) << st.ToString();
   return store;
 }
@@ -38,22 +38,27 @@ TEST(StoreCreateTest, RejectsInvalidConfig) {
   StoreConfig c = SmallConfig();
   c.num_segments = 1;
   Status st;
-  EXPECT_EQ(LogStructuredStore::Create(c, MakePolicy(Variant::kAge), &st),
+  EXPECT_EQ(ShardedStore::Create(
+                c, 1, [] { return MakePolicy(Variant::kAge); }, &st),
             nullptr);
   EXPECT_FALSE(st.ok());
 }
 
 TEST(StoreCreateTest, RejectsNullPolicy) {
   Status st;
-  EXPECT_EQ(LogStructuredStore::Create(SmallConfig(), nullptr, &st), nullptr);
+  EXPECT_EQ(ShardedStore::Create(
+                SmallConfig(), 1,
+                []() -> std::unique_ptr<CleaningPolicy> { return nullptr; },
+                &st),
+            nullptr);
   EXPECT_EQ(st.code(), Status::Code::kInvalidArgument);
 }
 
 TEST(StoreTest, FreshStoreIsEmpty) {
   auto store = MakeStore(SmallConfig());
-  EXPECT_EQ(store->FreeSegmentCount(), 16u);
+  EXPECT_EQ(store->shard(0).FreeSegmentCount(), 16u);
   EXPECT_EQ(store->LivePageCount(), 0u);
-  EXPECT_EQ(store->unow(), 0u);
+  EXPECT_EQ(store->shard(0).unow(), 0u);
   EXPECT_FALSE(store->Contains(0));
 }
 
@@ -62,9 +67,9 @@ TEST(StoreTest, WriteMakesPagePresent) {
   ASSERT_TRUE(store->Write(5).ok());
   EXPECT_TRUE(store->Contains(5));
   EXPECT_EQ(store->PageSize(5), 4096u);
-  EXPECT_EQ(store->unow(), 1u);
-  EXPECT_EQ(store->stats().user_updates, 1u);
-  EXPECT_EQ(store->stats().user_pages_written, 1u);
+  EXPECT_EQ(store->shard(0).unow(), 1u);
+  EXPECT_EQ(store->shard(0).stats().user_updates, 1u);
+  EXPECT_EQ(store->shard(0).stats().user_pages_written, 1u);
   EXPECT_TRUE(store->CheckInvariants().ok());
 }
 
@@ -75,7 +80,7 @@ TEST(StoreTest, RewriteKillsOldVersion) {
   EXPECT_TRUE(store->Contains(1));
   // Exactly one live copy exists across all segments.
   uint64_t live = 0;
-  for (const auto& s : store->segments()) live += s.live_count();
+  for (const auto& s : store->shard(0).segments()) live += s.live_count();
   EXPECT_EQ(live, 1u);
   EXPECT_TRUE(store->CheckInvariants().ok());
 }
@@ -110,7 +115,7 @@ TEST(StoreTest, DeleteRemovesPage) {
   ASSERT_TRUE(store->Write(3).ok());
   ASSERT_TRUE(store->Delete(3).ok());
   EXPECT_FALSE(store->Contains(3));
-  EXPECT_EQ(store->stats().deletes, 1u);
+  EXPECT_EQ(store->shard(0).stats().deletes, 1u);
   EXPECT_EQ(store->Delete(3).code(), Status::Code::kNotFound);
   EXPECT_TRUE(store->CheckInvariants().ok());
 }
@@ -124,8 +129,8 @@ TEST(StoreTest, CleaningReclaimsSpace) {
   for (int i = 0; i < 2000; ++i) {
     ASSERT_TRUE(store->Write(rng.NextBounded(32)).ok());
   }
-  EXPECT_GT(store->stats().cleanings, 0u);
-  EXPECT_GT(store->stats().gc_pages_written, 0u);
+  EXPECT_GT(store->shard(0).stats().cleanings, 0u);
+  EXPECT_GT(store->shard(0).stats().gc_pages_written, 0u);
   EXPECT_EQ(store->LivePageCount(), 32u);
   EXPECT_TRUE(store->CheckInvariants().ok());
 }
@@ -153,9 +158,9 @@ TEST(StoreTest, RewriteWhileBufferedCountsEachWriteByDefault) {
   ASSERT_TRUE(store->Write(1).ok());
   ASSERT_TRUE(store->Write(1).ok());
   ASSERT_TRUE(store->Flush().ok());
-  EXPECT_EQ(store->stats().user_pages_written, 2u);
+  EXPECT_EQ(store->shard(0).stats().user_pages_written, 2u);
   uint64_t live = 0;
-  for (const auto& s : store->segments()) live += s.live_count();
+  for (const auto& s : store->shard(0).segments()) live += s.live_count();
   EXPECT_EQ(live, 1u);  // only one live version
   EXPECT_TRUE(store->CheckInvariants().ok());
 }
@@ -169,9 +174,9 @@ TEST(StoreTest, BufferedWritesAreAbsorbed) {
   // physical page write should result.
   ASSERT_TRUE(store->Write(1).ok());
   ASSERT_TRUE(store->Write(1).ok());
-  EXPECT_EQ(store->stats().user_updates, 2u);
+  EXPECT_EQ(store->shard(0).stats().user_updates, 2u);
   ASSERT_TRUE(store->Flush().ok());
-  EXPECT_EQ(store->stats().user_pages_written, 1u);
+  EXPECT_EQ(store->shard(0).stats().user_pages_written, 1u);
   EXPECT_TRUE(store->CheckInvariants().ok());
 }
 
@@ -181,9 +186,9 @@ TEST(StoreTest, FlushDrainsBuffer) {
   auto store = MakeStore(c);
   ASSERT_TRUE(store->Write(1).ok());
   ASSERT_TRUE(store->Write(2).ok());
-  EXPECT_EQ(store->stats().user_pages_written, 0u);  // still buffered
+  EXPECT_EQ(store->shard(0).stats().user_pages_written, 0u);  // buffered
   ASSERT_TRUE(store->Flush().ok());
-  EXPECT_EQ(store->stats().user_pages_written, 2u);
+  EXPECT_EQ(store->shard(0).stats().user_pages_written, 2u);
   EXPECT_FALSE(store->page_table().Get(1).loc.InBuffer());
 }
 
@@ -195,7 +200,7 @@ TEST(StoreTest, DeleteWhileBuffered) {
   ASSERT_TRUE(store->Delete(1).ok());
   EXPECT_FALSE(store->Contains(1));
   ASSERT_TRUE(store->Flush().ok());
-  EXPECT_EQ(store->stats().user_pages_written, 0u);
+  EXPECT_EQ(store->shard(0).stats().user_pages_written, 0u);
   EXPECT_TRUE(store->CheckInvariants().ok());
 }
 
@@ -205,16 +210,16 @@ TEST(StoreTest, EstimateUpfUsesLastUpdateInterval) {
   ASSERT_TRUE(store->Write(2).ok());
   ASSERT_TRUE(store->Write(3).ok());
   ASSERT_TRUE(store->Write(4).ok());  // unow = 4
-  EXPECT_DOUBLE_EQ(store->EstimateUpf(1), 1.0 / 3.0);
-  EXPECT_EQ(store->EstimateUpf(99), 0.0);
+  EXPECT_DOUBLE_EQ(store->shard(0).EstimateUpf(1), 1.0 / 3.0);
+  EXPECT_EQ(store->shard(0).EstimateUpf(99), 0.0);
 }
 
 TEST(StoreTest, OracleOverridesEstimate) {
   auto store = MakeStore(SmallConfig());
   store->SetExactFrequencyOracle([](PageId p) { return p == 1 ? 4.0 : 0.5; });
-  EXPECT_TRUE(store->HasOracle());
-  EXPECT_DOUBLE_EQ(store->EstimateUpf(1), 4.0);
-  EXPECT_DOUBLE_EQ(store->EstimateUpf(2), 0.5);
+  EXPECT_TRUE(store->shard(0).HasOracle());
+  EXPECT_DOUBLE_EQ(store->shard(0).EstimateUpf(1), 4.0);
+  EXPECT_DOUBLE_EQ(store->shard(0).EstimateUpf(2), 0.5);
 }
 
 TEST(StoreTest, FillFactorTracksLiveBytes) {
@@ -226,7 +231,7 @@ TEST(StoreTest, FillFactorTracksLiveBytes) {
 TEST(StoreTest, WampZeroWithoutCleaning) {
   auto store = MakeStore(SmallConfig());
   for (PageId p = 0; p < 8; ++p) ASSERT_TRUE(store->Write(p).ok());
-  EXPECT_EQ(store->stats().WriteAmplification(), 0.0);
+  EXPECT_EQ(store->shard(0).stats().WriteAmplification(), 0.0);
 }
 
 // Long-running churn across many policies must preserve all invariants.
@@ -252,7 +257,7 @@ TEST_P(StoreChurnTest, InvariantsHoldUnderChurn) {
   ASSERT_TRUE(store->Flush().ok());
   EXPECT_EQ(store->LivePageCount(), kPages);
   EXPECT_TRUE(store->CheckInvariants().ok());
-  EXPECT_GT(store->stats().cleanings, 0u);
+  EXPECT_GT(store->shard(0).stats().cleanings, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -273,14 +278,16 @@ INSTANTIATE_TEST_SUITE_P(
 // exactly like out-of-space does — a store that lost durability must not
 // keep accepting writes.
 
-std::unique_ptr<LogStructuredStore> MakeFaultyStore(
+std::unique_ptr<ShardedStore> MakeFaultyStore(
     const StoreConfig& cfg, FaultInjectionBackend** handle,
     Variant v = Variant::kGreedy) {
-  auto backend = std::make_unique<FaultInjectionBackend>();
-  *handle = backend.get();
   Status st;
-  auto store = LogStructuredStore::CreateWithBackend(cfg, MakePolicy(v),
-                                                     std::move(backend), &st);
+  auto store = ShardedStore::Create(
+      cfg, 1, [v] { return MakePolicy(v); }, &st, [handle](uint32_t) {
+        auto backend = std::make_unique<FaultInjectionBackend>();
+        *handle = backend.get();
+        return backend;
+      });
   EXPECT_TRUE(st.ok()) << st.ToString();
   return store;
 }
@@ -365,11 +372,10 @@ TEST(StoreBackendFailureTest, HealthyFaultBackendCountsOperations) {
   // Close seals the remaining open segments and releases any withheld
   // victim reclaims, after which the backend has seen every operation.
   ASSERT_TRUE(store->Close().ok());
-  EXPECT_EQ(fault->seals(),
-            static_cast<int64_t>(store->stats().user_segments_sealed +
-                                 store->stats().gc_segments_sealed));
-  EXPECT_EQ(fault->reclaims(),
-            static_cast<int64_t>(store->stats().segments_cleaned));
+  const StoreStats& stats = store->shard(0).stats();
+  EXPECT_EQ(fault->seals(), static_cast<int64_t>(stats.user_segments_sealed +
+                                                 stats.gc_segments_sealed));
+  EXPECT_EQ(fault->reclaims(), static_cast<int64_t>(stats.segments_cleaned));
   EXPECT_EQ(fault->deletes(), 1);
 }
 

@@ -193,23 +193,25 @@ std::unique_ptr<ShardedStore> SerialShardedReplay(const StoreConfig& base,
   return store;
 }
 
-TEST(RunnerTest, TraceReplayParallelSingleShardMatchesRunTrace) {
-  // One shard + one queue = the exact op sequence of RunTrace; results
-  // must agree bit for bit.
+// Golden counters of the single-threaded trace replay loop, recorded
+// before that loop was folded into ReplayTraceParallel; a 1-shard RunTrace
+// (which replays the trace in place) must reproduce them bit for bit.
+TEST(RunnerTest, TraceReplaySingleShardMatchesGoldenCounters) {
   const StoreConfig base = TestConfig();
   Trace t;
   const size_t measure_from =
       BuildReplayTrace(base.UserPagesForFillFactor(0.6), &t);
-  const RunResult serial = RunTrace(base, Variant::kMdc, t, measure_from);
-  ASSERT_TRUE(serial.status.ok()) << serial.status.ToString();
-  const ParallelRunResult par =
-      RunTraceParallel(base, Variant::kMdc, t, measure_from, 1);
-  ASSERT_TRUE(par.result.status.ok()) << par.result.status.ToString();
-  EXPECT_DOUBLE_EQ(par.result.wamp, serial.wamp);
-  EXPECT_DOUBLE_EQ(par.result.mean_clean_emptiness,
-                   serial.mean_clean_emptiness);
-  EXPECT_EQ(par.result.measured_updates, serial.measured_updates);
-  EXPECT_DOUBLE_EQ(par.result.effective_fill, serial.effective_fill);
+  const RunResult r = RunTrace(base, Variant::kMdc, t, measure_from);
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  EXPECT_EQ(r.shards, 1u);
+  EXPECT_EQ(r.measured_updates, 29371u);
+  EXPECT_EQ(r.stats.gc_pages_written, 12996u);
+  EXPECT_EQ(r.stats.segments_cleaned, 640u);
+  EXPECT_EQ(r.stats.cleanings, 80u);
+  EXPECT_EQ(r.stats.deletes, 614u);
+  EXPECT_EQ(r.wamp, 0x1.c5779f1155408p-2);
+  EXPECT_EQ(r.mean_clean_emptiness, 0x1.5d8cccccccccdp-1);
+  EXPECT_EQ(r.effective_fill, 0x1.2eap-1);
 }
 
 TEST(RunnerTest, TraceReplayParallelPreservesPerPageOrder) {
@@ -255,43 +257,41 @@ TEST(RunnerTest, TraceReplayParallelPreservesPerPageOrder) {
   EXPECT_TRUE(parallel->CheckInvariants().ok());
 }
 
-TEST(RunnerTest, TraceReplayParallelPresplitMatchesRouterPath) {
-  // The pre-split fast path skips the per-record shard router but must
-  // feed every shard the identical record subsequence, so replaying the
-  // same trace with and without a ShardedTrace must agree bit for bit —
-  // aggregate stats and per-shard Wamp alike.
+// A 4-shard replay of a pre-split trace reproduces the golden counters
+// recorded from the per-record router path it replaced, and a ShardedTrace
+// split for a different shard count is ignored (the replay splits the
+// trace itself) rather than misrouting records.
+TEST(RunnerTest, TraceReplayParallelPresplitMatchesGoldenCounters) {
   const StoreConfig base = TestConfig();
   const uint32_t shards = 4;
   Trace t;
   const size_t measure_from =
       BuildReplayTrace(base.UserPagesForFillFactor(0.6), &t);
-  const ParallelRunResult routed =
-      RunTraceParallel(base, Variant::kMdc, t, measure_from, shards);
-  ASSERT_TRUE(routed.result.status.ok()) << routed.result.status.ToString();
+  const double kShardWamp[] = {0x1.9560ce8560ce8p+0, 0x1.c62c7cbcc3afbp+0,
+                               0x1.4741aee7e942p+0, 0x1.1cb9fdfb9e346p+0};
+  auto expect_golden = [&](const RunResult& r) {
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    EXPECT_EQ(r.measured_updates, 29371u);
+    EXPECT_EQ(r.stats.gc_pages_written, 41594u);
+    EXPECT_EQ(r.stats.segments_cleaned, 1088u);
+    EXPECT_EQ(r.stats.cleanings, 136u);
+    EXPECT_EQ(r.stats.deletes, 614u);
+    EXPECT_EQ(r.wamp, 0x1.702a3414e3a87p+0);
+    EXPECT_EQ(r.mean_clean_emptiness, 0x1.9c52d2d2d2d2dp-2);
+    EXPECT_EQ(r.effective_fill, 0x1.486p-1);
+    ASSERT_EQ(r.shard_wamp.size(), shards);
+    for (uint32_t s = 0; s < shards; ++s) {
+      EXPECT_EQ(r.shard_wamp[s], kShardWamp[s]) << "shard " << s;
+    }
+  };
 
   const ShardedTrace presplit = SplitTrace(t, measure_from, shards);
   ASSERT_TRUE(presplit.Valid());
-  const ParallelRunResult fast = RunTraceParallel(base, Variant::kMdc, t,
-                                                  measure_from, shards,
-                                                  &presplit);
-  ASSERT_TRUE(fast.result.status.ok()) << fast.result.status.ToString();
+  expect_golden(
+      RunTrace(base, Variant::kMdc, t, measure_from, shards, &presplit));
 
-  EXPECT_DOUBLE_EQ(fast.result.wamp, routed.result.wamp);
-  EXPECT_EQ(fast.result.measured_updates, routed.result.measured_updates);
-  EXPECT_DOUBLE_EQ(fast.result.mean_clean_emptiness,
-                   routed.result.mean_clean_emptiness);
-  EXPECT_DOUBLE_EQ(fast.result.effective_fill, routed.result.effective_fill);
-  ASSERT_EQ(fast.shard_wamp.size(), routed.shard_wamp.size());
-  for (size_t s = 0; s < fast.shard_wamp.size(); ++s) {
-    EXPECT_DOUBLE_EQ(fast.shard_wamp[s], routed.shard_wamp[s])
-        << "shard " << s;
-  }
-  // A shard-count mismatch must fall back to the router, not misroute.
   const ShardedTrace wrong = SplitTrace(t, measure_from, shards / 2);
-  const ParallelRunResult fallback = RunTraceParallel(
-      base, Variant::kMdc, t, measure_from, shards, &wrong);
-  ASSERT_TRUE(fallback.result.status.ok());
-  EXPECT_DOUBLE_EQ(fallback.result.wamp, routed.result.wamp);
+  expect_golden(RunTrace(base, Variant::kMdc, t, measure_from, shards, &wrong));
 }
 
 TEST(RunnerTest, TraceReplayParallelHandlesDeletesAndOracle) {
@@ -300,15 +300,14 @@ TEST(RunnerTest, TraceReplayParallelHandlesDeletesAndOracle) {
   const size_t measure_from =
       BuildReplayTrace(base.UserPagesForFillFactor(0.5), &t);
   t.AppendDelete(999999);  // absent page must not abort the replay
-  const ParallelRunResult r =
-      RunTraceParallel(base, Variant::kMdcOpt, t, measure_from, 4);
-  ASSERT_TRUE(r.result.status.ok()) << r.result.status.ToString();
+  const RunResult r = RunTrace(base, Variant::kMdcOpt, t, measure_from, 4);
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
   EXPECT_EQ(r.shards, 4u);
   // The measured suffix holds 30000 mixed records, ~2% deletes; only
   // writes count as updates.
-  EXPECT_GT(r.result.measured_updates, 28000u);
-  EXPECT_LT(r.result.measured_updates, 30000u);
-  EXPECT_GT(r.result.wamp, 0.0);
+  EXPECT_GT(r.measured_updates, 28000u);
+  EXPECT_LT(r.measured_updates, 30000u);
+  EXPECT_GT(r.wamp, 0.0);
   EXPECT_EQ(r.shard_wamp.size(), 4u);
 }
 

@@ -121,7 +121,7 @@ TEST(SplitTraceTest, PartitionsByShardPreservingOrder) {
   ASSERT_EQ(st.sub.size(), shards);
   ASSERT_EQ(st.measure_from.size(), shards);
 
-  // Replaying the original trace through the router must visit each
+  // Routing the original trace record by record must visit each
   // sub-trace's records in exactly their stored order, and the per-shard
   // measure boundary must count exactly the prefix records routed there.
   std::vector<size_t> cursor(shards, 0);
