@@ -8,7 +8,9 @@
 #   default:  full build + full test suite in ./build
 #   --tsan:   rebuild with -fsanitize=thread in ./build-tsan (or the given
 #             build dir) and run the concurrency test suites under
-#             ThreadSanitizer — the data-race gate for ShardedStore, the
+#             ThreadSanitizer — the data-race gate for ShardedStore
+#             (including the write-behind inbox: the contended
+#             exactly-once, hand-off and deferred-failure cases), the
 #             lock-free PageTable, the per-shard async seal pipeline
 #             (AsyncSeal* cases in tests/core/sharded_store_test.cc), the
 #             latch-striped buffer pool (BufferPoolParallel*, which

@@ -1,5 +1,7 @@
 #include "core/sharded_store.h"
 
+#include <algorithm>
+
 namespace lss {
 
 std::unique_ptr<ShardedStore> ShardedStore::Create(
@@ -25,11 +27,29 @@ std::unique_ptr<ShardedStore> ShardedStore::Open(
 Status ShardedStore::Close() {
   Status result = Status::OK();
   for (auto& s : shards_) {
-    std::lock_guard<std::mutex> lock(s->mu);
-    Status st = s->shard->Close();
+    LockedShard shard(*s);
+    Status st = shard->Close();
+    if (!shard.error().ok()) st = shard.error();
     if (!st.ok() && result.ok()) result = std::move(st);
   }
   return result;
+}
+
+void ShardedStore::LockedShard::ApplyInbox() {
+  // The hand-off: apply whatever queued meanwhile, and look again after
+  // each batch, until a look under inbox_mu finds nothing.
+  while (!s_.inbox.empty()) {
+    s_.applying.swap(s_.inbox);
+    s_.inbox_mu.unlock();
+    Status failed;
+    for (const QueuedWrite& w : s_.applying) {
+      Status st = s_.shard->Write(w.page, w.bytes);
+      if (!st.ok() && failed.ok()) failed = std::move(st);
+    }
+    s_.applying.clear();
+    s_.inbox_mu.lock();
+    if (!failed.ok() && s_.error.ok()) s_.error = std::move(failed);
+  }
 }
 
 std::unique_ptr<ShardedStore> ShardedStore::Build(
@@ -63,6 +83,9 @@ std::unique_ptr<ShardedStore> ShardedStore::Build(
 
   auto store = std::unique_ptr<ShardedStore>(new ShardedStore());
   store->shard_config_ = shard_cfg;
+  store->inbox_capacity_ =
+      static_cast<size_t>(shard_cfg.PagesPerSegment()) *
+      std::max<uint32_t>(1, shard_cfg.write_buffer_segments);
   store->shards_.reserve(num_shards);
   for (uint32_t i = 0; i < num_shards; ++i) {
     auto policy = policy_factory();
@@ -89,21 +112,38 @@ std::unique_ptr<ShardedStore> ShardedStore::Build(
 
 void ShardedStore::SetExactFrequencyOracle(const ExactFrequencyFn& oracle) {
   for (auto& s : shards_) {
-    std::lock_guard<std::mutex> lock(s->mu);
-    s->shard->SetExactFrequencyOracle(oracle);
+    LockedShard shard(*s);
+    shard->SetExactFrequencyOracle(oracle);
   }
 }
 
 Status ShardedStore::Write(PageId page, uint32_t bytes) {
   Shard& s = *shards_[ShardOf(page)];
-  std::lock_guard<std::mutex> lock(s.mu);
-  return s.shard->Write(page, bytes);
+  if (!s.mu.try_lock()) {
+    Status st = s.shard->CheckWriteArgs(page, bytes);
+    if (!st.ok()) return st;
+    {
+      std::lock_guard<std::mutex> inbox(s.inbox_mu);
+      if (!s.error.ok()) return s.error;
+      if (s.held.load(std::memory_order_relaxed) &&
+          s.inbox.size() < inbox_capacity_) {
+        s.inbox.push_back({page, bytes});
+        return Status::OK();
+      }
+    }
+    // The inbox is full, or no holder will look at it again (the holder
+    // is releasing, or try_lock failed spuriously): wait for the mutex.
+    s.mu.lock();
+  }
+  LockedShard shard(s, std::adopt_lock);
+  if (!shard.error().ok()) return shard.error();
+  return shard->Write(page, bytes);
 }
 
 Status ShardedStore::Delete(PageId page) {
-  Shard& s = *shards_[ShardOf(page)];
-  std::lock_guard<std::mutex> lock(s.mu);
-  return s.shard->Delete(page);
+  LockedShard shard(*shards_[ShardOf(page)]);
+  if (!shard.error().ok()) return shard.error();
+  return shard->Delete(page);
 }
 
 Status ShardedStore::Flush() {
@@ -111,8 +151,8 @@ Status ShardedStore::Flush() {
   // drain their buffers; report the first error.
   Status result = Status::OK();
   for (auto& s : shards_) {
-    std::lock_guard<std::mutex> lock(s->mu);
-    Status st = s->shard->Flush();
+    LockedShard shard(*s);
+    Status st = shard.error().ok() ? shard->Flush() : shard.error();
     if (!st.ok() && result.ok()) result = std::move(st);
   }
   return result;
@@ -121,46 +161,44 @@ Status ShardedStore::Flush() {
 Status ShardedStore::Checkpoint() {
   Status result = Status::OK();
   for (auto& s : shards_) {
-    std::lock_guard<std::mutex> lock(s->mu);
-    Status st = s->shard->Checkpoint();
+    LockedShard shard(*s);
+    Status st = shard.error().ok() ? shard->Checkpoint() : shard.error();
     if (!st.ok() && result.ok()) result = std::move(st);
   }
   return result;
 }
 
 Status ShardedStore::ReadPage(PageId page, std::vector<uint8_t>* out) const {
-  const Shard& s = *shards_[ShardOf(page)];
-  std::lock_guard<std::mutex> lock(s.mu);
-  return s.shard->ReadPage(page, out);
+  LockedShard shard(*shards_[ShardOf(page)]);
+  if (!shard.error().ok()) return shard.error();
+  return shard->ReadPage(page, out);
 }
 
 bool ShardedStore::Contains(PageId page) const {
-  const Shard& s = *shards_[ShardOf(page)];
-  std::lock_guard<std::mutex> lock(s.mu);
-  return s.shard->Contains(page);
+  LockedShard shard(*shards_[ShardOf(page)]);
+  return shard->Contains(page);
 }
 
 uint32_t ShardedStore::PageSize(PageId page) const {
-  const Shard& s = *shards_[ShardOf(page)];
-  std::lock_guard<std::mutex> lock(s.mu);
-  return s.shard->PageSize(page);
+  LockedShard shard(*shards_[ShardOf(page)]);
+  return shard->PageSize(page);
 }
 
 StoreStats ShardedStore::AggregatedStats() const {
   StoreStats total;
   for (const auto& s : shards_) {
-    std::lock_guard<std::mutex> lock(s->mu);
+    LockedShard shard(*s);
     // Snapshot, not stats(): async mode keeps device and group-fsync
     // counters on the shard's I/O thread.
-    total.Merge(s->shard->StatsSnapshot());
+    total.Merge(shard->StatsSnapshot());
   }
   return total;
 }
 
 void ShardedStore::ResetMeasurement() {
   for (auto& s : shards_) {
-    std::lock_guard<std::mutex> lock(s->mu);
-    s->shard->ResetMeasurement();
+    LockedShard shard(*s);
+    shard->ResetMeasurement();
   }
 }
 
@@ -168,8 +206,8 @@ std::vector<double> ShardedStore::PerShardWriteAmplification() const {
   std::vector<double> wamp;
   wamp.reserve(shards_.size());
   for (const auto& s : shards_) {
-    std::lock_guard<std::mutex> lock(s->mu);
-    wamp.push_back(s->shard->stats().WriteAmplification());
+    LockedShard shard(*s);
+    wamp.push_back(shard->stats().WriteAmplification());
   }
   return wamp;
 }
@@ -177,8 +215,8 @@ std::vector<double> ShardedStore::PerShardWriteAmplification() const {
 double ShardedStore::CurrentFillFactor() const {
   double fill_sum = 0.0;
   for (const auto& s : shards_) {
-    std::lock_guard<std::mutex> lock(s->mu);
-    fill_sum += s->shard->CurrentFillFactor();
+    LockedShard shard(*s);
+    fill_sum += shard->CurrentFillFactor();
   }
   // Shards have identical device sizes, so the aggregate fill is the mean.
   return shards_.empty() ? 0.0 : fill_sum / static_cast<double>(shards_.size());
@@ -187,16 +225,16 @@ double ShardedStore::CurrentFillFactor() const {
 size_t ShardedStore::LivePageCount() const {
   size_t n = 0;
   for (const auto& s : shards_) {
-    std::lock_guard<std::mutex> lock(s->mu);
-    n += s->shard->LivePageCount();
+    LockedShard shard(*s);
+    n += shard->LivePageCount();
   }
   return n;
 }
 
 Status ShardedStore::CheckInvariants() const {
   for (const auto& s : shards_) {
-    std::lock_guard<std::mutex> lock(s->mu);
-    Status st = s->shard->CheckInvariants();
+    LockedShard shard(*s);
+    Status st = shard->CheckInvariants();
     if (!st.ok()) return st;
   }
   return Status::OK();

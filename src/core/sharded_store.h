@@ -1,6 +1,7 @@
 #ifndef LSS_CORE_SHARDED_STORE_H_
 #define LSS_CORE_SHARDED_STORE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -45,6 +46,18 @@ using BackendFactory =
 /// shard's mutex) and read-side aggregation.
 /// With num_shards comfortably above the thread count, writers mostly
 /// land on distinct shards and proceed in parallel.
+///
+/// Write-behind. A Write that finds its shard's mutex held does not wait
+/// for it: it leaves the write in the shard's bounded FIFO inbox and
+/// returns, and the holder applies the inbox in arrival order before it
+/// releases the mutex (flat combining, Hendler et al., SPAA 2010). Every
+/// call that takes a shard mutex is such a holder, so a queued write is
+/// applied before any later call on that shard takes effect, and once
+/// every call has returned no write is left queued. A queued write's
+/// failure becomes the shard's sticky error. The inbox holds one write
+/// buffer's worth of pages (one segment's when unbuffered); a writer
+/// that finds it full waits for the mutex. Uncontended calls never
+/// queue, so one client runs exactly the serial write path.
 ///
 /// Stats are aggregated on read: AggregatedStats() locks each shard in
 /// turn and merges its counters, so WriteAmplification() over the result
@@ -97,7 +110,14 @@ class ShardedStore {
   /// are — all workload generators qualify).
   void SetExactFrequencyOracle(const ExactFrequencyFn& oracle);
 
-  /// Routes to the owning shard and writes under its lock.
+  /// Routes to the owning shard and writes under its lock, or, when the
+  /// shard is busy, queues the write for the lock holder (see
+  /// "Write-behind" above). An OK from a queued write means the write is
+  /// ordered into the shard: it is applied before any later call on that
+  /// shard takes effect. If applying it fails, the failure becomes the
+  /// shard's sticky error and the next Write, Delete, Flush, Checkpoint,
+  /// ReadPage or Close on that shard returns it, as async-seal I/O errors
+  /// are. Invalid arguments are rejected at once either way.
   Status Write(PageId page, uint32_t bytes = 0);
 
   /// Routes to the owning shard and deletes under its lock.
@@ -143,8 +163,8 @@ class ShardedStore {
   /// Runs `fn(shard)` under shard `i`'s lock.
   template <typename Fn>
   auto WithShardLocked(uint32_t i, Fn fn) const {
-    std::lock_guard<std::mutex> lock(shards_[i]->mu);
-    return fn(*shards_[i]->shard);
+    LockedShard lock(*shards_[i]);
+    return fn(*lock);
   }
 
   /// The geometry each shard runs with (num_segments already divided).
@@ -174,11 +194,73 @@ class ShardedStore {
   Status CheckInvariants() const;
 
  private:
+  // A write left for the shard's lock holder.
+  struct QueuedWrite {
+    PageId page;
+    uint32_t bytes;
+  };
+
   // Each shard gets its own cache line so neighbouring mutexes do not
   // false-share under contention.
   struct alignas(64) Shard {
-    mutable std::mutex mu;
+    std::mutex mu;
     std::unique_ptr<StoreShard> shard;
+    // Guards `inbox` and `error`, and orders a writer's look at `held`
+    // against the holder's last look at the inbox.
+    std::mutex inbox_mu;
+    // True while a holder of `mu` has its last look at the inbox ahead of
+    // it. Set on arrival (under `mu` alone), cleared under `inbox_mu`
+    // once that last look finds the inbox empty. A writer reads it under
+    // `inbox_mu`; if it reads true, the store that clears it comes after
+    // the writer's critical section, so that last look finds the write.
+    std::atomic<bool> held{false};
+    std::vector<QueuedWrite> inbox;
+    // The first failure of a queued write: the shard's sticky error.
+    // Written under both mutexes, so either one suffices to read it.
+    Status error;
+    // Under `mu`: the batch being applied (reused to spare allocations).
+    std::vector<QueuedWrite> applying;
+  };
+
+  // Holds a shard's mutex for one call. On arrival it marks the shard
+  // held; before releasing the mutex it applies the inbox until it finds
+  // it empty. A write queues only while the shard is marked held, so the
+  // inbox is empty whenever the mutex is free and an arriving holder
+  // finds nothing to apply.
+  class LockedShard {
+   public:
+    explicit LockedShard(Shard& s) : s_(s) {
+      s_.mu.lock();
+      s_.held.store(true, std::memory_order_relaxed);
+    }
+    // Takes over a mutex the caller has already locked.
+    LockedShard(Shard& s, std::adopt_lock_t) : s_(s) {
+      s_.held.store(true, std::memory_order_relaxed);
+    }
+    ~LockedShard() {
+      s_.inbox_mu.lock();
+      if (!s_.inbox.empty()) ApplyInbox();
+      s_.held.store(false, std::memory_order_relaxed);
+      s_.inbox_mu.unlock();
+      s_.mu.unlock();
+    }
+
+    LockedShard(const LockedShard&) = delete;
+    LockedShard& operator=(const LockedShard&) = delete;
+
+    StoreShard& operator*() const { return *s_.shard; }
+    StoreShard* operator->() const { return s_.shard.get(); }
+
+    // The shard's sticky queued-write error (OK if none), which the
+    // Status-returning calls report instead of running.
+    const Status& error() const { return s_.error; }
+
+   private:
+    // Called with `inbox_mu` held; applies batches until the inbox is
+    // empty and returns with `inbox_mu` held again.
+    void ApplyInbox();
+
+    Shard& s_;
   };
 
   ShardedStore() = default;
@@ -191,6 +273,8 @@ class ShardedStore {
 
   PageTable table_;
   StoreConfig shard_config_;
+  // Queued writes a shard's inbox holds at most.
+  size_t inbox_capacity_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
 };
 

@@ -135,17 +135,23 @@ void StoreShard::KillOldVersion(PageId page, const PageLocation& loc) {
   segments_[loc.segment].Kill(loc.index, exact);
 }
 
-Status StoreShard::Write(PageId page, uint32_t bytes) {
-  if (closed_) return Status::InvalidArgument("store is closed");
-  AbsorbPipelineError();
-  if (!sticky_error_.ok()) return sticky_error_;
-  if (bytes == 0) bytes = config_.page_bytes;
+Status StoreShard::CheckWriteArgs(PageId page, uint32_t bytes) const {
   if (bytes > config_.segment_bytes) {
     return Status::InvalidArgument("page larger than a segment");
   }
   if (page >= PageTable::kMaxPages) {
     return Status::InvalidArgument("page id must be below 2^32");
   }
+  return Status::OK();
+}
+
+Status StoreShard::Write(PageId page, uint32_t bytes) {
+  if (closed_) return Status::InvalidArgument("store is closed");
+  AbsorbPipelineError();
+  if (!sticky_error_.ok()) return sticky_error_;
+  Status args = CheckWriteArgs(page, bytes);
+  if (!args.ok()) return args;
+  if (bytes == 0) bytes = config_.page_bytes;
   assert(OwnsPage(page));
   ++unow_;
   ++stats_.user_updates;

@@ -101,6 +101,11 @@ class StoreShard {
   /// Fails with kOutOfSpace when cleaning cannot reclaim room.
   Status Write(PageId page, uint32_t bytes = 0);
 
+  /// The argument checks of Write: the page id must fit the page table
+  /// and the page must fit a segment. Reads only the configuration, so it
+  /// is safe to call without the shard's lock.
+  Status CheckWriteArgs(PageId page, uint32_t bytes) const;
+
   /// Removes a page; its storage becomes reclaimable garbage.
   Status Delete(PageId page);
 

@@ -2,9 +2,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -29,6 +31,37 @@ StoreConfig SmallConfig() {
 
 PolicyFactory FactoryFor(Variant v) {
   return [v] { return MakePolicy(v); };
+}
+
+// A backend that sleeps per seal. Behind an async seal pipeline the
+// shard's writer outruns the I/O thread, so the bounded queue must exert
+// backpressure (counted stalls) while every op still applies exactly
+// once, in order; in sync mode the seal holds the shard lock, as a flush
+// to a real device does.
+class SlowBackend : public NullBackend {
+ public:
+  explicit SlowBackend(
+      std::chrono::microseconds delay = std::chrono::milliseconds(2))
+      : delay_(delay) {}
+  Status SealSegment(const BackendSegmentRecord& record) override {
+    std::this_thread::sleep_for(delay_);
+    ++seals_;
+    return NullBackend::SealSegment(record);
+  }
+  std::atomic<int64_t> seals_{0};
+
+ private:
+  std::chrono::microseconds delay_;
+};
+
+// Builds a SlowBackend per shard and leaves a pointer to the last one in
+// `*out` (single-shard tests inspect it after the run).
+BackendFactory SlowBackendFactory(SlowBackend** out) {
+  return [out](uint32_t) {
+    auto backend = std::make_unique<SlowBackend>();
+    *out = backend.get();
+    return backend;
+  };
 }
 
 TEST(ShardedStoreTest, CreateValidatesGeometry) {
@@ -236,6 +269,220 @@ TEST(ShardedStoreTest, MultiThreadedStressKeepsInvariants) {
   }
 }
 
+// Write-behind under heavy contention: eight writers on two shards with a
+// one-segment write buffer and seals that sleep under the shard lock, so
+// a shard is flushing much of the time and writes find it busy and queue
+// for the lock holder, also while it applies earlier queued writes. Every
+// write must be applied exactly once and, per page, in program order.
+TEST(ShardedStoreTest, ContendedWritesApplyOnceInOrder) {
+  StoreConfig cfg = SmallConfig();
+  cfg.num_segments = 512;
+  cfg.write_buffer_segments = 1;
+  Status st;
+  auto store = ShardedStore::Create(
+      cfg, 2, FactoryFor(Variant::kMdc), &st, [](uint32_t) {
+        return std::make_unique<SlowBackend>(std::chrono::microseconds(50));
+      });
+  ASSERT_NE(store, nullptr) << st.ToString();
+
+  constexpr uint32_t kThreads = 8;
+  constexpr PageId kPagesPerThread = 100;
+  constexpr uint32_t kWritesPerThread = 5000;
+  // last[p]: the bytes of page p's last write, by its owning thread.
+  std::vector<uint32_t> last(kThreads * kPagesPerThread, 0);
+  std::atomic<uint64_t> failures{0};
+  std::atomic<uint64_t> stale_sizes{0};
+  std::atomic<uint32_t> started{0};
+  std::vector<std::thread> pool;
+  for (uint32_t t = 0; t < kThreads; ++t) {
+    pool.emplace_back([&, t] {
+      started.fetch_add(1);
+      while (started.load() < kThreads) std::this_thread::yield();
+      Rng rng(3000 + t);
+      const PageId base = t * kPagesPerThread;
+      for (uint32_t i = 0; i < kWritesPerThread; ++i) {
+        const PageId p = base + rng.NextBounded(kPagesPerThread);
+        const uint32_t bytes = 4096 + i;  // distinct within the thread
+        if (!store->Write(p, bytes).ok()) failures.fetch_add(1);
+        last[p] = bytes;
+        // A later call on the shard sees the thread's own queued writes.
+        if (i % 2 == 0 && store->PageSize(p) != bytes) {
+          stale_sizes.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& th : pool) th.join();
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_EQ(stale_sizes.load(), 0u);
+
+  // Read the shards directly: no call below applies a queue, so anything
+  // still queued after the join would show up as missing.
+  uint64_t applied = 0;
+  for (uint32_t i = 0; i < store->num_shards(); ++i) {
+    applied += store->shard(i).stats().user_updates;
+  }
+  EXPECT_EQ(applied, uint64_t{kThreads} * kWritesPerThread);
+  for (PageId p = 0; p < last.size(); ++p) {
+    EXPECT_EQ(store->shard(store->ShardOf(p)).PageSize(p), last[p])
+        << "page " << p;
+  }
+  EXPECT_TRUE(store->CheckInvariants().ok());
+}
+
+// Builds a FaultInjectionBackend for shard `failing` (its seals fail after
+// `seals_ok` succeed) and a plain null backend for every other shard.
+BackendFactory FailingSealsOn(uint32_t failing, int64_t seals_ok) {
+  return [failing,
+          seals_ok](uint32_t shard) -> std::unique_ptr<SegmentBackend> {
+    if (shard != failing) return std::make_unique<NullBackend>();
+    auto backend = std::make_unique<FaultInjectionBackend>();
+    backend->FailSealsAfter(seals_ok,
+                            Status::Corruption("injected seal failure"));
+    return backend;
+  };
+}
+
+// A queued write that fails when the holder applies it was already
+// acknowledged, so its error must come back from the shard's later calls
+// and no later Checkpoint may report OK.
+TEST(ShardedStoreTest, QueuedWriteFailureIsReportedByLaterCalls) {
+  StoreConfig cfg = SmallConfig();
+  cfg.write_buffer_segments = 0;  // the inbox then holds one segment: 16
+  cfg.num_segments = 64;
+  Status st;
+  auto store = ShardedStore::Create(cfg, 1, FactoryFor(Variant::kGreedy), &st,
+                                    FailingSealsOn(0, 0));
+  ASSERT_NE(store, nullptr) << st.ToString();
+  for (PageId p = 0; p < 10; ++p) ASSERT_TRUE(store->Write(p).ok());
+
+  // While this thread holds the shard, another thread's writes queue and
+  // return OK at once; they fill the open segment, whose seal fails when
+  // the holder applies them on release.
+  std::vector<Status> queued(16);
+  store->WithShardLocked(0, [&](StoreShard&) {
+    std::thread writer([&] {
+      for (PageId p = 0; p < 16; ++p) queued[p] = store->Write(10 + p);
+    });
+    writer.join();
+    return 0;
+  });
+  for (const Status& s : queued) EXPECT_TRUE(s.ok()) << s.ToString();
+
+  const std::string injected = "injected seal failure";
+  EXPECT_EQ(store->Checkpoint().message(), injected);
+  EXPECT_EQ(store->Flush().message(), injected);
+  EXPECT_EQ(store->Write(0).message(), injected);
+  EXPECT_EQ(store->Delete(0).message(), injected);
+  std::vector<uint8_t> data;
+  EXPECT_EQ(store->ReadPage(0, &data).message(), injected);
+  EXPECT_EQ(store->Checkpoint().message(), injected);
+  EXPECT_FALSE(store->Close().ok());
+}
+
+// A backend whose first seal runs `hook` on the sealing thread, that is,
+// under the shard lock.
+class HookedSealBackend : public NullBackend {
+ public:
+  explicit HookedSealBackend(std::function<void()> hook)
+      : hook_(std::move(hook)) {}
+  Status SealSegment(const BackendSegmentRecord& record) override {
+    if (hook_) std::exchange(hook_, nullptr)();
+    return NullBackend::SealSegment(record);
+  }
+
+ private:
+  std::function<void()> hook_;
+};
+
+// The hand-off, made deterministic: a write that queues while the holder
+// is applying the inbox must be applied by that holder before it lets go
+// of the shard, not left for whoever takes the lock next.
+TEST(ShardedStoreTest, WriteQueuedDuringHandOffIsApplied) {
+  StoreConfig cfg = SmallConfig();
+  cfg.write_buffer_segments = 0;  // the inbox then holds one segment: 16
+  cfg.num_segments = 64;
+  ShardedStore* raw = nullptr;
+  Status late;
+  Status st;
+  auto store = ShardedStore::Create(
+      cfg, 1, FactoryFor(Variant::kGreedy), &st, [&](uint32_t) {
+        return std::make_unique<HookedSealBackend>([&] {
+          std::thread([&] { late = raw->Write(100, 1234); }).join();
+        });
+      });
+  ASSERT_NE(store, nullptr) << st.ToString();
+  raw = store.get();
+  for (PageId p = 0; p < 10; ++p) ASSERT_TRUE(store->Write(p).ok());
+
+  // Sixteen writes queue behind this thread's hold; applying them on
+  // release fills and seals a segment, and the seal queues one more.
+  store->WithShardLocked(0, [&](StoreShard&) {
+    std::thread([&] {
+      for (PageId p = 10; p < 26; ++p) ASSERT_TRUE(store->Write(p).ok());
+    }).join();
+    return 0;
+  });
+  EXPECT_TRUE(late.ok()) << late.ToString();
+  // Read the shard directly: nothing below applies a queue.
+  EXPECT_EQ(store->shard(0).stats().user_updates, 27u);
+  EXPECT_EQ(store->shard(0).PageSize(100), 1234u);
+}
+
+// The same contract under real contention: writers race a checkpointing
+// thread on two shards while shard 1's seals start failing. Once any call
+// has reported the failure, no Checkpoint may return OK again.
+TEST(ShardedStoreTest, ContendedSealFailureNeverHidesBehindCheckpoint) {
+  StoreConfig cfg = SmallConfig();
+  cfg.write_buffer_segments = 1;
+  Status st;
+  auto store = ShardedStore::Create(cfg, 2, FactoryFor(Variant::kGreedy), &st,
+                                    FailingSealsOn(1, 20));
+  ASSERT_NE(store, nullptr) << st.ToString();
+
+  std::atomic<bool> failure_seen{false};
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> ok_after_failure{0};
+  std::thread checkpointer([&] {
+    while (!done.load()) {
+      const bool seen = failure_seen.load();
+      const Status s = store->Checkpoint();
+      if (seen && s.ok()) ok_after_failure.fetch_add(1);
+      if (!s.ok()) failure_seen.store(true);
+    }
+  });
+  std::vector<Status> first_error(4);
+  std::vector<std::thread> writers;
+  for (uint32_t t = 0; t < 4; ++t) {
+    writers.emplace_back([&, t] {
+      Rng rng(4000 + t);
+      for (int i = 0; i < 20000; ++i) {
+        first_error[t] = store->Write(rng.NextBounded(2000));
+        if (!first_error[t].ok()) {
+          failure_seen.store(true);
+          return;
+        }
+      }
+    });
+  }
+  for (std::thread& th : writers) th.join();
+  done.store(true);
+  checkpointer.join();
+
+  EXPECT_TRUE(failure_seen.load());
+  EXPECT_EQ(ok_after_failure.load(), 0u);
+  for (const Status& s : first_error) {
+    if (!s.ok()) {
+      EXPECT_EQ(s.message(), "injected seal failure");
+    }
+  }
+  EXPECT_EQ(store->Checkpoint().message(), "injected seal failure");
+  // Shard 0 is healthy and keeps accepting writes.
+  PageId healthy = 0;
+  while (store->ShardOf(healthy) != 0) ++healthy;
+  EXPECT_TRUE(store->Write(healthy).ok());
+}
+
 // Concurrent growth of the shared lock-free page table from many threads:
 // disjoint page ranges ensured in parallel must all be present and hold
 // their values afterwards.
@@ -321,29 +568,6 @@ TEST(ShardedStoreTest, AsyncSealKeepsSimulationCountersBitForBit) {
     EXPECT_EQ(sync_store->AggregatedStats().seal_queue_enqueued, 0u);
     EXPECT_TRUE(async_store->CheckInvariants().ok());
   }
-}
-
-// A backend that sleeps per seal: the shard's writer outruns the I/O
-// thread, so the bounded queue must exert backpressure (counted stalls)
-// while every op still applies exactly once, in order.
-class SlowBackend : public NullBackend {
- public:
-  Status SealSegment(const BackendSegmentRecord& record) override {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    ++seals_;
-    return NullBackend::SealSegment(record);
-  }
-  std::atomic<int64_t> seals_{0};
-};
-
-// Builds a SlowBackend per shard and leaves a pointer to the last one in
-// `*out` (single-shard tests inspect it after the run).
-BackendFactory SlowBackendFactory(SlowBackend** out) {
-  return [out](uint32_t) {
-    auto backend = std::make_unique<SlowBackend>();
-    *out = backend.get();
-    return backend;
-  };
 }
 
 TEST(ShardedStoreTest, AsyncSealBackpressureBoundsTheQueue) {
