@@ -41,7 +41,7 @@ double RunWith(CostBenefitPolicy::Formula formula,
   for (uint64_t i = 0; i < warm; ++i) {
     if (!store->Write(workload.NextPage(rng)).ok()) return -1;
   }
-  store->shard(0).mutable_stats().ResetMeasurement();
+  store->ResetMeasurement();
   for (uint64_t i = 0; i < 12 * user_pages; ++i) {
     if (!store->Write(workload.NextPage(rng)).ok()) return -1;
   }

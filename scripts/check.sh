@@ -11,8 +11,10 @@
 #             ThreadSanitizer — the data-race gate for ShardedStore
 #             (including the write-behind inbox: the contended
 #             exactly-once, hand-off and deferred-failure cases), the
-#             lock-free PageTable, the per-shard async seal pipeline
-#             (AsyncSeal* cases in tests/core/sharded_store_test.cc), the
+#             lock-free PageTable, the per-shard seal pipeline (its
+#             threaded executor's unit and sync/async op-sequence tests,
+#             SealPipeline* in tests/core/seal_pipeline_test.cc, and the
+#             AsyncSeal* cases in tests/core/sharded_store_test.cc), the
 #             latch-striped buffer pool (BufferPoolParallel*, which
 #             includes the latch-free CLOCK hit-path stress), the
 #             latch-coupled B+-tree (BTreeParallel*: N-writer/M-reader
@@ -93,7 +95,7 @@ if [[ $TSAN -eq 1 ]]; then
   # gate's scope is explicit.
   TSAN_OPTIONS="halt_on_error=1 suppressions=$PWD/scripts/tsan.supp" \
     ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
-      -R 'Sharded|PageTableConcurrency|Parallel|AsyncSeal|BTreeParallel|BufferPoolParallel|TpccParallel|TraceReplayParallel'
+      -R 'Sharded|PageTableConcurrency|Parallel|AsyncSeal|SealPipeline|BTreeParallel|BufferPoolParallel|TpccParallel|TraceReplayParallel'
   echo "check.sh: tsan green"
   exit 0
 fi

@@ -5,9 +5,10 @@
 
 namespace lss {
 
-SealPipeline::SealPipeline(SegmentBackend* backend, uint32_t queue_depth,
-                           bool count_fsyncs)
+SealPipeline::SealPipeline(SegmentBackend* backend, Executor executor,
+                           uint32_t queue_depth, bool count_fsyncs)
     : backend_(backend),
+      executor_(executor),
       queue_depth_(queue_depth < 1 ? 1 : queue_depth),
       count_fsyncs_(count_fsyncs) {}
 
@@ -16,6 +17,8 @@ SealPipeline::~SealPipeline() { Shutdown(); }
 void SealPipeline::Start() {
   std::lock_guard<std::mutex> lock(mu_);
   if (started_) return;
+  started_ = true;
+  if (executor_ == Executor::kInline) return;
   {
     // Publish what Open/Scan already accumulated (recovery device
     // counters, the uring capability flag) — a snapshot taken before the
@@ -24,22 +27,30 @@ void SealPipeline::Start() {
     published_stats_ = backend_stats_;
   }
   backend_->SetDeferredSync(true);
-  started_ = true;
-  stop_ = false;
   thread_ = std::thread([this] { ThreadMain(); });
 }
 
-uint64_t SealPipeline::Enqueue(Op op, bool* stalled) {
+uint64_t SealPipeline::Enqueue(Op op) {
   std::unique_lock<std::mutex> lock(mu_);
   if (!started_ || stop_ || !error_.ok()) return 0;
+  if (executor_ == Executor::kInline) {
+    const Status s = Apply(op);
+    applied_ = ++enqueued_;
+    if (!s.ok()) {
+      SetError(s);
+      return 0;
+    }
+    return enqueued_;
+  }
   if (queue_.size() >= queue_depth_) {
-    if (stalled != nullptr) *stalled = true;
+    ++queue_stalls_;
     done_cv_.wait(lock, [this] {
       return queue_.size() < queue_depth_ || stop_ || !error_.ok();
     });
     if (stop_ || !error_.ok()) return 0;
   }
   queue_.push_back(std::move(op));
+  ++queue_enqueued_;
   const uint64_t ticket = ++enqueued_;
   work_cv_.notify_one();
   return ticket;
@@ -50,7 +61,7 @@ uint64_t SealPipeline::applied_ticket() const {
   return applied_;
 }
 
-Status SealPipeline::WaitApplied(uint64_t ticket) {
+Status SealPipeline::WaitApplied(uint64_t ticket) const {
   std::unique_lock<std::mutex> lock(mu_);
   done_cv_.wait(lock, [this, ticket] {
     return applied_ >= ticket || !error_.ok();
@@ -58,7 +69,7 @@ Status SealPipeline::WaitApplied(uint64_t ticket) {
   return error_;
 }
 
-Status SealPipeline::Drain() {
+Status SealPipeline::WaitIdle() const {
   std::unique_lock<std::mutex> lock(mu_);
   const uint64_t target = enqueued_;
   done_cv_.wait(lock, [this, target] {
@@ -67,18 +78,26 @@ Status SealPipeline::Drain() {
   return error_;
 }
 
+Status SealPipeline::Drain() {
+  Status s = WaitIdle();
+  if (executor_ == Executor::kThreaded || !s.ok()) return s;
+  // Inline: every op is applied already; the barrier is the one sync the
+  // I/O thread would have issued at the end of its batch.
+  std::lock_guard<std::mutex> lock(mu_);
+  s = backend_->Sync();
+  if (!s.ok()) SetError(s);
+  return s;
+}
+
 Status SealPipeline::Shutdown() {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (!started_) return error_;
     stop_ = true;
     work_cv_.notify_one();
     done_cv_.notify_all();
   }
-  thread_.join();
-  std::lock_guard<std::mutex> lock(mu_);
-  started_ = false;
-  return error_;
+  if (thread_.joinable()) thread_.join();
+  return error();
 }
 
 Status SealPipeline::error() const {
@@ -86,19 +105,70 @@ Status SealPipeline::error() const {
   return error_;
 }
 
+void SealPipeline::SetError(const Status& s) {
+  if (!error_.ok()) return;
+  error_ = s;
+  failed_.store(true, std::memory_order_release);
+}
+
 StoreStats SealPipeline::StatsSnapshot() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  return published_stats_;
+  // Inline: Apply ran on the caller's thread, which is reading now.
+  if (executor_ == Executor::kInline) return backend_stats_;
+  StoreStats s;
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    s = published_stats_;
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  s.seal_queue_enqueued = queue_enqueued_;
+  s.seal_queue_stalls = queue_stalls_;
+  return s;
 }
 
 Status SealPipeline::ResetStats() {
-  Status s = Drain();
+  Status s = WaitIdle();
   // The I/O thread is idle (or dead) now and only touches its stats
   // while applying ops, which only this owner thread can enqueue.
   backend_stats_.ResetMeasurement();
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  published_stats_.ResetMeasurement();
+  {
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    published_stats_.ResetMeasurement();
+  }
+  std::lock_guard<std::mutex> lock(mu_);
+  queue_enqueued_ = 0;
+  queue_stalls_ = 0;
   return s;
+}
+
+Status SealPipeline::Apply(const Op& op) {
+  Status s;
+  switch (op.kind) {
+    case Op::Kind::kSeal:
+      return backend_->SealSegment(op.record);
+    case Op::Kind::kCheckpoint:
+      s = backend_->Checkpoint(op.record);
+      if (s.ok()) {
+        ++backend_stats_.checkpoints_written;
+        ++backend_stats_.checkpoint_full_records;
+      }
+      return s;
+    case Op::Kind::kCheckpointDelta:
+      s = backend_->CheckpointDelta(op.record);
+      if (s.ok()) {
+        ++backend_stats_.checkpoints_written;
+        ++backend_stats_.checkpoint_delta_records;
+      }
+      return s;
+    case Op::Kind::kReclaim:
+      return backend_->ReclaimSegment(op.segment, op.unow);
+    case Op::Kind::kDelete:
+      return backend_->RecordDelete(op.page, op.seq, op.unow);
+    case Op::Kind::kRehome:
+      // The backend syncs internally: the record is durable before the
+      // next op (the reused slot's seal) runs, even mid-batch.
+      return backend_->RehomeEntries(op.record);
+  }
+  return Status::InvalidArgument("unknown seal pipeline op");
 }
 
 void SealPipeline::ThreadMain() {
@@ -122,36 +192,7 @@ void SealPipeline::ThreadMain() {
       // Apply in queue order — the order carries the crash-ordering
       // invariants, so a failure must stop the batch, not skip over.
       for (const Op& op : batch) {
-        switch (op.kind) {
-          case Op::Kind::kSeal:
-            s = backend_->SealSegment(op.record);
-            break;
-          case Op::Kind::kCheckpoint:
-            s = backend_->Checkpoint(op.record);
-            if (s.ok()) {
-              ++backend_stats_.checkpoints_written;
-              ++backend_stats_.checkpoint_full_records;
-            }
-            break;
-          case Op::Kind::kCheckpointDelta:
-            s = backend_->CheckpointDelta(op.record);
-            if (s.ok()) {
-              ++backend_stats_.checkpoints_written;
-              ++backend_stats_.checkpoint_delta_records;
-            }
-            break;
-          case Op::Kind::kReclaim:
-            s = backend_->ReclaimSegment(op.segment, op.unow);
-            break;
-          case Op::Kind::kDelete:
-            s = backend_->RecordDelete(op.page, op.seq, op.unow);
-            break;
-          case Op::Kind::kRehome:
-            // The backend syncs internally: the record is durable before
-            // the next op in the batch (the reused slot's seal) runs.
-            s = backend_->RehomeEntries(op.record);
-            break;
-        }
+        s = Apply(op);
         if (!s.ok()) break;
       }
       // Group commit: one sync covers the whole batch (and releases the
@@ -174,7 +215,7 @@ void SealPipeline::ThreadMain() {
       // Tickets advance even past a failure so waiters wake; the sticky
       // error, not the ticket count, is the source of truth then.
       applied_ += batch.size();
-      if (!s.ok() && error_.ok()) error_ = s;
+      if (!s.ok()) SetError(s);
       done_cv_.notify_all();
     }
   }

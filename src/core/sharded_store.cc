@@ -188,9 +188,7 @@ StoreStats ShardedStore::AggregatedStats() const {
   StoreStats total;
   for (const auto& s : shards_) {
     LockedShard shard(*s);
-    // Snapshot, not stats(): async mode keeps device and group-fsync
-    // counters on the shard's I/O thread.
-    total.Merge(shard->StatsSnapshot());
+    total.Merge(shard->stats());
   }
   return total;
 }

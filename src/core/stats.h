@@ -7,8 +7,9 @@
 
 namespace lss {
 
-/// Counters accumulated by a StoreShard (ShardedStore::AggregatedStats
-/// merges them across shards). The headline metric is
+/// Counters of one StoreShard: the shard's own plus those of its seal
+/// pipeline, merged by StoreShard::stats() (ShardedStore::AggregatedStats
+/// sums them across shards). The headline metric is
 /// write amplification Wamp = (GC page moves) / (user page writes), the
 /// paper's Equation 2 measured empirically. ResetMeasurement() zeroes the
 /// counters without disturbing store state, so benches can warm up to
@@ -45,8 +46,8 @@ class StoreStats {
   /// Payload bytes of GC-moved page versions placed into segments.
   uint64_t gc_bytes_written = 0;
 
-  // --- Device counters (filled by a real SegmentBackend; all zero on
-  // --- the null backend) ---------------------------------------------
+  // --- Device counters (filled by a real SegmentBackend into its seal
+  // --- pipeline's stats; all zero on the null backend) ----------------
 
   /// Bytes handed to pwrite (segment payloads plus metadata records).
   uint64_t device_bytes_written = 0;
@@ -84,8 +85,9 @@ class StoreStats {
   /// overlap is the point of the backend.
   double uring_wait_seconds = 0.0;
 
-  // --- Async seal pipeline (all zero in synchronous mode; see
-  // --- core/seal_pipeline.h) ------------------------------------------
+  // --- Seal pipeline (core/seal_pipeline.h): seal_queue_* / group_fsync*
+  // --- are the I/O thread's, zero in sync mode; checkpoint records are
+  // --- counted by SealPipeline::Apply, rounds by the shard. ----------
 
   /// Operations (seals, reclaims, deletes, checkpoints) handed to the
   /// per-shard I/O thread.
@@ -98,7 +100,7 @@ class StoreStats {
   /// Operations covered by those rounds; group_fsync_ops / group_fsyncs
   /// is the achieved commit-batch size.
   uint64_t group_fsync_ops = 0;
-  /// Open-segment checkpoint records persisted (async or periodic).
+  /// Open-segment checkpoint records persisted (periodic or barrier).
   uint64_t checkpoints_written = 0;
   /// Checkpoint rounds executed (each CheckpointOpenSegments pass over
   /// the open segments, whether it emitted records or skipped them all

@@ -45,11 +45,11 @@ inline uint32_t PageShard(PageId page, uint32_t num_shards) {
 /// All calls on one shard must be serialised by the caller (ShardedStore
 /// wraps every shard in its own mutex). The cleaning policy instance is
 /// owned by the shard, so policy state (e.g. multi-log's band maps) is
-/// confined to the shard and needs no locking of its own. With
-/// StoreConfig::async_seal the shard additionally owns a SealPipeline —
-/// one I/O thread that applies seal/reclaim/delete/checkpoint backend
-/// ops in emission order off the write path; that thread never touches
-/// shard state, so the contract above is unchanged.
+/// confined to the shard and needs no locking of its own. Every backend
+/// op goes through the shard's SealPipeline, applied inline or, with
+/// StoreConfig::async_seal, by one I/O thread in emission order off the
+/// write path; that thread never touches shard state, so the contract
+/// above is unchanged.
 ///
 /// The write path implements the paper's MDC machinery (§5): an optional
 /// user write buffer whose contents are sorted by estimated update
@@ -139,18 +139,13 @@ class StoreShard {
   // --- Introspection (used by policies, benches and tests) -----------
 
   const StoreConfig& config() const { return config_; }
-  /// Shard-side counters only; in async mode the device_* and
-  /// group-fsync counters live with the I/O thread — use StatsSnapshot()
-  /// for the complete picture.
-  const StoreStats& stats() const { return stats_; }
-  StoreStats& mutable_stats() { return stats_; }
+  /// All counters, by value: the shard's own merged with its seal
+  /// pipeline's (device_*, uring_*, checkpoint records, and in async
+  /// mode seal_queue_* / group_fsync*; see SealPipeline::StatsSnapshot).
+  StoreStats stats() const;
 
-  /// Shard counters merged with the seal pipeline's I/O-side counters
-  /// (equal to stats() in synchronous mode).
-  StoreStats StatsSnapshot() const;
-
-  /// Zeroes all counters, shard- and I/O-side. In async mode this drains
-  /// the pipeline first so no in-flight op straddles the reset.
+  /// Zeroes all counters, shard- and pipeline-side (the pipeline waits
+  /// out its queue first, so no in-flight op straddles the reset).
   void ResetMeasurement();
 
   const CleaningPolicy& policy() const { return *policy_; }
@@ -274,20 +269,19 @@ class StoreShard {
   Status ReleaseReclaims();
 
   // --- Backend emission: one seam for sync and async modes -----------
-  // In sync mode these call the backend directly (bit-for-bit the PR 3
-  // behaviour); in async mode they enqueue onto the seal pipeline, whose
-  // queue order preserves the emission order.
+  // Every Emit* enqueues onto the seal pipeline, whose queue order
+  // preserves the emission order. Inline (sync mode) a backend failure
+  // returns from the Emit* call; threaded, from a later call.
 
-  // Shared async path: enqueue with backpressure accounting; a rejected
-  // enqueue maps to the pipeline's sticky error (or a stopped-pipeline
-  // error). `ticket_out` receives the op's ticket when wanted.
+  // A rejected enqueue maps to the pipeline's sticky error (or a
+  // stopped-pipeline error). `ticket_out` receives the op's ticket.
   Status EnqueueOp(SealPipeline::Op op, uint64_t* ticket_out = nullptr);
 
   Status EmitSeal(SegmentId id, const Segment& seg);
-  Status EmitCheckpoint(SegmentId id, const Segment& seg);
-  // Delta path (StoreConfig::checkpoint_delta): emits only the suffix
-  // past the slot's durable watermark, chained to the previous record.
-  Status EmitCheckpointDelta(SegmentId id, const Segment& seg);
+  // Full record of an open segment, or with `delta`
+  // (StoreConfig::checkpoint_delta) only the suffix past the slot's
+  // durable watermark, chained to the previous record.
+  Status EmitCheckpoint(SegmentId id, const Segment& seg, bool delta);
   // Checkpoint decision for one open segment: skip when the emitted
   // chain already covers every entry, delta when a same-generation chain
   // exists, full otherwise (no chain, generation changed, delta disabled
@@ -316,9 +310,9 @@ class StoreShard {
   }
 
   // Advances the durable watermark of every slot whose pending
-  // checkpoint record the pipeline has applied AND synced (applied
-  // tickets only move after the batch group-fsync). Sync mode commits
-  // watermarks at emission instead and never queues here.
+  // checkpoint record the pipeline has applied AND synced (threaded
+  // tickets only move after the batch group-fsync; inline, the backend
+  // syncs each record before returning).
   void CommitDurableWatermarks();
 
   /// True if `id` is a cleaned victim whose free record is still
@@ -371,7 +365,7 @@ class StoreShard {
   // successors stay withheld.
   Status ReleaseSafeReclaims();
 
-  // Surfaces the pipeline's sticky error into sticky_error_ (async mode;
+  // Surfaces the pipeline's sticky error into sticky_error_ (async mode:
   // backend failures happen on the I/O thread and are reported on the
   // next store operation, like a late group-commit ack).
   void AbsorbPipelineError();
@@ -379,9 +373,9 @@ class StoreShard {
   StoreConfig config_;
   std::unique_ptr<CleaningPolicy> policy_;
   std::unique_ptr<SegmentBackend> backend_;
-  /// Non-null iff config_.async_seal: the per-shard I/O thread. Declared
-  /// after backend_ so it shuts down before the backend is destroyed.
-  std::unique_ptr<SealPipeline> pipeline_;
+  /// The one emission path to backend_. Declared after backend_ so it
+  /// shuts down before the backend is destroyed.
+  SealPipeline pipeline_;
   ExactFrequencyFn oracle_;
 
   std::vector<Segment> segments_;
@@ -430,9 +424,9 @@ class StoreShard {
   /// Open segments that received GC-moved pages since they were opened.
   std::unordered_set<SegmentId> gc_dirty_open_;
 
-  /// Async mode: pipeline ticket of each segment's latest emitted seal,
-  /// indexed by SegmentId. ReadPage waits on it so a read never races
-  /// the payload write still sitting in the queue (0 = nothing pending).
+  /// Pipeline ticket of each segment's latest emitted seal, indexed by
+  /// SegmentId. ReadPage waits on it so a read never races the payload
+  /// write still sitting in the threaded queue (0 = never sealed here).
   std::vector<uint64_t> seal_ticket_;
   /// Backend ops emitted since the last checkpoint round (periodic
   /// checkpointing, see MaybePeriodicCheckpoint).
@@ -454,12 +448,13 @@ class StoreShard {
     uint64_t emitted_bytes = 0;
   };
   std::vector<CheckpointChain> ckpt_chain_;
-  /// Async mode: checkpoint records emitted but not yet known durable.
-  /// CommitDurableWatermarks moves each into the Segment's watermark
-  /// once the pipeline's applied ticket passes it — never earlier, so a
-  /// delta's base range is always durable (the ISSUE's "watermark
-  /// advance only after durability"). Consecutive deltas of a slot may
-  /// therefore overlap; byte-stability makes the overlap identical.
+  /// Checkpoint records emitted whose watermark has not committed yet.
+  /// CommitDurableWatermarks, run before every checkpoint round and after
+  /// every barrier, moves each into the Segment's watermark once the
+  /// pipeline's applied ticket passes it (inline: always) — never
+  /// earlier, so a delta's base range is always durable. Consecutive
+  /// deltas of a slot may therefore overlap; byte-stability makes the
+  /// overlap identical.
   struct PendingWatermark {
     SegmentId id;
     uint64_t generation;

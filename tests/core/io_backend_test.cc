@@ -1149,6 +1149,49 @@ TEST_F(IoBackendTest, AsyncSealStoreReadsAndRecovers) {
   }
 }
 
+// Golden pin for synchronous-seal device accounting on the file backend:
+// a fixed churn (fsync on, periodic delta checkpoints, deletes, explicit
+// barriers) must issue exactly these device writes and fsyncs and these
+// checkpoint records. The numbers were recorded while synchronous seals
+// still called the backend directly, before they ran through the seal
+// pipeline's inline executor; a backend call, fsync or delta byte that
+// the emission path adds or drops changes them.
+TEST_F(IoBackendTest, SyncSealDeviceAccountingMatchesGolden) {
+  StoreConfig cfg = FileConfig(/*fsync=*/true);
+  cfg.segment_bytes = 16 * 4096;
+  cfg.num_segments = 32;
+  cfg.write_buffer_segments = 0;
+  cfg.checkpoint_interval_ops = 16;
+  cfg.checkpoint_delta = true;
+  ApplyVariantConfig(Variant::kMdc, &cfg);
+  auto store = ShardedStore::Create(
+      cfg, 1, [] { return MakePolicy(Variant::kMdc); });
+  ASSERT_NE(store, nullptr);
+  const PageId pages = 160;
+  for (PageId p = 0; p < pages; ++p) ASSERT_TRUE(store->Write(p).ok());
+  Rng rng(23);
+  for (int i = 0; i < 3000; ++i) {
+    const PageId p = rng.NextBounded(pages);
+    if (store->Contains(p) && rng.NextBool(0.05)) {
+      ASSERT_TRUE(store->Delete(p).ok());
+    } else {
+      const uint32_t bytes =
+          512 * (1 + static_cast<uint32_t>(rng.NextBounded(8)));
+      ASSERT_TRUE(store->Write(p, bytes).ok());
+    }
+    if (i % 8 == 7) {
+      ASSERT_TRUE(store->Checkpoint().ok());
+    }
+  }
+  ASSERT_TRUE(store->Close().ok());
+  const StoreStats s = store->AggregatedStats();
+  EXPECT_EQ(s.device_bytes_written, 18656736u);
+  EXPECT_EQ(s.device_write_ops, 1200u);
+  EXPECT_EQ(s.device_fsyncs, 1871u);
+  EXPECT_EQ(s.checkpoint_full_records, 100u);
+  EXPECT_EQ(s.checkpoint_delta_records, 272u);
+}
+
 TEST_F(IoBackendTest, FaultInjectionWrapsFileBackend) {
   // The double composes with a real backend, so fault tests can also run
   // against real files.

@@ -122,7 +122,7 @@ TEST(StoreStatsTest, MeasurementWindowIsolated) {
   for (uint64_t i = 0; i < 5 * user_pages; ++i) {
     ASSERT_TRUE(store->Write(rng.NextBounded(user_pages)).ok());
   }
-  store->shard(0).mutable_stats().ResetMeasurement();
+  store->ResetMeasurement();
   EXPECT_EQ(store->shard(0).stats().WriteAmplification(), 0.0);
   for (uint64_t i = 0; i < 5 * user_pages; ++i) {
     ASSERT_TRUE(store->Write(rng.NextBounded(user_pages)).ok());

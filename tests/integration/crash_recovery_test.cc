@@ -328,7 +328,7 @@ void RunTortureIteration(const std::string& dir, uint32_t num_shards,
   // had nothing to re-home — but the diverting geometries assert below
   // that the re-homed path actually fires.
   for (uint32_t s = 0; s < num_shards; ++s) {
-    const StoreStats snap = store->shard(s).StatsSnapshot();
+    const StoreStats snap = store->shard(s).stats();
     if (rehomed_reuses_out != nullptr) {
       *rehomed_reuses_out += snap.withheld_slot_reuses_rehomed;
     }

@@ -239,8 +239,8 @@ TEST(RunnerTest, TraceReplayParallelPreservesPerPageOrder) {
   ASSERT_TRUE(ReplayTraceParallel(parallel.get(), t, measure_from).ok());
 
   for (uint32_t s = 0; s < shards; ++s) {
-    const StoreStats a = serial->shard(s).StatsSnapshot();
-    const StoreStats b = parallel->shard(s).StatsSnapshot();
+    const StoreStats a = serial->shard(s).stats();
+    const StoreStats b = parallel->shard(s).stats();
     EXPECT_EQ(a.user_updates, b.user_updates) << "shard " << s;
     EXPECT_EQ(a.user_pages_written, b.user_pages_written) << "shard " << s;
     EXPECT_EQ(a.gc_pages_written, b.gc_pages_written) << "shard " << s;
