@@ -1,15 +1,25 @@
 // Micro-benchmarks (google-benchmark) for the store's hot paths: write
 // throughput per cleaning policy, sharded writes from 1-4 client threads,
-// page-table lookups, victim-selection cost vs device size, and Zipfian
-// sampling. Not from the paper — these quantify simulator overheads so
-// the table/figure benches' runtimes are explainable.
+// page-table lookups, victim-selection cost vs device size, the
+// metadata-log replay a recovering Open pays, and Zipfian sampling. Not
+// from the paper — these quantify simulator overheads so the
+// table/figure benches' runtimes are explainable.
 
 #include <benchmark/benchmark.h>
 
+#include <cstdlib>
 #include <memory>
+#include <string>
+#include <vector>
+
+#ifndef _WIN32
+#include <sys/stat.h>
+#include <unistd.h>
+#endif
 
 #include "analysis/uniform_model.h"
 #include "bench/bench_common.h"
+#include "core/io_backend.h"
 #include "core/page_table.h"
 #include "core/policy_factory.h"
 #include "core/sharded_store.h"
@@ -128,6 +138,104 @@ void BM_VictimSelection(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_VictimSelection)->Arg(256)->Arg(1024)->Arg(4096);
+
+#ifndef _WIN32
+// One shard's metadata log of about 8 MiB, written once per process by
+// an MDC churn with deletes and periodic checkpoints on the file backend
+// (fsync off), and removed at exit.
+struct RecoverScanLog {
+  StoreConfig cfg;
+  std::string dir;
+  uint64_t bytes = 0;
+  std::string error;
+
+  RecoverScanLog() {
+    const char* base = std::getenv("TMPDIR");
+    std::string tmpl =
+        std::string(base != nullptr ? base : "/tmp") + "/lss_scan_XXXXXX";
+    std::vector<char> buf(tmpl.begin(), tmpl.end());
+    buf.push_back('\0');
+    if (::mkdtemp(buf.data()) == nullptr) {
+      error = "mkdtemp failed";
+      return;
+    }
+    dir = buf.data();
+    cfg.page_bytes = 512;
+    cfg.segment_bytes = 32 * 512;
+    cfg.num_segments = 128;
+    cfg.clean_trigger_segments = 4;
+    cfg.clean_batch_segments = 16;
+    cfg.write_buffer_segments = 16;
+    cfg.backend = BackendKind::kFile;
+    cfg.backend_dir = dir;
+    cfg.backend_fsync = false;
+    cfg.checkpoint_interval_ops = 64;
+    ApplyVariantConfig(Variant::kMdc, &cfg);
+    Status s;
+    auto store = ShardedStore::Create(
+        cfg, 1, [] { return MakePolicy(Variant::kMdc); }, &s);
+    if (store == nullptr) {
+      error = s.ToString();
+      return;
+    }
+    const uint64_t user_pages = bench::UserPagesFor(cfg, 0.8);
+    const std::string meta = FileBackend::MetaPath(dir, 0);
+    Rng rng(11);
+    for (uint64_t i = 0; s.ok(); ++i) {
+      const PageId p = i < user_pages ? i : rng.NextBounded(user_pages);
+      s = store->Contains(p) && rng.NextBool(0.05) ? store->Delete(p)
+                                                   : store->Write(p);
+      struct stat st;
+      if (i % 4096 == 0 && ::stat(meta.c_str(), &st) == 0 &&
+          st.st_size >= (8 << 20)) {
+        break;
+      }
+    }
+    if (s.ok()) s = store->Close();
+    if (!s.ok()) error = s.ToString();
+    struct stat st;
+    if (::stat(meta.c_str(), &st) == 0) bytes = st.st_size;
+  }
+
+  RecoverScanLog(const RecoverScanLog&) = delete;
+  RecoverScanLog& operator=(const RecoverScanLog&) = delete;
+
+  ~RecoverScanLog() {
+    if (dir.empty()) return;
+    ::unlink(FileBackend::DataPath(dir, 0).c_str());
+    ::unlink(FileBackend::MetaPath(dir, 0).c_str());
+    ::rmdir(dir.c_str());
+  }
+};
+
+// FileBackend::Scan over that log: the per-shard replay cost of a
+// recovering Open, reported in log bytes per second.
+void BM_RecoverScan(benchmark::State& state) {
+  static RecoverScanLog log;
+  if (!log.error.empty()) {
+    state.SkipWithError(log.error.c_str());
+    return;
+  }
+  FileBackend backend;
+  StoreStats stats;
+  if (!backend.Open(log.cfg, 0, 1, &stats, /*recover=*/true).ok()) {
+    state.SkipWithError("cannot reopen the log");
+    return;
+  }
+  for (auto _ : state) {
+    BackendRecovery rec;
+    const Status s = backend.Scan(&rec);
+    if (!s.ok()) {
+      state.SkipWithError(s.ToString().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(rec.max_seq);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * log.bytes));
+  (void)backend.Close();
+}
+BENCHMARK(BM_RecoverScan)->Unit(benchmark::kMillisecond);
+#endif
 
 void BM_ZipfSample(benchmark::State& state) {
   ZipfGenerator z(1u << 20, 0.99);

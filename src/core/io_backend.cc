@@ -1,9 +1,11 @@
 #include "core/io_backend.h"
 
 #include "core/uring_backend.h"
+#include "util/fnv1a.h"
 
 #include <algorithm>
 #include <chrono>
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -182,17 +184,8 @@ struct MetaHeader {
 };
 static_assert(sizeof(MetaHeader) == 24, "MetaHeader must pack to 24 bytes");
 
-uint64_t Fnv1a(uint64_t h, const void* data, size_t len) {
-  const uint8_t* p = static_cast<const uint8_t*>(data);
-  for (size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 0x100000001B3ull;
-  }
-  return h;
-}
-
 uint64_t RecordChecksum(uint16_t type, const void* body, uint64_t body_len) {
-  uint64_t h = 0xCBF29CE484222325ull;
+  uint64_t h = kFnv1aBasis;
   h = Fnv1a(h, &type, sizeof(type));
   h = Fnv1a(h, &body_len, sizeof(body_len));
   return Fnv1a(h, body, body_len);
@@ -281,6 +274,40 @@ std::vector<uint8_t> BuildRecord(uint16_t type, const void* body,
   return rec;
 }
 
+// Serialises `entries` as the EntryRec array of a seal-layout or delta
+// record, at `p`.
+void EncodeEntries(const std::vector<Segment::Entry>& entries, uint8_t* p) {
+  for (const Segment::Entry& e : entries) {
+    EntryRec er{};
+    er.page = e.page;
+    er.bytes = e.bytes;
+    er.seq = e.seq;
+    er.last_update = e.last_update;
+    er.up2 = e.up2;
+    er.exact_upf = e.exact_upf;
+    std::memcpy(p, &er, sizeof(er));
+    p += sizeof(er);
+  }
+}
+
+// Body of a seal, checkpoint or re-homing record: SealBody, then the
+// entry array.
+std::vector<uint8_t> SealRecordBody(const BackendSegmentRecord& record) {
+  std::vector<uint8_t> out(sizeof(SealBody) +
+                           record.entries.size() * sizeof(EntryRec));
+  SealBody body{};
+  body.segment_id = record.id;
+  body.log = record.log;
+  body.source = static_cast<uint64_t>(record.source);
+  body.open_time = record.open_time;
+  body.seal_time = record.seal_time;
+  body.unow = record.unow;
+  body.entry_count = record.entries.size();
+  std::memcpy(out.data(), &body, sizeof(body));
+  EncodeEntries(record.entries, out.data() + sizeof(body));
+  return out;
+}
+
 // ENOSPC is the device's out-of-space, the same condition the simulator
 // reports when cleaning cannot reclaim room; everything else is an
 // environment failure the caller cannot reason about.
@@ -326,6 +353,131 @@ Status PreadAll(int fd, void* data, size_t len, uint64_t offset) {
     len -= static_cast<size_t>(n);
   }
   return Status::OK();
+}
+
+// --- Recovery scan ----------------------------------------------------------
+
+// One record found by Scan's framing pass: its position in the log and
+// its header, whose magic and body length fit the log but whose checksum
+// is not yet verified.
+struct FramedRecord {
+  uint64_t offset;
+  MetaHeader hdr;
+
+  const uint8_t* body(const uint8_t* log) const {
+    return log + offset + sizeof(MetaHeader);
+  }
+};
+
+// Pass 1: the longest prefix of the log that parses as headers with the
+// magic and an in-bounds body length.
+std::vector<FramedRecord> FrameRecords(const uint8_t* log, size_t size) {
+  std::vector<FramedRecord> frames;
+  size_t off = 0;
+  while (off + sizeof(MetaHeader) <= size) {
+    FramedRecord f{};
+    f.offset = off;
+    std::memcpy(&f.hdr, log + off, sizeof(f.hdr));
+    if (f.hdr.magic != kMetaMagic) break;
+    // Overflow-safe bounds check: a corrupt body_len must end the
+    // framing, not wrap the sum past the log's end.
+    if (f.hdr.body_len > size - off - sizeof(MetaHeader)) break;
+    frames.push_back(f);
+    off += sizeof(MetaHeader) + f.hdr.body_len;
+  }
+  return frames;
+}
+
+// Pass 2: the index of the first framed record whose checksum does not
+// match, or frames.size() when all do. Records are hashed four at a time
+// by Fnv1a4 in order of body length, so the lanes of a group run over
+// ranges of equal or nearly equal length (a short last group repeats its
+// final record); the hash and its inputs are exactly RecordChecksum's.
+size_t FirstBadChecksum(const uint8_t* log,
+                        const std::vector<FramedRecord>& frames) {
+  std::vector<std::pair<uint64_t, size_t>> order(frames.size());
+  for (size_t i = 0; i < frames.size(); ++i) {
+    order[i] = {frames[i].hdr.body_len, i};
+  }
+  std::sort(order.begin(), order.end());
+  static constexpr size_t kTypeLen[4] = {2, 2, 2, 2};
+  static constexpr size_t kBodyLenLen[4] = {8, 8, 8, 8};
+  size_t first_bad = frames.size();
+  for (size_t g = 0; g < order.size(); g += 4) {
+    size_t lane[4] = {};
+    uint64_t h[4] = {};
+    const uint8_t* type[4] = {};
+    const uint8_t* body_len[4] = {};
+    const uint8_t* body[4] = {};
+    size_t len[4] = {};
+    for (size_t k = 0; k < 4; ++k) {
+      lane[k] = order[std::min(g + k, order.size() - 1)].second;
+      const FramedRecord& f = frames[lane[k]];
+      h[k] = kFnv1aBasis;
+      type[k] = reinterpret_cast<const uint8_t*>(&f.hdr.type);
+      body_len[k] = reinterpret_cast<const uint8_t*>(&f.hdr.body_len);
+      body[k] = f.body(log);
+      len[k] = static_cast<size_t>(f.hdr.body_len);
+    }
+    Fnv1a4(h, type, kTypeLen);
+    Fnv1a4(h, body_len, kBodyLenLen);
+    Fnv1a4(h, body, len);
+    for (size_t k = 0; k < 4; ++k) {
+      if (h[k] != frames[lane[k]].hdr.checksum) {
+        first_bad = std::min(first_bad, lane[k]);
+      }
+    }
+  }
+  return first_bad;
+}
+
+// Highest `seq` among the `count` EntryRecs at `p`, read in place.
+uint64_t MaxEntrySeq(const uint8_t* p, uint64_t count) {
+  uint64_t max_seq = 0;
+  for (uint64_t i = 0; i < count; ++i) {
+    uint64_t seq = 0;
+    std::memcpy(&seq, p + i * sizeof(EntryRec) + offsetof(EntryRec, seq),
+                sizeof(seq));
+    max_seq = std::max(max_seq, seq);
+  }
+  return max_seq;
+}
+
+// Appends the `count` EntryRecs at `p` to `out` as segment entries.
+void DecodeEntries(const uint8_t* p, uint64_t count,
+                   std::vector<Segment::Entry>* out) {
+  out->reserve(out->size() + count);
+  for (uint64_t i = 0; i < count; ++i) {
+    EntryRec er{};
+    std::memcpy(&er, p + i * sizeof(er), sizeof(er));
+    Segment::Entry e;
+    e.page = er.page;
+    e.bytes = er.bytes;
+    e.seq = er.seq;
+    e.last_update = er.last_update;
+    e.up2 = er.up2;
+    e.exact_upf = er.exact_upf;
+    out->push_back(e);
+  }
+}
+
+// Decodes a seal, checkpoint or re-homing record whose structure the
+// replay pass has already checked.
+BackendSegmentRecord DecodeSealRecord(const MetaHeader& hdr,
+                                      const uint8_t* body, uint64_t ordinal) {
+  SealBody sb{};
+  std::memcpy(&sb, body, sizeof(sb));
+  BackendSegmentRecord rec;
+  rec.id = sb.segment_id;
+  rec.log = sb.log;
+  rec.source = static_cast<SegmentSource>(sb.source);
+  rec.open_time = sb.open_time;
+  rec.seal_time = sb.seal_time;
+  rec.unow = sb.unow;
+  rec.checkpoint = hdr.type == kMetaCheckpoint;
+  rec.ordinal = ordinal;
+  DecodeEntries(body + sizeof(sb), sb.entry_count, &rec.entries);
+  return rec;
 }
 
 }  // namespace
@@ -558,6 +710,17 @@ Status FileBackend::DrainReclaims(bool punching_allowed) {
   return Status::OK();
 }
 
+// Everything appended so far — including the stage-1 free records — is
+// durable once SyncBoth returns, so stage-2 punches become safe.
+Status FileBackend::SyncThenPunch() {
+  Status s = SyncBoth();
+  if (!s.ok()) return s;
+  for (PendingReclaim& pr : pending_reclaims_) {
+    if (pr.record_appended) pr.record_durable = true;
+  }
+  return DrainReclaims(/*punching_allowed=*/true);
+}
+
 Status FileBackend::SealSegment(const BackendSegmentRecord& record) {
   return WriteSegmentRecord(record, /*checkpoint=*/false);
 }
@@ -659,18 +822,7 @@ Status FileBackend::CheckpointDelta(const BackendSegmentRecord& record) {
   body.suffix_offset = record.suffix_offset;
   body.suffix_length = record.suffix_length;
   std::memcpy(meta_body.data(), &body, sizeof(body));
-  uint8_t* p = meta_body.data() + sizeof(body);
-  for (const Segment::Entry& e : record.entries) {
-    EntryRec er{};
-    er.page = e.page;
-    er.bytes = e.bytes;
-    er.seq = e.seq;
-    er.last_update = e.last_update;
-    er.up2 = e.up2;
-    er.exact_upf = e.exact_upf;
-    std::memcpy(p, &er, sizeof(er));
-    p += sizeof(er);
-  }
+  EncodeEntries(record.entries, meta_body.data() + sizeof(body));
   const std::vector<uint8_t> rec =
       BuildRecord(kMetaCheckpointDelta, meta_body.data(), meta_body.size());
   s = AppendMeta(rec.data(), rec.size());
@@ -680,12 +832,7 @@ Status FileBackend::CheckpointDelta(const BackendSegmentRecord& record) {
     stats_->checkpoint_bytes_written += record.suffix_length + rec.size();
   }
   if (deferred_sync_) return Status::OK();
-  s = SyncBoth();
-  if (!s.ok()) return s;
-  for (PendingReclaim& pr : pending_reclaims_) {
-    if (pr.record_appended) pr.record_durable = true;
-  }
-  return DrainReclaims(/*punching_allowed=*/true);
+  return SyncThenPunch();
 }
 
 // A re-homing record carries the still-needed entries of a withheld
@@ -711,40 +858,13 @@ Status FileBackend::RehomeEntries(const BackendSegmentRecord& record) {
   Status s = DrainReclaims(/*punching_allowed=*/false);
   if (!s.ok()) return s;
 
-  std::vector<uint8_t> meta_body(sizeof(SealBody) +
-                                 record.entries.size() * sizeof(EntryRec));
-  SealBody body{};
-  body.segment_id = record.id;
-  body.log = record.log;
-  body.source = static_cast<uint64_t>(record.source);
-  body.open_time = record.open_time;
-  body.seal_time = record.seal_time;
-  body.unow = record.unow;
-  body.entry_count = record.entries.size();
-  std::memcpy(meta_body.data(), &body, sizeof(body));
-  uint8_t* p = meta_body.data() + sizeof(body);
-  for (const Segment::Entry& e : record.entries) {
-    EntryRec er{};
-    er.page = e.page;
-    er.bytes = e.bytes;
-    er.seq = e.seq;
-    er.last_update = e.last_update;
-    er.up2 = e.up2;
-    er.exact_upf = e.exact_upf;
-    std::memcpy(p, &er, sizeof(er));
-    p += sizeof(er);
-  }
+  const std::vector<uint8_t> meta_body = SealRecordBody(record);
   const std::vector<uint8_t> rec =
       BuildRecord(kMetaRehome, meta_body.data(), meta_body.size());
   s = AppendMeta(rec.data(), rec.size());
   if (!s.ok()) return s;
   // Durability barrier, deliberately ignoring deferred_sync_.
-  s = SyncBoth();
-  if (!s.ok()) return s;
-  for (PendingReclaim& pr : pending_reclaims_) {
-    if (pr.record_appended) pr.record_durable = true;
-  }
-  return DrainReclaims(/*punching_allowed=*/true);
+  return SyncThenPunch();
 }
 
 Status FileBackend::WriteSegmentRecord(const BackendSegmentRecord& record,
@@ -793,29 +913,7 @@ Status FileBackend::WriteSegmentRecord(const BackendSegmentRecord& record,
   if (!s.ok()) return s;
 
   // Metadata record: body + entry array, checksummed as one record.
-  std::vector<uint8_t> meta_body(sizeof(SealBody) +
-                                 record.entries.size() * sizeof(EntryRec));
-  SealBody body{};
-  body.segment_id = record.id;
-  body.log = record.log;
-  body.source = static_cast<uint64_t>(record.source);
-  body.open_time = record.open_time;
-  body.seal_time = record.seal_time;
-  body.unow = record.unow;
-  body.entry_count = record.entries.size();
-  std::memcpy(meta_body.data(), &body, sizeof(body));
-  uint8_t* p = meta_body.data() + sizeof(body);
-  for (const Segment::Entry& e : record.entries) {
-    EntryRec er{};
-    er.page = e.page;
-    er.bytes = e.bytes;
-    er.seq = e.seq;
-    er.last_update = e.last_update;
-    er.up2 = e.up2;
-    er.exact_upf = e.exact_upf;
-    std::memcpy(p, &er, sizeof(er));
-    p += sizeof(er);
-  }
+  const std::vector<uint8_t> meta_body = SealRecordBody(record);
   const std::vector<uint8_t> rec = BuildRecord(
       checkpoint ? kMetaCheckpoint : kMetaSeal, meta_body.data(),
       meta_body.size());
@@ -836,14 +934,7 @@ Status FileBackend::WriteSegmentRecord(const BackendSegmentRecord& record,
   // Group-commit mode: durability (and the punches that require it)
   // arrives with the pipeline's next explicit Sync().
   if (deferred_sync_) return Status::OK();
-  s = SyncBoth();
-  if (!s.ok()) return s;
-  // Everything appended so far — including the stage-1 free records —
-  // is now durable; stage-2 punches are safe.
-  for (PendingReclaim& pr : pending_reclaims_) {
-    if (pr.record_appended) pr.record_durable = true;
-  }
-  return DrainReclaims(/*punching_allowed=*/true);
+  return SyncThenPunch();
 }
 
 Status FileBackend::Sync() {
@@ -854,12 +945,7 @@ Status FileBackend::Sync() {
   // the fsync that this group commit promises covers them.
   Status s = DrainReclaims(/*punching_allowed=*/false);
   if (!s.ok()) return s;
-  s = SyncBoth();
-  if (!s.ok()) return s;
-  for (PendingReclaim& pr : pending_reclaims_) {
-    if (pr.record_appended) pr.record_durable = true;
-  }
-  return DrainReclaims(/*punching_allowed=*/true);
+  return SyncThenPunch();
 }
 
 Status FileBackend::ReclaimSegment(SegmentId id, UpdateCount unow) {
@@ -929,28 +1015,30 @@ Status FileBackend::Scan(BackendRecovery* out) {
 
   struct stat st;
   if (::fstat(meta_fd_, &st) != 0) return ErrnoStatus("fstat meta", errno);
-  std::vector<uint8_t> log(static_cast<size_t>(st.st_size));
-  if (!log.empty()) {
-    Status s = PreadAll(meta_fd_, log.data(), log.size(), 0);
-    if (!s.ok()) return s;
-  }
+  // Read the whole log into an uninitialised buffer: nothing is
+  // zero-filled only to be overwritten.
+  const size_t log_size = static_cast<size_t>(st.st_size);
+  std::unique_ptr<uint8_t[]> image(new uint8_t[log_size]);
+  Status s = PreadAll(meta_fd_, image.get(), log_size, 0);
+  if (!s.ok()) return s;
+  const uint8_t* log = image.get();
 
   // The log must lead with a geometry record matching the reopening
   // store, or recovery would silently misroute pages.
   {
-    if (log.size() < sizeof(MetaHeader) + sizeof(GeometryBody)) {
+    if (log_size < sizeof(MetaHeader) + sizeof(GeometryBody)) {
       return Status::Corruption("recovery: metadata log has no geometry");
     }
     MetaHeader hdr;
-    std::memcpy(&hdr, log.data(), sizeof(hdr));
+    std::memcpy(&hdr, log, sizeof(hdr));
     if (hdr.magic != kMetaMagic || hdr.type != kMetaGeometry ||
         hdr.body_len != sizeof(GeometryBody) ||
-        hdr.checksum != RecordChecksum(hdr.type, log.data() + sizeof(hdr),
-                                       hdr.body_len)) {
+        hdr.checksum !=
+            RecordChecksum(hdr.type, log + sizeof(hdr), hdr.body_len)) {
       return Status::Corruption("recovery: metadata log has no geometry");
     }
     GeometryBody gb;
-    std::memcpy(&gb, log.data() + sizeof(hdr), sizeof(gb));
+    std::memcpy(&gb, log + sizeof(hdr), sizeof(gb));
     if (gb.shard_id != shard_id_ || gb.num_shards != num_shards_ ||
         gb.num_segments != config_.num_segments ||
         gb.segment_bytes != config_.segment_bytes ||
@@ -975,30 +1063,27 @@ Status FileBackend::Scan(BackendRecovery* out) {
     }
   }
 
-  // Replay: the latest record per segment wins. Replay stops at the
-  // first bad record (missing magic, impossible length, checksum
-  // mismatch) — the standard WAL rule: a torn tail is expected after a
+  // Replay runs in three passes over the log. Framing finds the records'
+  // boundaries, verification checks every framed checksum with the
+  // four-lane kernel, and replay walks the verified prefix in order. The
+  // latest record per segment wins. Replay stops at the first bad record
+  // (missing magic, impossible length, checksum mismatch, malformed
+  // body) — the standard WAL rule: a torn tail is expected after a
   // crash, and nothing after a corrupt record can be trusted because
-  // replay is order-sensitive.
+  // replay is order-sensitive. A record's position in the log is its
+  // ordinal; recovery breaks equal-seq ties between page versions toward
+  // the later record (see BackendSegmentRecord::ordinal).
+  const std::vector<FramedRecord> frames = FrameRecords(log, log_size);
+  const size_t verified = FirstBadChecksum(log, frames);
+
+  // Seal and checkpoint records are last-record-per-slot resolved, so
+  // replay keeps only each slot's latest ordinal (-1: none, or freed) and
+  // decodes the survivors' entries afterwards.
   std::vector<int64_t> latest_seal(config_.num_segments, -1);
-  std::vector<BackendSegmentRecord> seals;
-  size_t off = 0;
-  uint64_t valid_end = 0;
-  // Replay position of each record; recovery breaks equal-seq ties
-  // between page versions toward the later record (see
-  // BackendSegmentRecord::ordinal).
   uint64_t ordinal = 0;
-  while (off + sizeof(MetaHeader) <= log.size()) {
-    MetaHeader hdr;
-    std::memcpy(&hdr, log.data() + off, sizeof(hdr));
-    if (hdr.magic != kMetaMagic) break;
-    // Overflow-safe bounds check: a corrupt body_len must truncate the
-    // replay, not wrap the sum past log.size().
-    if (hdr.body_len > log.size() - off - sizeof(hdr)) break;
-    const uint8_t* body = log.data() + off + sizeof(hdr);
-    // Torn-write detection: unordered page writeback can persist a valid
-    // header whose body tail never reached the device.
-    if (hdr.checksum != RecordChecksum(hdr.type, body, hdr.body_len)) break;
+  for (; ordinal < verified; ++ordinal) {
+    const MetaHeader& hdr = frames[ordinal].hdr;
+    const uint8_t* body = frames[ordinal].body(log);
     if (hdr.type == kMetaSeal || hdr.type == kMetaCheckpoint ||
         hdr.type == kMetaRehome) {
       if (hdr.body_len < sizeof(SealBody)) break;
@@ -1009,30 +1094,8 @@ Status FileBackend::Scan(BackendRecovery* out) {
       if (hdr.body_len != sizeof(SealBody) + sb.entry_count * sizeof(EntryRec))
         break;
       if (sb.segment_id >= config_.num_segments) break;
-      BackendSegmentRecord rec;
-      rec.id = sb.segment_id;
-      rec.log = sb.log;
-      rec.source = static_cast<SegmentSource>(sb.source);
-      rec.open_time = sb.open_time;
-      rec.seal_time = sb.seal_time;
-      rec.unow = sb.unow;
-      rec.checkpoint = hdr.type == kMetaCheckpoint;
-      rec.ordinal = ordinal;
-      rec.entries.reserve(sb.entry_count);
-      const uint8_t* ep = body + sizeof(sb);
-      for (uint64_t i = 0; i < sb.entry_count; ++i) {
-        EntryRec er;
-        std::memcpy(&er, ep + i * sizeof(er), sizeof(er));
-        Segment::Entry e;
-        e.page = er.page;
-        e.bytes = er.bytes;
-        e.seq = er.seq;
-        e.last_update = er.last_update;
-        e.up2 = er.up2;
-        e.exact_upf = er.exact_upf;
-        out->max_seq = std::max(out->max_seq, e.seq);
-        rec.entries.push_back(e);
-      }
+      out->max_seq = std::max(
+          out->max_seq, MaxEntrySeq(body + sizeof(sb), sb.entry_count));
       out->unow = std::max(out->unow, sb.unow);
       if (hdr.type == kMetaRehome) {
         // Every re-homing record is kept, in replay order: records for
@@ -1040,10 +1103,9 @@ Status FileBackend::Scan(BackendRecovery* out) {
         // record for the slot must not clear them (the victim's free
         // record lands alongside its re-homing record by design).
         // Recovery resolves the entries per page, newest-wins.
-        out->rehomed.push_back(std::move(rec));
+        out->rehomed.push_back(DecodeSealRecord(hdr, body, ordinal));
       } else {
-        latest_seal[sb.segment_id] = static_cast<int64_t>(seals.size());
-        seals.push_back(std::move(rec));
+        latest_seal[sb.segment_id] = static_cast<int64_t>(ordinal);
       }
     } else if (hdr.type == kMetaCheckpointDelta) {
       if (hdr.body_len < sizeof(DeltaBody)) break;
@@ -1073,22 +1135,13 @@ Status FileBackend::Scan(BackendRecovery* out) {
       rec.prefix_entries = db.prefix_entries;
       rec.suffix_offset = db.suffix_offset;
       rec.suffix_length = db.suffix_length;
-      rec.entries.reserve(db.entry_count);
-      const uint8_t* ep = body + sizeof(db);
+      DecodeEntries(body + sizeof(db), db.entry_count, &rec.entries);
+      // The entries' seqs count even when the tiling check below ends
+      // the replay at this record.
       uint64_t suffix_bytes = 0;
-      for (uint64_t i = 0; i < db.entry_count; ++i) {
-        EntryRec er;
-        std::memcpy(&er, ep + i * sizeof(er), sizeof(er));
-        Segment::Entry e;
-        e.page = er.page;
-        e.bytes = er.bytes;
-        e.seq = er.seq;
-        e.last_update = er.last_update;
-        e.up2 = er.up2;
-        e.exact_upf = er.exact_upf;
+      for (const Segment::Entry& e : rec.entries) {
         out->max_seq = std::max(out->max_seq, e.seq);
         suffix_bytes += e.bytes;
-        rec.entries.push_back(e);
       }
       if (suffix_bytes != db.suffix_length) break;
       out->unow = std::max(out->unow, db.unow);
@@ -1115,27 +1168,29 @@ Status FileBackend::Scan(BackendRecovery* out) {
     } else {
       break;
     }
-    off += sizeof(hdr) + hdr.body_len;
-    valid_end = off;
-    ++ordinal;
   }
 
   for (SegmentId id = 0; id < config_.num_segments; ++id) {
-    if (latest_seal[id] >= 0) {
-      out->segments.push_back(std::move(seals[latest_seal[id]]));
-    }
+    if (latest_seal[id] < 0) continue;
+    const FramedRecord& f = frames[static_cast<size_t>(latest_seal[id])];
+    out->segments.push_back(DecodeSealRecord(
+        f.hdr, f.body(log), static_cast<uint64_t>(latest_seal[id])));
   }
   // Future appends continue after the last whole record, numbered where
   // the replay left off; every checkpoint chain is closed (the recovered
   // segments are rebuilt as sealed, so the first checkpoint of any slot
   // in the new run is a full one).
+  const uint64_t valid_end =
+      ordinal == 0 ? 0
+                   : frames[ordinal - 1].offset + sizeof(MetaHeader) +
+                         frames[ordinal - 1].hdr.body_len;
   next_ordinal_ = ordinal;
   chain_tip_ordinal_.assign(config_.num_segments, -1);
   // The truncated tail is cut off the file, not just skipped: stale
   // bytes past the new append position could otherwise be misparsed as
   // records by the *next* recovery once fresh appends stop short of them.
   meta_offset_ = valid_end;
-  if (valid_end < log.size() &&
+  if (valid_end < log_size &&
       ::ftruncate(meta_fd_, static_cast<off_t>(valid_end)) != 0) {
     return ErrnoStatus("ftruncate meta tail", errno);
   }
@@ -1147,13 +1202,7 @@ Status FileBackend::Close() {
   if (data_fd_ >= 0 && meta_fd_ >= 0) {
     // Flush queued reclaims: records first, sync, then punches.
     result = DrainReclaims(/*punching_allowed=*/false);
-    if (result.ok()) result = SyncBoth();
-    if (result.ok()) {
-      for (PendingReclaim& pr : pending_reclaims_) {
-    if (pr.record_appended) pr.record_durable = true;
-  }
-      result = DrainReclaims(/*punching_allowed=*/true);
-    }
+    if (result.ok()) result = SyncThenPunch();
   } else if (data_fd_ >= 0 || meta_fd_ >= 0) {
     result = SyncBoth();
   }

@@ -395,6 +395,11 @@ class FileBackend : public SegmentBackend {
   std::vector<uint64_t> chain_generation_;
   /// Reused pwrite buffer for a whole segment (aligned when direct_io_).
   uint8_t* payload_buf_ = nullptr;
+
+ private:
+  // SyncBoth, then marks every appended free record durable and runs
+  // the stage-2 punches that durability allows.
+  Status SyncThenPunch();
 };
 
 /// Test double: forwards every hook to a base backend (NullBackend by

@@ -1230,13 +1230,16 @@ Status StoreShard::Recover() {
 
   // Newest version wins, by append sequence, then by log position for
   // equal sequences (see Placed::ordinal); a newer delete tombstone
-  // means the page is dead everywhere.
+  // means the page is dead everywhere. Both maps are reserved for the
+  // number of recovered tombstones and versions, so they never rehash.
   std::unordered_map<PageId, uint64_t> latest_delete;
+  latest_delete.reserve(log.deletes.size());
   for (const auto& [page, seq] : log.deletes) {
     uint64_t& cur = latest_delete[page];
     cur = std::max(cur, seq);
   }
   std::unordered_map<PageId, const Placed*> winner;
+  winner.reserve(placed.size());
   for (const Placed& p : placed) {
     if (p.page >= PageTable::kMaxPages) {
       return Status::Corruption("recovery: page id beyond the page table");

@@ -1,7 +1,9 @@
 #include "core/io_backend.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -15,6 +17,7 @@
 #include "core/policy_factory.h"
 #include "core/sharded_store.h"
 #include "core/uring_backend.h"
+#include "util/fnv1a.h"
 #include "util/rng.h"
 
 namespace lss {
@@ -43,6 +46,21 @@ BackendFactory FaultyFileBackendFactory(FaultInjectionBackend** handle) {
     *handle = fault.get();
     return fault;
   };
+}
+
+// Reads a whole file; empty vector (with a failed assertion) on error.
+std::vector<uint8_t> ReadAllBytes(const std::string& path) {
+  std::vector<uint8_t> out;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(f, nullptr) << path;
+  if (f == nullptr) return out;
+  uint8_t buf[4096];
+  size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
+    out.insert(out.end(), buf, buf + n);
+  }
+  std::fclose(f);
+  return out;
 }
 
 // A scratch directory per test, removed (with its shard files) on exit.
@@ -615,17 +633,9 @@ void PatchGeometryFormat(const std::string& dir, uint32_t format) {
   std::memcpy(rec + 24 + 20, &format, sizeof(format));
   const uint16_t type = 4;  // geometry
   const uint64_t body_len = 24;
-  uint64_t h = 0xCBF29CE484222325ull;
-  auto fnv = [&h](const void* data, size_t len) {
-    const uint8_t* p = static_cast<const uint8_t*>(data);
-    for (size_t i = 0; i < len; ++i) {
-      h ^= p[i];
-      h *= 0x100000001B3ull;
-    }
-  };
-  fnv(&type, sizeof(type));
-  fnv(&body_len, sizeof(body_len));
-  fnv(rec + 24, body_len);
+  uint64_t h = Fnv1a(kFnv1aBasis, &type, sizeof(type));
+  h = Fnv1a(h, &body_len, sizeof(body_len));
+  h = Fnv1a(h, rec + 24, body_len);
   std::memcpy(rec + 16, &h, sizeof(h));
   ASSERT_EQ(std::fseek(f, 0, SEEK_SET), 0);
   ASSERT_EQ(std::fwrite(rec, 1, sizeof(rec), f), sizeof(rec));
@@ -1208,6 +1218,440 @@ TEST_F(IoBackendTest, FaultInjectionWrapsFileBackend) {
 }
 
 // ---------------------------------------------------------------------
+// Scan equivalence. FileBackend::Scan frames the log, verifies every
+// checksum with the four-lane kernel and decodes only the seal and
+// checkpoint records that survive. The reference below is the eager
+// single-pass replay it replaced, kept here verbatim in behaviour: it
+// walks the log once, checks each record in turn and decodes every
+// entry of every record. On any log — whole, torn or corrupt — the two
+// must agree on every recovered field and on where the log is cut.
+// ---------------------------------------------------------------------
+
+// The on-disk metadata-log format, restated from the spec in
+// core/io_backend.cc so the reference reads the bytes independently.
+struct RefHeader {
+  uint32_t magic;
+  uint16_t type;
+  uint16_t reserved;
+  uint64_t body_len;
+  uint64_t checksum;
+};
+struct RefSealBody {
+  uint32_t segment_id;
+  uint32_t log;
+  uint64_t source;
+  uint64_t open_time;
+  uint64_t seal_time;
+  uint64_t unow;
+  uint64_t entry_count;
+};
+struct RefEntryRec {
+  uint64_t page;
+  uint32_t bytes;
+  uint32_t reserved;
+  uint64_t seq;
+  uint64_t last_update;
+  double up2;
+  double exact_upf;
+};
+struct RefDeltaBody {
+  uint32_t segment_id;
+  uint32_t log;
+  uint64_t source;
+  uint64_t open_time;
+  uint64_t seal_time;
+  uint64_t unow;
+  uint64_t entry_count;
+  uint64_t generation;
+  uint64_t base_ordinal;
+  uint64_t prefix_entries;
+  uint64_t suffix_offset;
+  uint64_t suffix_length;
+};
+struct RefFreeBody {
+  uint32_t segment_id;
+  uint32_t reserved;
+  uint64_t unow;
+};
+struct RefDeleteBody {
+  uint64_t page;
+  uint64_t seq;
+  uint64_t unow;
+};
+struct RefGeometryBody {
+  uint32_t shard_id;
+  uint32_t num_shards;
+  uint32_t num_segments;
+  uint32_t segment_bytes;
+  uint32_t page_bytes;
+  uint32_t format;
+};
+constexpr uint32_t kRefMagic = 0x4C535331;
+enum RefType : uint16_t {
+  kRefSeal = 1,
+  kRefFree = 2,
+  kRefDelete = 3,
+  kRefGeometry = 4,
+  kRefCheckpoint = 5,
+  kRefRehome = 6,
+  kRefDelta = 7,
+};
+
+uint64_t RefChecksum(uint16_t type, const uint8_t* body, uint64_t body_len) {
+  uint64_t h = Fnv1a(kFnv1aBasis, &type, sizeof(type));
+  h = Fnv1a(h, &body_len, sizeof(body_len));
+  return Fnv1a(h, body, body_len);
+}
+
+// What a replay of `log` yields: the Scan status, the recovered state
+// and the length the log is cut to (the whole log when the scan fails).
+struct RefReplay {
+  Status status;
+  BackendRecovery rec;
+  uint64_t valid_end = 0;
+  // Records replayed, by type (index = record type).
+  uint64_t type_counts[8] = {};
+};
+
+// Decodes `count` entry records at `p`, folding their seqs into max_seq.
+void RefDecodeEntries(const uint8_t* p, uint64_t count,
+                      std::vector<Segment::Entry>* out, uint64_t* max_seq) {
+  for (uint64_t i = 0; i < count; ++i) {
+    RefEntryRec er;
+    std::memcpy(&er, p + i * sizeof(er), sizeof(er));
+    Segment::Entry e;
+    e.page = er.page;
+    e.bytes = er.bytes;
+    e.seq = er.seq;
+    e.last_update = er.last_update;
+    e.up2 = er.up2;
+    e.exact_upf = er.exact_upf;
+    *max_seq = std::max(*max_seq, e.seq);
+    out->push_back(e);
+  }
+}
+
+RefReplay ReferenceReplay(const std::vector<uint8_t>& log,
+                          const StoreConfig& cfg) {
+  RefReplay r;
+  r.valid_end = log.size();
+  BackendRecovery* out = &r.rec;
+  {
+    if (log.size() < sizeof(RefHeader) + sizeof(RefGeometryBody)) {
+      r.status = Status::Corruption("no geometry");
+      return r;
+    }
+    RefHeader hdr;
+    std::memcpy(&hdr, log.data(), sizeof(hdr));
+    if (hdr.magic != kRefMagic || hdr.type != kRefGeometry ||
+        hdr.body_len != sizeof(RefGeometryBody) ||
+        hdr.checksum !=
+            RefChecksum(hdr.type, log.data() + sizeof(hdr), hdr.body_len)) {
+      r.status = Status::Corruption("no geometry");
+      return r;
+    }
+    RefGeometryBody gb;
+    std::memcpy(&gb, log.data() + sizeof(hdr), sizeof(gb));
+    if (gb.shard_id != 0 || gb.num_shards != 1 ||
+        gb.num_segments != cfg.num_segments ||
+        gb.segment_bytes != cfg.segment_bytes ||
+        gb.page_bytes != cfg.page_bytes || gb.format > 3) {
+      r.status = Status::Corruption("geometry mismatch");
+      return r;
+    }
+  }
+  std::vector<int64_t> latest_seal(cfg.num_segments, -1);
+  std::vector<BackendSegmentRecord> seals;
+  size_t off = 0;
+  uint64_t valid_end = 0;
+  uint64_t ordinal = 0;
+  while (off + sizeof(RefHeader) <= log.size()) {
+    RefHeader hdr;
+    std::memcpy(&hdr, log.data() + off, sizeof(hdr));
+    if (hdr.magic != kRefMagic) break;
+    if (hdr.body_len > log.size() - off - sizeof(hdr)) break;
+    const uint8_t* body = log.data() + off + sizeof(hdr);
+    if (hdr.checksum != RefChecksum(hdr.type, body, hdr.body_len)) break;
+    if (hdr.type == kRefSeal || hdr.type == kRefCheckpoint ||
+        hdr.type == kRefRehome) {
+      if (hdr.body_len < sizeof(RefSealBody)) break;
+      RefSealBody sb;
+      std::memcpy(&sb, body, sizeof(sb));
+      if (sb.entry_count >
+          (hdr.body_len - sizeof(RefSealBody)) / sizeof(RefEntryRec))
+        break;
+      if (hdr.body_len !=
+          sizeof(RefSealBody) + sb.entry_count * sizeof(RefEntryRec))
+        break;
+      if (sb.segment_id >= cfg.num_segments) break;
+      BackendSegmentRecord rec;
+      rec.id = sb.segment_id;
+      rec.log = sb.log;
+      rec.source = static_cast<SegmentSource>(sb.source);
+      rec.open_time = sb.open_time;
+      rec.seal_time = sb.seal_time;
+      rec.unow = sb.unow;
+      rec.checkpoint = hdr.type == kRefCheckpoint;
+      rec.ordinal = ordinal;
+      RefDecodeEntries(body + sizeof(sb), sb.entry_count, &rec.entries,
+                       &out->max_seq);
+      out->unow = std::max(out->unow, sb.unow);
+      if (hdr.type == kRefRehome) {
+        out->rehomed.push_back(std::move(rec));
+      } else {
+        latest_seal[sb.segment_id] = static_cast<int64_t>(seals.size());
+        seals.push_back(std::move(rec));
+      }
+    } else if (hdr.type == kRefDelta) {
+      if (hdr.body_len < sizeof(RefDeltaBody)) break;
+      RefDeltaBody db;
+      std::memcpy(&db, body, sizeof(db));
+      if (db.entry_count >
+          (hdr.body_len - sizeof(RefDeltaBody)) / sizeof(RefEntryRec))
+        break;
+      if (hdr.body_len !=
+          sizeof(RefDeltaBody) + db.entry_count * sizeof(RefEntryRec))
+        break;
+      if (db.segment_id >= cfg.num_segments) break;
+      if (db.suffix_offset > cfg.segment_bytes ||
+          db.suffix_length > cfg.segment_bytes - db.suffix_offset) {
+        break;
+      }
+      BackendSegmentRecord rec;
+      rec.id = db.segment_id;
+      rec.log = db.log;
+      rec.source = static_cast<SegmentSource>(db.source);
+      rec.open_time = db.open_time;
+      rec.seal_time = db.seal_time;
+      rec.unow = db.unow;
+      rec.checkpoint = true;
+      rec.delta = true;
+      rec.ordinal = ordinal;
+      rec.generation = db.generation;
+      rec.base_ordinal = db.base_ordinal;
+      rec.prefix_entries = db.prefix_entries;
+      rec.suffix_offset = db.suffix_offset;
+      rec.suffix_length = db.suffix_length;
+      RefDecodeEntries(body + sizeof(db), db.entry_count, &rec.entries,
+                       &out->max_seq);
+      uint64_t suffix_bytes = 0;
+      for (const Segment::Entry& e : rec.entries) suffix_bytes += e.bytes;
+      if (suffix_bytes != db.suffix_length) break;
+      out->unow = std::max(out->unow, db.unow);
+      out->deltas.push_back(std::move(rec));
+    } else if (hdr.type == kRefFree) {
+      if (hdr.body_len != sizeof(RefFreeBody)) break;
+      RefFreeBody fb;
+      std::memcpy(&fb, body, sizeof(fb));
+      if (fb.segment_id >= cfg.num_segments) break;
+      latest_seal[fb.segment_id] = -1;
+      out->unow = std::max(out->unow, fb.unow);
+    } else if (hdr.type == kRefDelete) {
+      if (hdr.body_len != sizeof(RefDeleteBody)) break;
+      RefDeleteBody db;
+      std::memcpy(&db, body, sizeof(db));
+      out->deletes.emplace_back(db.page, db.seq);
+      out->max_seq = std::max(out->max_seq, db.seq);
+      out->unow = std::max(out->unow, db.unow);
+    } else if (hdr.type != kRefGeometry) {
+      break;
+    }
+    ++r.type_counts[hdr.type];
+    off += sizeof(hdr) + hdr.body_len;
+    valid_end = off;
+    ++ordinal;
+  }
+  for (SegmentId id = 0; id < cfg.num_segments; ++id) {
+    if (latest_seal[id] >= 0) {
+      out->segments.push_back(std::move(seals[latest_seal[id]]));
+    }
+  }
+  r.valid_end = valid_end;
+  return r;
+}
+
+void ExpectSameRecords(const std::vector<BackendSegmentRecord>& got,
+                       const std::vector<BackendSegmentRecord>& want,
+                       const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < got.size(); ++i) {
+    const BackendSegmentRecord& g = got[i];
+    const BackendSegmentRecord& w = want[i];
+    const std::string at = what + "[" + std::to_string(i) + "]";
+    EXPECT_EQ(g.id, w.id) << at;
+    EXPECT_EQ(g.log, w.log) << at;
+    EXPECT_EQ(g.source, w.source) << at;
+    EXPECT_EQ(g.open_time, w.open_time) << at;
+    EXPECT_EQ(g.seal_time, w.seal_time) << at;
+    EXPECT_EQ(g.unow, w.unow) << at;
+    EXPECT_EQ(g.checkpoint, w.checkpoint) << at;
+    EXPECT_EQ(g.ordinal, w.ordinal) << at;
+    EXPECT_EQ(g.delta, w.delta) << at;
+    EXPECT_EQ(g.generation, w.generation) << at;
+    EXPECT_EQ(g.base_ordinal, w.base_ordinal) << at;
+    EXPECT_EQ(g.prefix_entries, w.prefix_entries) << at;
+    EXPECT_EQ(g.suffix_offset, w.suffix_offset) << at;
+    EXPECT_EQ(g.suffix_length, w.suffix_length) << at;
+    ASSERT_EQ(g.entries.size(), w.entries.size()) << at;
+    for (size_t j = 0; j < g.entries.size(); ++j) {
+      const Segment::Entry& ge = g.entries[j];
+      const Segment::Entry& we = w.entries[j];
+      EXPECT_EQ(ge.page, we.page) << at << " entry " << j;
+      EXPECT_EQ(ge.bytes, we.bytes) << at << " entry " << j;
+      EXPECT_EQ(ge.seq, we.seq) << at << " entry " << j;
+      EXPECT_EQ(ge.last_update, we.last_update) << at << " entry " << j;
+      EXPECT_EQ(ge.up2, we.up2) << at << " entry " << j;
+      EXPECT_EQ(ge.exact_upf, we.exact_upf) << at << " entry " << j;
+      EXPECT_EQ(ge.offset, we.offset) << at << " entry " << j;
+      EXPECT_EQ(ge.orig_page, we.orig_page) << at << " entry " << j;
+      EXPECT_EQ(ge.doa, we.doa) << at << " entry " << j;
+    }
+  }
+}
+
+// Writes `log` as shard 0's metadata log, scans it with a fresh
+// FileBackend and compares status, every BackendRecovery field and the
+// post-Scan log length against the reference replay of the same bytes.
+void ExpectScanMatchesReference(const StoreConfig& cfg,
+                                const std::vector<uint8_t>& log,
+                                const std::string& what) {
+  SCOPED_TRACE(what);
+  const std::string meta = FileBackend::MetaPath(cfg.backend_dir, 0);
+  {
+    std::FILE* f = std::fopen(meta.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    if (!log.empty()) {
+      ASSERT_EQ(std::fwrite(log.data(), 1, log.size(), f), log.size());
+    }
+    std::fclose(f);
+  }
+  const RefReplay want = ReferenceReplay(log, cfg);
+  FileBackend backend;
+  StoreStats stats;
+  ASSERT_TRUE(backend.Open(cfg, 0, 1, &stats, /*recover=*/true).ok());
+  BackendRecovery got;
+  const Status s = backend.Scan(&got);
+  ASSERT_EQ(s.ok(), want.status.ok()) << s.ToString();
+  if (!s.ok()) {
+    EXPECT_EQ(s.code(), want.status.code());
+  } else {
+    ExpectSameRecords(got.segments, want.rec.segments, "segments");
+    ExpectSameRecords(got.rehomed, want.rec.rehomed, "rehomed");
+    ExpectSameRecords(got.deltas, want.rec.deltas, "deltas");
+    EXPECT_EQ(got.deletes, want.rec.deletes);
+    EXPECT_EQ(got.max_seq, want.rec.max_seq);
+    EXPECT_EQ(got.unow, want.rec.unow);
+  }
+  ASSERT_TRUE(backend.Close().ok());
+  EXPECT_EQ(ReadAllBytes(meta).size(), want.valid_end);
+}
+
+TEST_F(IoBackendTest, ScanMatchesReferenceOnTornAndCorruptLogs) {
+  // MDC churn with deletes on a tight device: periodic checkpoints every
+  // 8 backend ops plus explicit barriers chain delta records, and the
+  // small free pool makes the shard re-home withheld victims' entries.
+  StoreConfig cfg = FileConfig();
+  cfg.page_bytes = 1024;
+  cfg.segment_bytes = 8 * 1024;
+  cfg.num_segments = 24;
+  cfg.write_buffer_segments = 2;
+  cfg.checkpoint_interval_ops = 8;
+  cfg.checkpoint_delta = true;
+  cfg.clean_batch_segments = 8;
+  ApplyVariantConfig(Variant::kMdc, &cfg);
+  {
+    auto store = ShardedStore::Create(
+        cfg, 1, [] { return MakePolicy(Variant::kMdc); });
+    ASSERT_NE(store, nullptr);
+    const PageId pages = 200;
+    Rng rng(29);
+    for (int i = 0; i < 900; ++i) {
+      const PageId p = rng.NextBounded(pages);
+      if (store->Contains(p) && rng.NextBool(0.08)) {
+        ASSERT_TRUE(store->Delete(p).ok());
+      } else {
+        const uint32_t bytes =
+            256 * (1 + static_cast<uint32_t>(rng.NextBounded(4)));
+        ASSERT_TRUE(store->Write(p, bytes).ok());
+      }
+      if (i % 7 == 6) {
+        ASSERT_TRUE(store->Checkpoint().ok());
+      }
+    }
+    ASSERT_TRUE(store->Close().ok());
+  }
+  const std::vector<uint8_t> log =
+      ReadAllBytes(FileBackend::MetaPath(dir_, 0));
+
+  // The whole log replays fully, and holds every record type.
+  const RefReplay whole = ReferenceReplay(log, cfg);
+  ASSERT_TRUE(whole.status.ok());
+  ASSERT_EQ(whole.valid_end, log.size());
+  for (uint16_t type : {kRefSeal, kRefFree, kRefDelete, kRefCheckpoint,
+                        kRefRehome, kRefDelta}) {
+    EXPECT_GT(whole.type_counts[type], 0u) << "record type " << type;
+  }
+  std::printf("scan equivalence log: %zu bytes, %llu seals, %llu frees, "
+              "%llu deletes, %llu checkpoints, %llu deltas, %llu re-homes\n",
+              log.size(),
+              static_cast<unsigned long long>(whole.type_counts[kRefSeal]),
+              static_cast<unsigned long long>(whole.type_counts[kRefFree]),
+              static_cast<unsigned long long>(whole.type_counts[kRefDelete]),
+              static_cast<unsigned long long>(
+                  whole.type_counts[kRefCheckpoint]),
+              static_cast<unsigned long long>(whole.type_counts[kRefDelta]),
+              static_cast<unsigned long long>(whole.type_counts[kRefRehome]));
+  ExpectScanMatchesReference(cfg, log, "whole log");
+  if (HasFailure()) return;
+
+  // Record boundaries of the intact log.
+  std::vector<uint64_t> starts;
+  for (uint64_t off = 0; off < log.size();) {
+    starts.push_back(off);
+    RefHeader hdr;
+    std::memcpy(&hdr, log.data() + off, sizeof(hdr));
+    off += sizeof(hdr) + hdr.body_len;
+  }
+
+  // Torn tails: cut at every record boundary and 1 or 23 bytes either
+  // side of it.
+  for (uint64_t b : starts) {
+    for (int64_t delta : {-23, -1, 0, 1, 23}) {
+      const int64_t cut = static_cast<int64_t>(b) + delta;
+      if (cut < 0 || cut > static_cast<int64_t>(log.size())) continue;
+      const std::vector<uint8_t> torn(log.begin(), log.begin() + cut);
+      ExpectScanMatchesReference(cfg, torn,
+                                 "cut at " + std::to_string(cut));
+      if (HasFailure()) return;
+    }
+  }
+
+  // Corruption: one flipped byte in each header field and in the body of
+  // the geometry record, the first replayed record, a middle one and the
+  // last one.
+  for (size_t r : {size_t{0}, size_t{1}, starts.size() / 2,
+                   starts.size() - 1}) {
+    const uint64_t start = starts[r];
+    RefHeader hdr;
+    std::memcpy(&hdr, log.data() + start, sizeof(hdr));
+    std::vector<uint64_t> at = {start, start + 4, start + 6, start + 8,
+                                start + 16};
+    for (uint64_t b : {uint64_t{0}, hdr.body_len / 2, hdr.body_len - 1}) {
+      at.push_back(start + sizeof(hdr) + b);
+    }
+    for (uint64_t pos : at) {
+      std::vector<uint8_t> bad = log;
+      bad[pos] ^= 0x5A;
+      ExpectScanMatchesReference(cfg, bad,
+                                 "record " + std::to_string(r) +
+                                     ": byte " + std::to_string(pos) +
+                                     " flipped");
+      if (HasFailure()) return;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
 // io_uring backend parity. The overlapped write path must be invisible
 // on disk: the same operation sequence through FileBackend and
 // UringBackend yields byte-identical metadata logs (and payload files),
@@ -1215,21 +1659,6 @@ TEST_F(IoBackendTest, FaultInjectionWrapsFileBackend) {
 // runtime capability probe — kernels or seccomp policies without
 // io_uring skip with the probe's reason instead of failing.
 // ---------------------------------------------------------------------
-
-// Reads a whole file; empty vector (with a failed assertion) on error.
-std::vector<uint8_t> ReadAllBytes(const std::string& path) {
-  std::vector<uint8_t> out;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  EXPECT_NE(f, nullptr) << path;
-  if (f == nullptr) return out;
-  uint8_t buf[4096];
-  size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    out.insert(out.end(), buf, buf + n);
-  }
-  std::fclose(f);
-  return out;
-}
 
 // Two scratch directories — one per backend under comparison.
 class UringParityTest : public IoBackendTest {
