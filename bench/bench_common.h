@@ -10,7 +10,6 @@
 #include <utility>
 #include <vector>
 
-#include "btree/eviction_policy.h"
 #include "core/config.h"
 #include "core/policy_factory.h"
 #include "workload/runner.h"
@@ -85,23 +84,6 @@ inline StoreConfig DefaultConfig() {
   }
   cfg.uring_queue_depth = UringDepth(cfg.uring_queue_depth);
   return cfg;
-}
-
-/// LSS_BENCH_POOL=<lru|clock|2q> selects the buffer-pool replacement
-/// policy of benches that run the B+-tree engine (fig6 trace generation,
-/// bench/buffer_pool's TPC-C panel). Defaults to exact LRU, the engine's
-/// default. Eviction order shapes the collected write trace, so fig6
-/// keys its trace cache on this.
-inline EvictionPolicyKind PoolPolicy() {
-  const char* s = std::getenv("LSS_BENCH_POOL");
-  if (s == nullptr || *s == '\0') return EvictionPolicyKind::kExactLru;
-  EvictionPolicyKind kind;
-  if (!ParseEvictionPolicy(s, &kind)) {
-    std::fprintf(stderr,
-                 "LSS_BENCH_POOL: unknown policy '%s' (lru|clock|2q)\n", s);
-    std::exit(2);
-  }
-  return kind;
 }
 
 /// LSS_BENCH_CKPT_INTERVAL=N overrides the checkpoint interval of the

@@ -21,8 +21,6 @@
 //                         over an N-shard store)
 //   LSS_BENCH_SMOKE=1     tiny cardinality + one fill factor, for CI
 //   LSS_BENCH_NO_CACHE=1  always regenerate the trace
-//   LSS_BENCH_POOL=p      buffer-pool policy for generation (lru|clock|2q;
-//                         a separate trace cache entry per policy)
 //   LSS_BENCH_JSON=path   machine-readable results (bench_common.h)
 
 #include <algorithm>
@@ -40,17 +38,11 @@
 namespace lss {
 namespace {
 
-// Generation workers / replay shards (LSS_BENCH_THREADS; first value if
-// a sweep list is given, since fig6 runs one configuration). The value
-// is parsed strictly: garbage exits(2) instead of clamping to 1.
+// Generation workers / replay shards (LSS_BENCH_THREADS). The value is
+// parsed strictly: garbage exits(2) instead of clamping to 1.
 uint32_t BenchThreads() {
-  const char* env = std::getenv("LSS_BENCH_THREADS");
-  if (env == nullptr || *env == '\0') return 1;
-  std::string first(env);
-  const size_t comma = first.find(',');
-  if (comma != std::string::npos) first.resize(comma);
   return static_cast<uint32_t>(
-      bench::ParseEnvInt("LSS_BENCH_THREADS", first.c_str(), 1, 4096));
+      bench::EnvInt("LSS_BENCH_THREADS", 1, 1, 4096));
 }
 
 bool SmokeMode() {
@@ -90,9 +82,9 @@ std::string TraceCachePath(const tpcc::TpccConfig& tc, uint64_t warm_txns,
   mix(tc.buffer_pool_pages);
   mix(tc.seed);
   mix(tc.workers);
-  // Eviction order decides which write-backs the trace records, so a
-  // different replacement policy is a different trace.
-  mix(static_cast<uint64_t>(tc.pool_policy));
+  // The pool policy was always exact LRU (0); mixing that value keeps
+  // existing cached traces valid.
+  mix(0);
   mix(warm_txns);
   mix(measure_txns);
   mix(checkpoint_every);
@@ -248,7 +240,6 @@ void Run() {
   tc.orders_per_district = smoke ? 120 : 400;
   tc.seed = 17;
   tc.workers = threads;
-  tc.pool_policy = bench::PoolPolicy();
 
   const uint64_t warm_txns = smoke ? 1000 : 20000ull * scale;
   const uint64_t measure_txns = smoke ? 3000 : 80000ull * scale;
@@ -302,7 +293,6 @@ void Run() {
   }
   bench::Emit(bench::JsonRow("fig6_tpcc")
                   .Str("row", "generation")
-                  .Str("pool_policy", EvictionPolicyName(tc.pool_policy))
                   .Num("threads", static_cast<uint64_t>(threads))
                   .Num("scale", static_cast<uint64_t>(scale))
                   .Num("warehouses", static_cast<uint64_t>(tc.warehouses))

@@ -15,8 +15,7 @@
 #             threaded executor's unit and sync/async op-sequence tests,
 #             SealPipeline* in tests/core/seal_pipeline_test.cc, and the
 #             AsyncSeal* cases in tests/core/sharded_store_test.cc), the
-#             latch-striped buffer pool (BufferPoolParallel*, which
-#             includes the latch-free CLOCK hit-path stress), the
+#             latch-striped buffer pool (BufferPoolParallel*), the
 #             latch-coupled B+-tree (BTreeParallel*: N-writer/M-reader
 #             stress and delete-churn over one shared tree), the
 #             multi-worker TPC-C engine (TpccParallel*) and parallel
@@ -202,19 +201,6 @@ if [[ -x "$BUILD_DIR/bench/micro_core" ]]; then
     exit 1
   fi
   echo "check.sh: recovery-scan smoke green"
-fi
-
-# Buffer-pool eviction-policy smoke: runs all three policies (exact
-# LRU / CLOCK / 2Q) through the hit-path, TPC-C and scan-flood panels
-# and sanity-checks the JSON — the gate for the pluggable-eviction
-# seam (latch-free CLOCK hits, 2Q scan resistance).
-if [[ -x "$BUILD_DIR/bench/buffer_pool" ]]; then
-  LSS_BENCH_SMOKE=1 \
-    LSS_BENCH_JSON="$BUILD_DIR/buffer_pool_smoke.json" \
-    "$BUILD_DIR/bench/buffer_pool"
-  grep -q '"bench":"buffer_pool"' "$BUILD_DIR/buffer_pool_smoke.json"
-  grep -q '"row":"scan_flood"' "$BUILD_DIR/buffer_pool_smoke.json"
-  echo "check.sh: buffer_pool policy smoke green"
 fi
 
 # Delta-checkpoint smoke: the io_backend checkpoint sweep on a small

@@ -22,17 +22,12 @@ uint32_t AutoPartitions(size_t capacity_pages) {
   return parts;
 }
 
-uint64_t PackHint(PageNo page, size_t idx) {
-  return (static_cast<uint64_t>(page) << 32) | static_cast<uint32_t>(idx);
-}
-
 }  // namespace
 
 BufferPool::BufferPool(Pager* pager, size_t capacity_pages,
-                       WriteObserver observer, uint32_t partitions,
-                       EvictionPolicyKind policy)
+                       WriteObserver observer, uint32_t partitions)
     : pager_(pager), capacity_(capacity_pages),
-      observer_(std::move(observer)), policy_kind_(policy) {
+      observer_(std::move(observer)) {
   assert(pager != nullptr);
   assert(capacity_pages >= 8);
   if (partitions == 0) partitions = AutoPartitions(capacity_pages);
@@ -52,21 +47,6 @@ BufferPool::BufferPool(Pager* pager, size_t capacity_pages,
     for (Frame& f : part->frames) f.data.resize(kBtreePageSize);
     part->free_frames.reserve(n);
     for (size_t i = n; i > 0; --i) part->free_frames.push_back(i - 1);
-    part->policy = MakeEvictionPolicy(policy, n);
-    part->policy->AttachFrameState(part.get());
-    latch_free_ops_ = part->policy->LatchFreeOps();
-    if (latch_free_ops_) {
-      // >= 4x frames, power of two: live hints stay <= 25% of the table
-      // and rebuilds cap tombstones at another 25%, so probes always
-      // terminate at an empty slot.
-      size_t cap = 16;
-      while (cap < 4 * n) cap *= 2;
-      part->hints = std::vector<std::atomic<uint64_t>>(cap);
-      for (auto& h : part->hints) {
-        h.store(kHintEmpty, std::memory_order_relaxed);
-      }
-      part->hint_mask = cap - 1;
-    }
     parts_.push_back(std::move(part));
   }
 }
@@ -80,7 +60,7 @@ size_t BufferPool::PinnedFrames() const {
   for (const auto& part : parts_) {
     std::lock_guard<std::mutex> lock(part->mu);
     for (const Frame& f : part->frames) {
-      n += (f.pins.load(std::memory_order_relaxed) & ~kEvicting) != 0 ? 1 : 0;
+      n += f.pins != 0 ? 1 : 0;
     }
   }
   return n;
@@ -126,143 +106,43 @@ uint64_t BufferPool::latch_acquisitions() const {
   return n;
 }
 
-// --- Hint table (latch-free policies; writers under part.mu) -----------
+// --- Everything below runs under part.mu ------------------------------
 
-void BufferPool::HintInsert(Partition& part, PageNo page, size_t idx) {
-  if (part.hint_tombstones > part.hints.size() / 4) HintRebuild(part);
-  uint64_t s = SplitMix64(page) & part.hint_mask;
-  size_t tomb = static_cast<size_t>(-1);
-  for (;;) {
-    const uint64_t slot = part.hints[s].load(std::memory_order_relaxed);
-    if (slot == kHintEmpty) break;
-    if (slot == kHintTombstone) {
-      if (tomb == static_cast<size_t>(-1)) tomb = s;
-    } else if (static_cast<PageNo>(slot >> 32) == page) {
-      part.hints[s].store(PackHint(page, idx), std::memory_order_release);
-      return;
-    }
-    s = (s + 1) & part.hint_mask;
-  }
-  if (tomb != static_cast<size_t>(-1)) {
-    s = tomb;
-    --part.hint_tombstones;
-  }
-  part.hints[s].store(PackHint(page, idx), std::memory_order_release);
-}
-
-void BufferPool::HintErase(Partition& part, PageNo page) {
-  uint64_t s = SplitMix64(page) & part.hint_mask;
-  for (size_t probe = 0; probe <= part.hint_mask; ++probe) {
-    const uint64_t slot = part.hints[s].load(std::memory_order_relaxed);
-    if (slot == kHintEmpty) return;
-    if (slot != kHintTombstone && static_cast<PageNo>(slot >> 32) == page) {
-      part.hints[s].store(kHintTombstone, std::memory_order_release);
-      ++part.hint_tombstones;
-      return;
-    }
-    s = (s + 1) & part.hint_mask;
+void BufferPool::LruRemove(Partition& part, Frame& f) {
+  if (f.in_lru) {
+    part.lru.erase(f.lru_pos);
+    f.in_lru = false;
   }
 }
 
-void BufferPool::HintRebuild(Partition& part) {
-  // Concurrent latch-free readers may transiently miss entries while the
-  // table is repopulated; they fall back to the latched path and block on
-  // part.mu, which we hold — correctness is unaffected.
-  for (auto& h : part.hints) h.store(kHintEmpty, std::memory_order_relaxed);
-  part.hint_tombstones = 0;
-  for (const auto& entry : part.page_to_frame) {
-    uint64_t s = SplitMix64(entry.first) & part.hint_mask;
-    while (part.hints[s].load(std::memory_order_relaxed) != kHintEmpty) {
-      s = (s + 1) & part.hint_mask;
-    }
-    part.hints[s].store(PackHint(entry.first, entry.second),
-                        std::memory_order_release);
-  }
-}
-
-// --- Latch-free hit path ------------------------------------------------
-
-BufferPool::Frame* BufferPool::TryLatchFreeHit(Partition& part,
-                                               PageNo page) {
-  uint64_t s = SplitMix64(page) & part.hint_mask;
-  for (size_t probe = 0; probe <= part.hint_mask; ++probe) {
-    const uint64_t slot = part.hints[s].load(std::memory_order_acquire);
-    if (slot == kHintEmpty) return nullptr;
-    if (slot != kHintTombstone && static_cast<PageNo>(slot >> 32) == page) {
-      Frame& f = part.frames[static_cast<uint32_t>(slot)];
-      // Optimistic pin: claim a pin first, then validate. The acquire RMW
-      // synchronises with the frame's publishing release (the eviction
-      // claim's release or the hint store), so a validated frame's bytes
-      // are fully loaded.
-      const uint32_t old = f.pins.fetch_add(1, std::memory_order_acquire);
-      if ((old & kEvicting) != 0) {
-        // Mid-eviction/flush: back off; the latched path will resolve.
-        f.pins.fetch_sub(1, std::memory_order_relaxed);
-        return nullptr;
-      }
-      if (f.page.load(std::memory_order_acquire) != page) {
-        // Stale hint: the frame was recycled. Undo the pin.
-        f.pins.fetch_sub(1, std::memory_order_release);
-        return nullptr;
-      }
-      f.ref.store(1, std::memory_order_relaxed);
-      part.hits.fetch_add(1, std::memory_order_relaxed);
-      return &f;
-    }
-    s = (s + 1) & part.hint_mask;
-  }
-  return nullptr;
-}
-
-// --- Latched paths ------------------------------------------------------
-
-void BufferPool::WriteBack(Partition& part, size_t idx) {
-  Frame& f = part.frames[idx];
-  assert(f.dirty.load(std::memory_order_relaxed));
-  const PageNo page = f.page.load(std::memory_order_relaxed);
-  pager_->Write(page, f.data.data());
-  f.dirty.store(false, std::memory_order_relaxed);
+void BufferPool::WriteBack(Partition& part, Frame& f) {
+  assert(f.dirty);
+  pager_->Write(f.page, f.data.data());
+  f.dirty = false;
   part.write_backs.fetch_add(1, std::memory_order_relaxed);
-  if (observer_) observer_(page);
+  if (observer_) observer_(f.page);
 }
 
 size_t BufferPool::EvictOne(Partition& part) {
-  for (;;) {
-    const size_t idx = part.policy->PickVictim();
-    if (idx == EvictionPolicy::kNoVictim) {
-      // Exhaustion (every frame in the stripe pinned) cannot be
-      // satisfied; fail loudly rather than invoke UB in release builds.
-      // Auto-sizing keeps stripes >= 64 frames precisely so concurrent
-      // pins cannot get here.
-      std::fprintf(stderr,
-                   "lss: buffer pool stripe exhausted: all %zu frames "
-                   "pinned; use fewer partitions or a larger pool\n",
-                   part.frames.size());
-      std::abort();
-    }
-    Frame& f = part.frames[idx];
-    // Claim the frame exclusively: only a frame with zero pins may be
-    // evicted, and the claim blocks latch-free pins for its duration.
-    uint32_t expected = 0;
-    if (!f.pins.compare_exchange_strong(expected, kEvicting,
-                                        std::memory_order_acquire,
-                                        std::memory_order_relaxed)) {
-      // A latch-free pin won the race — the frame is hot again. Ask the
-      // policy for another victim (its hand advanced, so this makes
-      // progress). Unreachable for latched policies.
-      continue;
-    }
-    const PageNo page = f.page.load(std::memory_order_relaxed);
-    if (f.dirty.load(std::memory_order_relaxed)) WriteBack(part, idx);
-    part.page_to_frame.erase(page);
-    if (latch_free_ops_) HintErase(part, page);
-    part.policy->OnEvict(idx, page);
-    f.page.store(kInvalidPageNo, std::memory_order_relaxed);
-    part.evictions.fetch_add(1, std::memory_order_relaxed);
-    // The frame stays claimed (kEvicting) until FrameFor publishes its
-    // new page.
-    return idx;
+  if (part.lru.empty()) {
+    // Exhaustion (every frame in the stripe pinned) cannot be satisfied;
+    // fail loudly rather than invoke UB in release builds. Auto-sizing
+    // keeps stripes >= 64 frames precisely so concurrent pins cannot get
+    // here.
+    std::fprintf(stderr,
+                 "lss: buffer pool stripe exhausted: all %zu frames "
+                 "pinned; use fewer partitions or a larger pool\n",
+                 part.frames.size());
+    std::abort();
   }
+  const size_t idx = part.lru.back();
+  Frame& f = part.frames[idx];
+  if (f.dirty) WriteBack(part, f);
+  part.page_to_frame.erase(f.page);
+  LruRemove(part, f);
+  f.page = kInvalidPageNo;
+  part.evictions.fetch_add(1, std::memory_order_relaxed);
+  return idx;
 }
 
 size_t BufferPool::FrameFor(Partition& part, PageNo page,
@@ -270,49 +150,48 @@ size_t BufferPool::FrameFor(Partition& part, PageNo page,
   auto it = part.page_to_frame.find(page);
   if (it != part.page_to_frame.end()) {
     part.hits.fetch_add(1, std::memory_order_relaxed);
-    part.policy->OnHit(it->second);
-    part.frames[it->second].ref.store(1, std::memory_order_relaxed);
+    // About to be pinned: out of the LRU list until its last unpin.
+    LruRemove(part, part.frames[it->second]);
     return it->second;
   }
   part.misses.fetch_add(1, std::memory_order_relaxed);
   size_t idx;
-  bool claimed = false;
   if (!part.free_frames.empty()) {
     idx = part.free_frames.back();
     part.free_frames.pop_back();
   } else {
     idx = EvictOne(part);
-    claimed = true;
   }
   Frame& f = part.frames[idx];
-  f.page.store(page, std::memory_order_relaxed);
-  f.dirty.store(false, std::memory_order_relaxed);
-  f.ref.store(1, std::memory_order_relaxed);  // an insert is an access
+  f.page = page;
+  f.dirty = false;
   if (load_from_pager) pager_->Read(page, f.data.data());
   part.page_to_frame.emplace(page, idx);
-  part.policy->OnInsert(idx, page);
-  if (latch_free_ops_) HintInsert(part, page, idx);
-  if (claimed) {
-    // Release the eviction claim; transient latch-free pinners' +1s (all
-    // of which back off) are preserved. The release pairs with the
-    // acquire RMW in TryLatchFreeHit.
-    f.pins.fetch_sub(kEvicting, std::memory_order_release);
-  }
   return idx;
 }
 
 size_t BufferPool::PinLocked(Partition& part, PageNo page,
                              bool load_from_pager) {
   const size_t idx = FrameFor(part, page, load_from_pager);
-  part.frames[idx].pins.fetch_add(1, std::memory_order_relaxed);
+  ++part.frames[idx].pins;
   return idx;
 }
 
+void BufferPool::UnpinLocked(Partition& part, size_t idx, bool dirty) {
+  Frame& f = part.frames[idx];
+  assert(f.pins > 0);
+  if (dirty) f.dirty = true;
+  if (--f.pins == 0) {
+    part.lru.push_front(idx);
+    f.lru_pos = part.lru.begin();
+    f.in_lru = true;
+  }
+}
+
+// --- Operation paths ----------------------------------------------------
+
 BufferPool::Frame& BufferPool::PinFrame(PageNo page) {
   Partition& part = PartitionFor(page);
-  if (latch_free_ops_) {
-    if (Frame* f = TryLatchFreeHit(part, page)) return *f;
-  }
   std::lock_guard<std::mutex> lock(part.mu);
   part.latch_acquisitions.fetch_add(1, std::memory_order_relaxed);
   const size_t idx = PinLocked(part, page, /*load_from_pager=*/true);
@@ -324,60 +203,19 @@ uint8_t* BufferPool::Pin(PageNo page) {
 }
 
 void BufferPool::UnpinFrame(Frame& f, PageNo page, bool dirty) {
-  if (latch_free_ops_) {
-    // The caller's pin keeps the frame resident; no lookup or latch is
-    // needed. Publish the dirty mark before the release decrement an
-    // eviction claim synchronises with.
-    if (dirty) f.dirty.store(true, std::memory_order_relaxed);
-    f.pins.fetch_sub(1, std::memory_order_release);
-    return;
-  }
   Partition& part = PartitionFor(page);
   std::lock_guard<std::mutex> lock(part.mu);
   part.latch_acquisitions.fetch_add(1, std::memory_order_relaxed);
-  if (dirty) f.dirty.store(true, std::memory_order_relaxed);
-  const uint32_t old = f.pins.fetch_sub(1, std::memory_order_release);
-  assert((old & ~kEvicting) > 0);
-  if ((old & ~kEvicting) == 1) {
-    part.policy->OnUnpin(static_cast<size_t>(&f - part.frames.data()));
-  }
+  UnpinLocked(part, static_cast<size_t>(&f - part.frames.data()), dirty);
 }
 
 void BufferPool::Unpin(PageNo page, bool dirty) {
   Partition& part = PartitionFor(page);
-  if (latch_free_ops_) {
-    // The caller holds a pin, so the frame cannot be evicted and its
-    // hint cannot be erased; only a concurrent hint rebuild can hide it
-    // transiently, in which case the latched path below resolves.
-    uint64_t s = SplitMix64(page) & part.hint_mask;
-    for (size_t probe = 0; probe <= part.hint_mask; ++probe) {
-      const uint64_t slot = part.hints[s].load(std::memory_order_acquire);
-      if (slot == kHintEmpty) break;
-      if (slot != kHintTombstone &&
-          static_cast<PageNo>(slot >> 32) == page) {
-        Frame& f = part.frames[static_cast<uint32_t>(slot)];
-        if (f.page.load(std::memory_order_relaxed) != page) break;
-        // Publish the dirty mark before releasing the pin: the release
-        // decrement is what an eviction claim synchronises with.
-        if (dirty) f.dirty.store(true, std::memory_order_relaxed);
-        f.pins.fetch_sub(1, std::memory_order_release);
-        return;
-      }
-      s = (s + 1) & part.hint_mask;
-    }
-  }
   std::lock_guard<std::mutex> lock(part.mu);
   part.latch_acquisitions.fetch_add(1, std::memory_order_relaxed);
   auto it = part.page_to_frame.find(page);
   assert(it != part.page_to_frame.end() && "unpin of uncached page");
-  Frame& f = part.frames[it->second];
-  const uint32_t pins = f.pins.load(std::memory_order_relaxed);
-  assert((pins & ~kEvicting) > 0);
-  (void)pins;
-  if (dirty) f.dirty.store(true, std::memory_order_relaxed);
-  const uint32_t old = f.pins.fetch_sub(1, std::memory_order_release);
-  if ((old & ~kEvicting) == 1) part.policy->OnUnpin(it->second);
-  return;
+  UnpinLocked(part, it->second, dirty);
 }
 
 PageNo BufferPool::AllocatePinned(uint8_t** data_out) {
@@ -390,7 +228,7 @@ PageNo BufferPool::AllocatePinned(uint8_t** data_out) {
   std::fill(f.data.begin(), f.data.end(), 0);
   // A freshly allocated page must reach the pager eventually even if it
   // is never modified again.
-  f.dirty.store(true, std::memory_order_relaxed);
+  f.dirty = true;
   *data_out = f.data.data();
   return page;
 }
@@ -399,21 +237,10 @@ void BufferPool::FlushAll() {
   for (auto& part : parts_) {
     std::lock_guard<std::mutex> lock(part->mu);
     part->latch_acquisitions.fetch_add(1, std::memory_order_relaxed);
-    for (size_t i = 0; i < part->frames.size(); ++i) {
-      Frame& f = part->frames[i];
-      if (f.page.load(std::memory_order_relaxed) == kInvalidPageNo) continue;
-      if (!f.dirty.load(std::memory_order_relaxed)) continue;
-      // Claim the frame for the write-back so a latch-free pinner cannot
-      // mutate its bytes mid-copy; a pinned frame is skipped (see class
-      // comment).
-      uint32_t expected = 0;
-      if (!f.pins.compare_exchange_strong(expected, kEvicting,
-                                          std::memory_order_acquire,
-                                          std::memory_order_relaxed)) {
-        continue;
-      }
-      WriteBack(*part, i);
-      f.pins.fetch_sub(kEvicting, std::memory_order_release);
+    for (Frame& f : part->frames) {
+      // A pinned frame is skipped (see class comment).
+      if (f.page == kInvalidPageNo || !f.dirty || f.pins != 0) continue;
+      WriteBack(*part, f);
     }
   }
 }

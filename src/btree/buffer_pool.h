@@ -4,13 +4,13 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
 #include <unordered_map>
 #include <vector>
 
-#include "btree/eviction_policy.h"
 #include "btree/page.h"
 #include "btree/pager.h"
 #include "core/types.h"
@@ -19,10 +19,10 @@
 namespace lss {
 
 /// How a PageRef acquires the page latch of the frame it pins. The latch
-/// is a reader-writer lock stored in the frame state next to the pin
-/// word; a latch is only ever held while the frame is pinned (pin first,
-/// latch second; unlatch before unpin), so eviction — which claims only
-/// frames with zero pins — can never recycle a latched frame.
+/// is a reader-writer lock stored in the frame next to the pin count; a
+/// latch is only ever held while the frame is pinned (pin first, latch
+/// second; unlatch before unpin), so eviction — which takes only frames
+/// with zero pins — can never recycle a latched frame.
 enum class LatchMode : uint8_t {
   kNone = 0,       ///< pin only; caller synchronises the bytes itself
   kShared = 1,     ///< shared page latch: concurrent readers
@@ -37,27 +37,16 @@ enum class LatchMode : uint8_t {
 ///
 /// Concurrency. The pool is latch-striped: frames are divided into N
 /// partitions and a page hashes (SplitMix64) to exactly one partition,
-/// whose mutex serialises miss handling, eviction and write-back on its
-/// frames. Distinct partitions proceed fully in parallel; a page's pager
-/// I/O only ever happens while the pool holds the frame exclusively, so
-/// the pager needs no per-page locking of its own.
+/// whose mutex serialises every pin, unpin, eviction and write-back on
+/// its frames. Distinct partitions proceed fully in parallel; a page's
+/// pager I/O only ever happens under its partition mutex, so the pager
+/// needs no per-page locking of its own.
 ///
-/// Replacement is a policy seam (btree/eviction_policy.h), selected per
-/// pool at construction:
-///  - kExactLru (default): every operation, hits included, runs under the
-///    partition latch; replacement is exact LRU per partition, bit-for-bit
-///    the pre-seam pool (pinned by a determinism test at 1 partition).
-///  - kClock: cache hits and unpins take NO latch. A hit finds its frame
-///    through a per-partition lock-free hint table, pins it with an
-///    atomic increment, validates the page identity, and records the
-///    access as a relaxed store to the frame's reference bit; eviction
-///    claims a frame by CAS-ing its pin word to a reserved "evicting"
-///    value, so a racing latch-free pin either lands first (the CAS fails
-///    and the sweep moves on) or observes the claim and backs off to the
-///    latched path. The latch is taken only on miss/eviction/flush —
-///    latch_acquisitions() counts exactly those acquisitions, which is
-///    how bench/buffer_pool proves hits are latch-free.
-///  - kTwoQ: latched like LRU, but scan-resistant (see the policy).
+/// Replacement is exact LRU per partition: a list of the partition's
+/// unpinned frames, most recent at the front. A hit unlinks the frame, an
+/// unpin to zero pins pushes it at the front, and the victim is the back.
+/// At one partition this is a single exact LRU cache (pinned against a
+/// reference model by ExactLruMatchesReferenceModel).
 ///
 /// Frame-content contract: the pool synchronises its own metadata, not
 /// the cached bytes. Each frame carries a reader-writer page latch
@@ -66,7 +55,7 @@ enum class LatchMode : uint8_t {
 /// couples these latches during descent. Callers that pin with
 /// LatchMode::kNone must order accesses themselves (quiescent phases,
 /// single-threaded use, or an external happens-before chain). Eviction
-/// and FlushAll need no latch awareness: both claim a frame only when
+/// and FlushAll need no latch awareness: both touch a frame only when
 /// its pin count is zero, and a latch is only ever held under a pin.
 /// FlushAll skips frames that are pinned at flush time — their bytes are
 /// in active use — leaving them dirty for a later eviction or flush.
@@ -79,13 +68,12 @@ class BufferPool {
   /// `capacity_pages` must be >= 8 (the B+-tree pins a few pages at
   /// once). `partitions` of 0 picks automatically: enough stripes to
   /// scale, but never fewer than 64 frames per stripe so concurrent
-  /// pins cannot exhaust one (a stripe asserts when every frame in it
+  /// pins cannot exhaust one (a stripe aborts when every frame in it
   /// is pinned); in particular every capacity in [8, 127] yields exactly
   /// one stripe. An explicit `partitions` request is honoured but
   /// clamped so a stripe never holds fewer than 8 frames.
   BufferPool(Pager* pager, size_t capacity_pages,
-             WriteObserver observer = nullptr, uint32_t partitions = 0,
-             EvictionPolicyKind policy = EvictionPolicyKind::kExactLru);
+             WriteObserver observer = nullptr, uint32_t partitions = 0);
 
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
@@ -111,7 +99,6 @@ class BufferPool {
   uint32_t partitions() const {
     return static_cast<uint32_t>(parts_.size());
   }
-  EvictionPolicyKind policy() const { return policy_kind_; }
 
   // Counters, summed across partitions (approximate while threads are
   // running, exact when the pool is quiescent).
@@ -119,85 +106,48 @@ class BufferPool {
   uint64_t misses() const;
   uint64_t evictions() const;
   uint64_t write_backs() const;
-  /// Partition-latch acquisitions by the operation paths (Pin misses and
-  /// latched hits, latched unpins, AllocatePinned, FlushAll — one per
-  /// stripe visited). Counter reads themselves are not counted, so
-  /// (latch_acquisitions delta) / (hits delta) over a pure-hit phase is
-  /// exactly 1 for latched policies and 0 for CLOCK.
+  /// Partition-mutex acquisitions by the operation paths: one per Pin,
+  /// Unpin and AllocatePinned, and one per stripe FlushAll visits.
+  /// Counter reads themselves are not counted.
   uint64_t latch_acquisitions() const;
   size_t PinnedFrames() const;
 
  private:
-  // Pin-word layout: the low bits count pins; kEvicting marks a frame an
-  // evictor (or flusher) holds exclusively. Latch-free pinners that
-  // fetch_add into a claimed word see the flag in their old value and
-  // back off (their transient +1 is self-corrected), so data bytes are
-  // never touched concurrently with an eviction's write-back/reload.
-  static constexpr uint32_t kEvicting = 1u << 31;
-
+  // Every field is guarded by the owning partition's mutex, except the
+  // page latch and the data bytes (see the class comment).
   struct Frame {
-    std::atomic<PageNo> page{kInvalidPageNo};
+    PageNo page = kInvalidPageNo;
     std::vector<uint8_t> data;
-    std::atomic<uint32_t> pins{0};
-    std::atomic<bool> dirty{false};
-    std::atomic<uint8_t> ref{0};  // reference bit; set on every access
+    uint32_t pins = 0;
+    bool dirty = false;
+    bool in_lru = false;                 // in the partition's LRU list
+    std::list<size_t>::iterator lru_pos;  // valid iff in_lru
     // Page latch (see LatchMode). Held only while pins > 0, so the latch
     // always refers to the page currently cached in this frame.
     std::shared_mutex latch;
   };
 
-  // Lock-free page -> frame-index hint table (only populated for
-  // latch-free policies). One atomic word per slot packs (page, idx);
-  // writers run under the partition latch, readers probe with acquire
-  // loads. A hint is advisory: the latch-free hit path re-validates
-  // against the frame's own page word after pinning, so a stale hint
-  // costs a fallback to the latched path, never a wrong frame.
-  static constexpr uint64_t kHintEmpty = ~0ull;
-  static constexpr uint64_t kHintTombstone = ~0ull - 1;
-
   // One latch stripe: a share of the frames plus all the state needed to
   // run them as an independent cache. Cache-line aligned so stripe
   // mutexes do not false-share.
-  struct alignas(64) Partition : public FrameStateView {
+  struct alignas(64) Partition {
     std::mutex mu;
     std::vector<Frame> frames;
-    std::unordered_map<PageNo, size_t> page_to_frame;  // authoritative
+    std::unordered_map<PageNo, size_t> page_to_frame;
     std::vector<size_t> free_frames;
-    std::unique_ptr<EvictionPolicy> policy;
+    std::list<size_t> lru;  // front = most recent; unpinned frames only
 
-    // Hint table (latch-free policies only): power-of-two sized, at
-    // least 4x frames, so probe chains stay short at <= 25% load.
-    std::vector<std::atomic<uint64_t>> hints;
-    uint64_t hint_mask = 0;
-    size_t hint_tombstones = 0;
-
+    // Atomic so the getters can sum them without the mutex.
     std::atomic<uint64_t> hits{0};
     std::atomic<uint64_t> misses{0};
     std::atomic<uint64_t> evictions{0};
     std::atomic<uint64_t> write_backs{0};
     std::atomic<uint64_t> latch_acquisitions{0};
-
-    // FrameStateView (for CLOCK's sweep; runs under mu).
-    size_t frame_count() const override { return frames.size(); }
-    bool Pinned(size_t idx) const override {
-      return frames[idx].pins.load(std::memory_order_relaxed) != 0;
-    }
-    bool TestClearRef(size_t idx) override {
-      Frame& f = frames[idx];
-      if (f.ref.load(std::memory_order_relaxed) == 0) return false;
-      f.ref.store(0, std::memory_order_relaxed);
-      return true;
-    }
   };
 
   Partition& PartitionFor(PageNo page) {
     return *parts_[SplitMix64(page) % parts_.size()];
   }
-
-  // Latch-free hit path (latch-free policies only): returns the pinned
-  // frame, or nullptr when the page must go through the latched path
-  // (not hinted, mid-eviction, or a stale hint).
-  Frame* TryLatchFreeHit(Partition& part, PageNo page);
 
   // Pin/unpin by frame identity (PageRef's backend). PinFrame is Pin()
   // returning the frame itself so the caller can reach its page latch;
@@ -220,25 +170,20 @@ class BufferPool {
     }
   }
 
-  // Hint-table maintenance; all run under part.mu.
-  void HintInsert(Partition& part, PageNo page, size_t idx);
-  void HintErase(Partition& part, PageNo page);
-  void HintRebuild(Partition& part);
-
   // All of the below run under part.mu. PinLocked returns the pinned
   // frame's index within the partition.
+  static void LruRemove(Partition& part, Frame& f);
   size_t FrameFor(Partition& part, PageNo page, bool load_from_pager);
-  void WriteBack(Partition& part, size_t frame_idx);
-  size_t EvictOne(Partition& part);  // returns the freed, claimed frame
+  void WriteBack(Partition& part, Frame& f);
+  size_t EvictOne(Partition& part);  // returns the freed frame
   size_t PinLocked(Partition& part, PageNo page, bool load_from_pager);
+  static void UnpinLocked(Partition& part, size_t idx, bool dirty);
 
   friend class PageRef;
 
   Pager* pager_;
   size_t capacity_;
   WriteObserver observer_;
-  EvictionPolicyKind policy_kind_;
-  bool latch_free_ops_ = false;
   std::vector<std::unique_ptr<Partition>> parts_;
 };
 

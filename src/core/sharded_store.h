@@ -61,8 +61,7 @@ using BackendFactory =
 ///
 /// Stats are aggregated on read: AggregatedStats() locks each shard in
 /// turn and merges its counters, so WriteAmplification() over the result
-/// is the global Wamp while shard(i).stats() exposes the per-shard view
-/// (bench/scale_threads.cc reports the spread).
+/// is the global Wamp while shard(i).stats() exposes the per-shard view.
 ///
 /// A 1-shard ShardedStore is the paper's single-threaded simulator: its
 /// one StoreShard owns the whole device. Reach shard internals (stats,

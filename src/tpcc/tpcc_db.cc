@@ -41,8 +41,7 @@ TpccDb::TpccDb(const TpccConfig& config, Trace* trace)
 TpccDb::TpccDb(const TpccConfig& config, BufferPool::WriteObserver observer)
     : config_(config),
       rnd_(config.seed),
-      pool_(&pager_, config.buffer_pool_pages, std::move(observer),
-            /*partitions=*/0, config.pool_policy),
+      pool_(&pager_, config.buffer_pool_pages, std::move(observer)),
       session0_(config.seed, 0) {
   InitPartitions();
 }

@@ -43,9 +43,6 @@ struct TpccConfig {
   /// workers share a group (worker t drives group t % groups). 1 keeps
   /// the layout and behaviour of the single-threaded engine.
   uint32_t workers = 1;
-  /// Buffer-pool replacement policy (btree/eviction_policy.h). Eviction
-  /// order shapes the write-back trace, so trace caches must key on it.
-  EvictionPolicyKind pool_policy = EvictionPolicyKind::kExactLru;
 
   /// Partition-group count a TpccDb built from this config will use —
   /// the one formula every layer (engine, trace generator) must share.

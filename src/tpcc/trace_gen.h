@@ -40,7 +40,7 @@ struct TpccTraceResult {
 
   /// Buffer-pool behaviour over the whole generation run (population
   /// through final checkpoint) — how well the cache absorbed the
-  /// workload under config.pool_policy. Surfaced by fig6_tpcc's JSON.
+  /// workload. Surfaced by fig6_tpcc's JSON.
   uint64_t pool_hits = 0;
   uint64_t pool_misses = 0;
   uint64_t pool_evictions = 0;

@@ -40,31 +40,4 @@ double HotColdWorkload::ExactFrequency(PageId page) const {
   return page < hot_pages_ ? hot_freq_ : cold_freq_;
 }
 
-ScanFloodWorkload::ScanFloodWorkload(uint64_t pages, double theta,
-                                     uint64_t point_ops_per_sweep)
-    : pages_(pages),
-      point_run_(point_ops_per_sweep),
-      gen_(pages, theta),
-      exact_freq_(pages, 0.0) {
-  assert(pages >= 2);
-  assert(point_ops_per_sweep >= 1);
-  // Per round of (point_run_ + pages_) ops, rank r's page receives
-  // point_run_ * SampleMass(r) point updates and every page exactly one
-  // scan write; normalise the sum to mean 1 across pages.
-  for (uint64_t r = 0; r < pages_; ++r) {
-    exact_freq_[gen_.Scatter(r)] +=
-        static_cast<double>(point_run_) * gen_.zipf().SampleMass(r);
-  }
-  const double scale = static_cast<double>(pages_) /
-                       static_cast<double>(point_run_ + pages_);
-  for (double& f : exact_freq_) f = (f + 1.0) * scale;
-}
-
-PageId ScanFloodWorkload::NextPage(Rng& rng) const {
-  const uint64_t n = op_.fetch_add(1, std::memory_order_relaxed);
-  const uint64_t in_round = n % (point_run_ + pages_);
-  if (in_round < point_run_) return gen_.Next(rng);
-  return in_round - point_run_;  // sequential sweep position
-}
-
 }  // namespace lss

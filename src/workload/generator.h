@@ -1,14 +1,11 @@
 #ifndef LSS_WORKLOAD_GENERATOR_H_
 #define LSS_WORKLOAD_GENERATOR_H_
 
-#include <atomic>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "core/types.h"
 #include "util/rng.h"
-#include "util/zipf.h"
 
 namespace lss {
 
@@ -68,39 +65,6 @@ class HotColdWorkload : public WorkloadGenerator {
   uint64_t hot_pages_;
   double hot_freq_;   // m / (1-m)
   double cold_freq_;  // (1-m) / m
-};
-
-/// Scan flood: rounds of `point_ops_per_sweep` scrambled-Zipf point
-/// updates followed by one full sequential sweep of the page space — the
-/// adversarial pattern for recency-based caching (a one-pass scan evicts
-/// an LRU pool's entire hot set; 2Q's probationary queue shields it).
-/// Built for bench/buffer_pool's scan-resistance panel.
-///
-/// The schedule is a pure function of a global operation counter (phase
-/// and scan cursor both derive from op mod round length), so the stream
-/// is deterministic when drawn single-threaded and remains well-defined
-/// — each op is either one Zipf draw or one scan position — when
-/// multiple threads share the generator.
-class ScanFloodWorkload : public WorkloadGenerator {
- public:
-  ScanFloodWorkload(uint64_t pages, double theta,
-                    uint64_t point_ops_per_sweep);
-
-  std::string name() const override { return "scan-flood"; }
-  uint64_t NumPages() const override { return pages_; }
-  PageId NextPage(Rng& rng) const override;
-  double ExactFrequency(PageId page) const override {
-    return exact_freq_[page];
-  }
-
-  uint64_t point_ops_per_sweep() const { return point_run_; }
-
- private:
-  uint64_t pages_;
-  uint64_t point_run_;  // point ops preceding each sweep
-  ScrambledZipfGenerator gen_;
-  std::vector<double> exact_freq_;
-  mutable std::atomic<uint64_t> op_{0};
 };
 
 }  // namespace lss

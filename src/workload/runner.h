@@ -62,9 +62,8 @@ struct RunResult {
 /// deterministic RNG stream (thread 0 uses spec.seed unchanged), and a
 /// 1-thread run executes on the calling thread, so threads == 1 with
 /// shards == 1 is the paper's single-threaded simulator, reproducible
-/// bit for bit. The measurement phase is timed, giving the throughput
-/// numbers bench/scale_threads.cc sweeps. The store is destroyed on
-/// return.
+/// bit for bit. The measurement phase is timed. The store is destroyed
+/// on return.
 RunResult RunSynthetic(const StoreConfig& config, Variant variant,
                        const WorkloadGenerator& workload, const RunSpec& spec,
                        uint32_t threads = 1, uint32_t shards = 0);

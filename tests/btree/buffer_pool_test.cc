@@ -232,9 +232,9 @@ TEST(BufferPoolTest, AutoPartitionFloor) {
   EXPECT_EQ(BufferPool(&pager, 128).partitions(), 2u);
 }
 
-// Reference model of the pre-seam pool (exact LRU, one partition): the
-// policy-seam refactor must reproduce its observable behaviour —
-// write-back order and all counters — bit for bit.
+// Reference model of an exact LRU cache at one partition: the pool must
+// reproduce its observable behaviour — write-back order and all
+// counters — bit for bit.
 class LruReferenceModel {
  public:
   explicit LruReferenceModel(size_t capacity) : capacity_(capacity) {
@@ -311,7 +311,7 @@ TEST(BufferPoolTest, ExactLruMatchesReferenceModel) {
   std::vector<PageNo> pool_writes;
   BufferPool pool(&pager, kCapacity,
                   [&](PageNo p) { pool_writes.push_back(p); },
-                  /*partitions=*/1, EvictionPolicyKind::kExactLru);
+                  /*partitions=*/1);
   LruReferenceModel model(kCapacity);
   for (PageNo p = 0; p < kPages; ++p) pager.Allocate();
 
@@ -350,93 +350,6 @@ TEST(BufferPoolTest, ExactLruMatchesReferenceModel) {
   EXPECT_EQ(pool.misses(), model.misses);
   EXPECT_EQ(pool.evictions(), model.evictions);
   EXPECT_EQ(pool.write_backs(), model.writes.size());
-}
-
-TEST(BufferPoolTest, TwoQSurvivesScanFlood) {
-  // A promoted hot set must survive a one-pass sequential flood under
-  // 2Q; under exact LRU the same flood purges it completely.
-  constexpr size_t kCapacity = 64;
-  constexpr PageNo kHot = 16;
-  constexpr PageNo kFloodPages = 2000;
-
-  for (EvictionPolicyKind kind :
-       {EvictionPolicyKind::kTwoQ, EvictionPolicyKind::kExactLru}) {
-    Pager pager;
-    BufferPool pool(&pager, kCapacity, nullptr, /*partitions=*/1, kind);
-    for (PageNo p = 0; p < kHot + kFloodPages; ++p) pager.Allocate();
-
-    // Two passes over the hot set: the second reference is what 2Q
-    // rewards with a protected (Am) slot.
-    for (int round = 0; round < 2; ++round) {
-      for (PageNo p = 0; p < kHot; ++p) {
-        pool.Pin(p);
-        pool.Unpin(p, false);
-      }
-    }
-    // One-pass flood, far larger than the pool.
-    for (PageNo p = kHot; p < kHot + kFloodPages; ++p) {
-      pool.Pin(p);
-      pool.Unpin(p, false);
-    }
-    const uint64_t hits_before = pool.hits();
-    for (PageNo p = 0; p < kHot; ++p) {
-      pool.Pin(p);
-      pool.Unpin(p, false);
-    }
-    const uint64_t hot_hits = pool.hits() - hits_before;
-    if (kind == EvictionPolicyKind::kTwoQ) {
-      EXPECT_EQ(hot_hits, kHot) << "2Q lost its protected set to a scan";
-    } else {
-      EXPECT_EQ(hot_hits, 0u) << "LRU unexpectedly survived the scan";
-    }
-  }
-}
-
-TEST(BufferPoolTest, ClockHitsAreLatchFree) {
-  Pager pager;
-  BufferPool pool(&pager, 64, nullptr, /*partitions=*/1,
-                  EvictionPolicyKind::kClock);
-  std::vector<PageNo> pages;
-  for (int i = 0; i < 32; ++i) pages.push_back(pager.Allocate());
-  for (PageNo p : pages) {
-    pool.Pin(p);
-    pool.Unpin(p, false);
-  }
-  // Pure hits: pin and unpin must both bypass the partition latch.
-  const uint64_t latches = pool.latch_acquisitions();
-  const uint64_t hits = pool.hits();
-  for (int round = 0; round < 50; ++round) {
-    for (PageNo p : pages) {
-      pool.Pin(p);
-      pool.Unpin(p, false);
-    }
-  }
-  EXPECT_EQ(pool.hits(), hits + 50 * pages.size());
-  EXPECT_EQ(pool.latch_acquisitions(), latches);
-}
-
-TEST(BufferPoolTest, ClockWriteBacksSurviveEviction) {
-  // Same zero-loss write-back contract as LRU, under CLOCK's claim-based
-  // eviction: every dirtied page's final value must be readable after
-  // churn evicts it.
-  Pager pager;
-  BufferPool pool(&pager, 8, nullptr, /*partitions=*/1,
-                  EvictionPolicyKind::kClock);
-  std::vector<PageNo> pages;
-  for (int i = 0; i < 32; ++i) {
-    uint8_t* d = nullptr;
-    const PageNo p = pool.AllocatePinned(&d);
-    std::memcpy(d, &p, sizeof(p));
-    pool.Unpin(p, true);
-    pages.push_back(p);
-  }
-  pool.FlushAll();
-  for (PageNo p : pages) {
-    PageRef ref(&pool, p);
-    PageNo stamp = 0;
-    std::memcpy(&stamp, ref.data(), sizeof(stamp));
-    EXPECT_EQ(stamp, p);
-  }
 }
 
 // --- Concurrency (runs under TSan via scripts/check.sh --tsan) ----------
@@ -566,94 +479,6 @@ TEST(BufferPoolParallelTest, ConcurrentAllocatePinned) {
     }
   }
   EXPECT_EQ(pager.PageCount(), kThreads * kPerThread);
-}
-
-TEST(BufferPoolParallelTest, ClockConcurrentHitStress) {
-  // The CLOCK latch-free hit path under fire: threads race lock-free
-  // pins/unpins on a shared hot set against evictions (capacity is half
-  // the working set) and periodic FlushAll claims. Run under TSan; the
-  // per-thread counter pages also make any lost update visible.
-  constexpr uint32_t kThreads = 8;
-  constexpr int kItersPerThread = 4000;
-  constexpr PageNo kOwnPages = 24;  // per thread
-  constexpr PageNo kSharedPages = 64;
-
-  Pager pager;
-  std::atomic<uint64_t> observed{0};
-  BufferPool pool(&pager, 128, [&](PageNo) { ++observed; },
-                  /*partitions=*/8, EvictionPolicyKind::kClock);
-
-  std::vector<PageNo> shared;
-  for (PageNo i = 0; i < kSharedPages; ++i) {
-    uint8_t* d = nullptr;
-    const PageNo p = pool.AllocatePinned(&d);
-    std::memcpy(d, &p, sizeof(p));
-    pool.Unpin(p, true);
-    shared.push_back(p);
-  }
-  std::vector<std::vector<PageNo>> own(kThreads);
-  for (uint32_t t = 0; t < kThreads; ++t) {
-    for (PageNo i = 0; i < kOwnPages; ++i) {
-      uint8_t* d = nullptr;
-      const PageNo p = pool.AllocatePinned(&d);
-      pool.Unpin(p, true);
-      own[t].push_back(p);
-    }
-  }
-  pool.FlushAll();
-
-  std::vector<std::thread> threads;
-  for (uint32_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      uint64_t x = t * 0x9E3779B97F4A7C15ull + 1;
-      for (int i = 0; i < kItersPerThread; ++i) {
-        x = SplitMix64(x);
-        if ((x & 1) == 0) {
-          const PageNo p = shared[x % kSharedPages];
-          PageRef ref(&pool, p);
-          PageNo stamp = 0;
-          std::memcpy(&stamp, ref.data(), sizeof(stamp));
-          ASSERT_EQ(stamp, p);
-        } else {
-          const PageNo p = own[t][x % kOwnPages];
-          PageRef ref(&pool, p);
-          uint64_t count = 0;
-          std::memcpy(&count, ref.data(), sizeof(count));
-          ++count;
-          std::memcpy(ref.data(), &count, sizeof(count));
-          ref.MarkDirty();
-        }
-        if (t == 0 && (i % 512) == 511) pool.FlushAll();
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-
-  EXPECT_EQ(pool.PinnedFrames(), 0u);
-  pool.FlushAll();
-  EXPECT_EQ(pool.write_backs(), observed.load());
-
-  for (uint32_t t = 0; t < kThreads; ++t) {
-    uint64_t sum = 0;
-    for (PageNo p : own[t]) {
-      PageRef ref(&pool, p);
-      uint64_t count = 0;
-      std::memcpy(&count, ref.data(), sizeof(count));
-      sum += count;
-    }
-    uint64_t expected = 0;
-    uint64_t x = t * 0x9E3779B97F4A7C15ull + 1;
-    for (int i = 0; i < kItersPerThread; ++i) {
-      x = SplitMix64(x);
-      if ((x & 1) != 0) ++expected;
-    }
-    EXPECT_EQ(sum, expected) << "thread " << t;
-  }
-  // The shared hot set sees sustained hits; misses still occur (the pool
-  // is half the working set), but the hit path must dominate latch
-  // traffic: far fewer latch acquisitions than operations.
-  EXPECT_GT(pool.hits(), 0u);
-  EXPECT_LT(pool.latch_acquisitions(), pool.hits() + pool.misses());
 }
 
 }  // namespace

@@ -104,52 +104,5 @@ TEST(ZipfianWorkloadTest, HigherThetaMoreConcentrated) {
   EXPECT_GT(max_b, max_a);
 }
 
-TEST(ScanFloodWorkloadTest, ScheduleAlternatesPointRunsAndSweeps) {
-  // The schedule is a pure function of the op counter: point_run Zipf
-  // draws, then one full sequential sweep, repeating. The sweep portion
-  // must hit 0..pages-1 in order, every round.
-  constexpr uint64_t kPages = 64;
-  constexpr uint64_t kPointRun = 100;
-  ScanFloodWorkload w(kPages, 0.99, kPointRun);
-  EXPECT_EQ(w.name(), "scan-flood");
-  EXPECT_EQ(w.NumPages(), kPages);
-  EXPECT_EQ(w.point_ops_per_sweep(), kPointRun);
-  Rng rng(7);
-  for (int round = 0; round < 3; ++round) {
-    for (uint64_t i = 0; i < kPointRun; ++i) {
-      EXPECT_LT(w.NextPage(rng), kPages);
-    }
-    for (uint64_t p = 0; p < kPages; ++p) {
-      EXPECT_EQ(w.NextPage(rng), p) << "round " << round;
-    }
-  }
-}
-
-TEST(ScanFloodWorkloadTest, FrequenciesNormalisedToMeanOne) {
-  ScanFloodWorkload w(1000, 0.99, 3000);
-  double sum = 0;
-  for (PageId p = 0; p < 1000; ++p) {
-    EXPECT_GT(w.ExactFrequency(p), 0.0);  // the sweep touches every page
-    sum += w.ExactFrequency(p);
-  }
-  EXPECT_NEAR(sum / 1000.0, 1.0, 1e-9);
-}
-
-TEST(ScanFloodWorkloadTest, ExactFrequencyMatchesSampling) {
-  constexpr uint64_t kN = 200;
-  constexpr uint64_t kPointRun = 600;
-  ScanFloodWorkload w(kN, 1.2, kPointRun);
-  Rng rng(19);
-  constexpr int kRounds = 400;
-  constexpr uint64_t kDraws = kRounds * (kPointRun + kN);
-  std::vector<int> counts(kN, 0);
-  for (uint64_t i = 0; i < kDraws; ++i) counts[w.NextPage(rng)]++;
-  for (PageId p = 0; p < kN; ++p) {
-    if (w.ExactFrequency(p) < 2.0) continue;  // check the heavy hitters
-    const double expected = w.ExactFrequency(p) / kN * kDraws;
-    EXPECT_NEAR(counts[p], expected, expected * 0.15 + 50) << "page " << p;
-  }
-}
-
 }  // namespace
 }  // namespace lss
