@@ -1,12 +1,14 @@
 // Micro-benchmarks (google-benchmark) for the store's hot paths: write
 // throughput per cleaning policy, sharded writes from 1-4 client threads,
 // page-table lookups, victim-selection cost vs device size, the
-// metadata-log replay a recovering Open pays, and Zipfian sampling. Not
+// metadata-log replay a recovering Open pays, the flush's hottest-first
+// ordering of a full write buffer, and Zipfian sampling. Not
 // from the paper — these quantify simulator overheads so the
 // table/figure benches' runtimes are explainable.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -23,6 +25,8 @@
 #include "core/page_table.h"
 #include "core/policy_factory.h"
 #include "core/sharded_store.h"
+#include "core/write_buffer.h"
+#include "util/radix_order.h"
 #include "util/zipf.h"
 #include "workload/runner.h"
 #include "workload/zipfian_workload.h"
@@ -236,6 +240,98 @@ void BM_RecoverScan(benchmark::State& state) {
 }
 BENCHMARK(BM_RecoverScan)->Unit(benchmark::kMillisecond);
 #endif
+
+// One full write buffer as an MDC flush sees it: 2,048 entries of an
+// 80-20 Zipfian update stream (factor 0.99) over 64 Ki pages, each
+// carrying its up2 estimate by the store's rules (§5.2.2): a re-write
+// moves up2 halfway to the update clock, a re-update of a buffered page
+// is absorbed into its slot, and first writes take the batch's oldest
+// up2 at flush time.
+std::vector<BufferedWrite> MakeFlushBatch() {
+  constexpr uint64_t kPages = 1 << 16;
+  constexpr size_t kBatch = 2048;
+  ZipfGenerator zipf(kPages, 0.99);
+  Rng rng(7);
+  std::vector<double> up2(kPages, -1.0);  // -1: never written
+  double unow = 0;
+  auto update = [&](uint64_t page) {
+    ++unow;
+    const bool first = up2[page] < 0;
+    up2[page] = first ? 0.0 : up2[page] + 0.5 * (unow - up2[page]);
+    return first;
+  };
+  for (int i = 0; i < (1 << 20); ++i) update(zipf.Next(rng));
+
+  std::vector<BufferedWrite> batch;
+  std::vector<int64_t> slot(kPages, -1);
+  while (batch.size() < kBatch) {
+    const uint64_t page = zipf.Next(rng);
+    const bool first = update(page);
+    if (slot[page] >= 0) {
+      batch[static_cast<size_t>(slot[page])].up2 = up2[page];
+      batch[static_cast<size_t>(slot[page])].first_write = false;
+      continue;
+    }
+    slot[page] = static_cast<int64_t>(batch.size());
+    BufferedWrite w;
+    w.page = page;
+    w.bytes = 512;
+    w.up2 = up2[page];
+    w.first_write = first;
+    batch.push_back(w);
+  }
+  double oldest = unow;
+  for (const BufferedWrite& w : batch) {
+    if (!w.first_write) oldest = std::min(oldest, w.up2);
+  }
+  for (BufferedWrite& w : batch) {
+    if (w.first_write) w.up2 = oldest;
+  }
+  return batch;
+}
+
+bool HotterUp2(const BufferedWrite& a, const BufferedWrite& b) {
+  return a.up2 > b.up2;
+}
+
+// Orders that batch hottest first, as StoreShard::FlushUserBuffer does:
+// Arg 0 with the radix kernel it uses, Arg 1 with the std::stable_sort
+// of the entries it replaced (whose time includes re-copying the
+// unsorted batch, about 80 KiB, each iteration). Before timing, checks
+// that both give the same order and fails the run if not.
+void BM_FlushOrder(benchmark::State& state) {
+  static const std::vector<BufferedWrite> batch = MakeFlushBatch();
+  const bool radix = state.range(0) == 0;
+  RadixOrder order;
+  auto radix_order = [&order]() -> const std::vector<uint32_t>& {
+    std::vector<uint64_t>& keys = order.keys();
+    keys.clear();
+    for (const BufferedWrite& w : batch) keys.push_back(DescendingKey(w.up2));
+    return order.Sort();
+  };
+  std::vector<BufferedWrite> sorted = batch;
+  std::stable_sort(sorted.begin(), sorted.end(), HotterUp2);
+  const std::vector<uint32_t>& perm = radix_order();
+  for (size_t k = 0; k < batch.size(); ++k) {
+    if (batch[perm[k]].page != sorted[k].page) {
+      state.SkipWithError("radix order differs from std::stable_sort");
+      return;
+    }
+  }
+  for (auto _ : state) {
+    if (radix) {
+      benchmark::DoNotOptimize(radix_order().data());
+    } else {
+      sorted = batch;
+      std::stable_sort(sorted.begin(), sorted.end(), HotterUp2);
+      benchmark::DoNotOptimize(sorted.data());
+    }
+  }
+  state.SetLabel(radix ? "radix" : "stable_sort");
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(batch.size()));
+}
+BENCHMARK(BM_FlushOrder)->Arg(0)->Arg(1);
 
 void BM_ZipfSample(benchmark::State& state) {
   ZipfGenerator z(1u << 20, 0.99);

@@ -201,6 +201,23 @@ if [[ -x "$BUILD_DIR/bench/micro_core" ]]; then
     exit 1
   fi
   echo "check.sh: recovery-scan smoke green"
+
+  # Flush-order smoke: one run of BM_FlushOrder, both arms (radix kernel
+  # and std::stable_sort) over one full 2,048-entry write buffer. The
+  # benchmark first checks that the radix permutation equals the stable
+  # sort's on that batch and reports an error otherwise, which fails the
+  # grep below.
+  "$BUILD_DIR/bench/micro_core" --benchmark_filter='^BM_FlushOrder/' \
+    --benchmark_out="$BUILD_DIR/flush_order_smoke.json" \
+    --benchmark_out_format=json
+  grep -q '"name": "BM_FlushOrder/0"' "$BUILD_DIR/flush_order_smoke.json"
+  grep -q '"name": "BM_FlushOrder/1"' "$BUILD_DIR/flush_order_smoke.json"
+  grep -q '"items_per_second"' "$BUILD_DIR/flush_order_smoke.json"
+  if grep -q '"error_occurred": true' "$BUILD_DIR/flush_order_smoke.json"; then
+    echo "check.sh: BM_FlushOrder reported an error" >&2
+    exit 1
+  fi
+  echo "check.sh: flush-order smoke green"
 fi
 
 # Delta-checkpoint smoke: the io_backend checkpoint sweep on a small

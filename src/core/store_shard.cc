@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <unordered_map>
 
 namespace lss {
 
@@ -64,14 +65,8 @@ Status StoreShard::Close() {
     result = FlushUserBuffer();
     if (!result.ok()) sticky_error_ = result;
   }
-  std::vector<uint64_t> open_keys;
-  open_keys.reserve(open_segments_.size());
-  for (const auto& [key, id] : open_segments_) {
-    (void)id;
-    open_keys.push_back(key);
-  }
-  std::sort(open_keys.begin(), open_keys.end());
-  for (uint64_t key : open_keys) {
+  for (uint64_t key = 0; key < open_segments_.size(); ++key) {
+    if (open_segments_[key] == kInvalidSegment) continue;
     Status s = SealOpenSegment(static_cast<uint32_t>(key >> 1),
                                static_cast<uint32_t>(key & 1));
     if (!s.ok() && result.ok()) result = s;
@@ -294,7 +289,8 @@ Status StoreShard::ReadPage(PageId page, std::vector<uint8_t>* out) const {
 }
 
 Status StoreShard::FlushUserBuffer() {
-  std::vector<BufferedWrite> batch = buffer_.Drain();
+  std::vector<BufferedWrite>& batch = flush_batch_;
+  buffer_.DrainInto(&batch);
 
   // §5.2.2 "First Write": first writes get the oldest up2 in the batch
   // ("pages mostly contain cold data, assigning a up2 that makes the page
@@ -310,23 +306,23 @@ Status StoreShard::FlushUserBuffer() {
     if (w.first_write) w.up2 = oldest;
   }
 
+  // Place hottest first; the key is the exact frequency when an oracle
+  // is installed (the *-opt variants), else the up2 estimate (§5.3).
+  // The radix order is the stable descending sort's permutation, so ties
+  // keep arrival order. Without separation pages go in arrival order.
+  const uint32_t* order = nullptr;
   if (config_.separate_user_writes) {
-    // Sort hottest first; the key is the exact frequency when an oracle
-    // is installed (the *-opt variants), else the up2 estimate (§5.3).
-    if (oracle_) {
-      std::stable_sort(batch.begin(), batch.end(),
-                       [](const BufferedWrite& a, const BufferedWrite& b) {
-                         return a.exact_upf > b.exact_upf;
-                       });
-    } else {
-      std::stable_sort(batch.begin(), batch.end(),
-                       [](const BufferedWrite& a, const BufferedWrite& b) {
-                         return a.up2 > b.up2;
-                       });
+    const bool exact = static_cast<bool>(oracle_);
+    std::vector<uint64_t>& keys = flush_order_.keys();
+    keys.clear();
+    for (const BufferedWrite& w : batch) {
+      keys.push_back(DescendingKey(exact ? w.exact_upf : w.up2));
     }
+    order = flush_order_.Sort().data();
   }
 
-  for (const BufferedWrite& w : batch) {
+  for (size_t k = 0; k < batch.size(); ++k) {
+    const BufferedWrite& w = batch[order != nullptr ? order[k] : k];
     if (w.page == kInvalidPage) continue;  // deleted while buffered
     double est = w.exact_upf;
     if (!oracle_ && !w.first_write) {
@@ -388,7 +384,11 @@ Status StoreShard::PlacePage(PageId page, PageMeta& meta, uint32_t bytes,
     stats_.gc_bytes_written += bytes;
     // This open segment now holds a relocated page; reclaim records for
     // the cleaner's victims are withheld until it seals.
-    gc_dirty_open_.insert(id);
+    auto pos =
+        std::lower_bound(gc_dirty_open_.begin(), gc_dirty_open_.end(), id);
+    if (pos == gc_dirty_open_.end() || *pos != id) {
+      gc_dirty_open_.insert(pos, id);
+    }
   } else {
     ++stats_.user_pages_written;
     stats_.user_bytes_written += bytes;
@@ -403,28 +403,32 @@ Status StoreShard::PlacePage(PageId page, PageMeta& meta, uint32_t bytes,
 Segment* StoreShard::OpenSegmentFor(uint32_t log, uint32_t stream, bool is_gc,
                                     SegmentId* id_out) {
   const uint64_t key = OpenKey(log, stream);
-  auto it = open_segments_.find(key);
-  if (it != open_segments_.end()) {
-    *id_out = it->second;
-    return &segments_[it->second];
+  SegmentId open = OpenSegmentAt(key);
+  if (open != kInvalidSegment) {
+    *id_out = open;
+    return &segments_[open];
   }
   const SegmentId id = AllocateSegment(log);
   if (id == kInvalidSegment) return nullptr;
   // Allocation can run the cleaner, and the cleaner's own placements may
   // have opened a segment for this very key; adopt it and return the
   // allocated segment to the pool instead of orphaning an open segment.
-  it = open_segments_.find(key);
-  if (it != open_segments_.end()) {
+  open = OpenSegmentAt(key);
+  if (open != kInvalidSegment) {
     free_list_.push_back(id);
-    *id_out = it->second;
-    return &segments_[it->second];
+    *id_out = open;
+    return &segments_[open];
   }
   // Reuse changes the slot's payload identity: the new fill generation
   // closes any checkpoint chain of the previous occupant.
   InvalidateCheckpointChain(id);
   segments_[id].Open(log, is_gc ? SegmentSource::kGc : SegmentSource::kUser,
                      unow_);
-  open_segments_.emplace(key, id);
+  if (key >= open_segments_.size()) {
+    open_segments_.resize(key + 1, kInvalidSegment);
+  }
+  open_segments_[key] = id;
+  ++open_count_;
   *id_out = id;
   return &segments_[id];
 }
@@ -588,9 +592,7 @@ Status StoreShard::EmitDelete(PageId page, uint64_t seq, UpdateCount unow) {
 Status StoreShard::CheckpointGcDirtyOpen(SegmentId skip) {
   if (gc_dirty_open_.empty()) return Status::OK();
   CommitDurableWatermarks();
-  std::vector<SegmentId> ids(gc_dirty_open_.begin(), gc_dirty_open_.end());
-  std::sort(ids.begin(), ids.end());
-  for (SegmentId id : ids) {
+  for (SegmentId id : gc_dirty_open_) {
     if (id == skip) continue;
     const Segment& seg = segments_[id];
     if (seg.state() != SegmentState::kOpen || seg.entries().empty()) continue;
@@ -607,16 +609,8 @@ Status StoreShard::CheckpointOpenSegments() {
   // Harvest durability first so this round's deltas base on the newest
   // durable watermark instead of re-sending already-synced suffixes.
   CommitDurableWatermarks();
-  std::vector<uint64_t> open_keys;
-  open_keys.reserve(open_segments_.size());
-  for (const auto& [key, id] : open_segments_) {
-    (void)id;
-    open_keys.push_back(key);
-  }
-  std::sort(open_keys.begin(), open_keys.end());
-  for (uint64_t key : open_keys) {
-    const SegmentId id = open_segments_[key];
-    if (segments_[id].entries().empty()) continue;
+  for (const SegmentId id : open_segments_) {
+    if (id == kInvalidSegment || segments_[id].entries().empty()) continue;
     Status s = EmitOpenSegmentCheckpoint(id, segments_[id]);
     if (!s.ok()) return s;
   }
@@ -653,9 +647,8 @@ void StoreShard::ResetMeasurement() {
 
 Status StoreShard::SealOpenSegment(uint32_t log, uint32_t stream) {
   const uint64_t key = OpenKey(log, stream);
-  auto it = open_segments_.find(key);
-  assert(it != open_segments_.end());
-  const SegmentId id = it->second;
+  const SegmentId id = OpenSegmentAt(key);
+  assert(id != kInvalidSegment);
   Segment& seg = segments_[id];
   const bool was_gc = seg.source() == SegmentSource::kGc;
   seg.Seal(unow_);
@@ -668,7 +661,8 @@ Status StoreShard::SealOpenSegment(uint32_t log, uint32_t stream) {
   } else {
     ++stats_.user_segments_sealed;
   }
-  open_segments_.erase(it);
+  open_segments_[key] = kInvalidSegment;
+  --open_count_;
 
   // If this slot is a reclaimed victim whose free record is still
   // withheld, it must be announced now: the new seal overwrites the old
@@ -701,7 +695,11 @@ Status StoreShard::SealOpenSegment(uint32_t log, uint32_t stream) {
   // free record in the pipeline queue) and the withheld victim reclaims
   // can reach the device — in checkpoint mode only those whose dead
   // entries' successors are recorded too (ReleaseSafeReclaims).
-  gc_dirty_open_.erase(id);
+  auto dirty =
+      std::lower_bound(gc_dirty_open_.begin(), gc_dirty_open_.end(), id);
+  if (dirty != gc_dirty_open_.end() && *dirty == id) {
+    gc_dirty_open_.erase(dirty);
+  }
   if (gc_dirty_open_.empty() && !reclaim_queue_.empty()) {
     Status r =
         CheckpointingEnabled() ? ReleaseSafeReclaims() : ReleaseReclaims();
@@ -1008,7 +1006,8 @@ Status StoreShard::Clean(uint32_t triggering_log) {
     }
     const size_t free_before = free_list_.size();
 
-    std::vector<SegmentId> victims;
+    std::vector<SegmentId>& victims = clean_victims_;
+    victims.clear();
     policy_->SelectVictims(*this, triggering_log, batch, &victims);
     if (victims.empty()) {
       result = Status::OutOfSpace("cleaner found no victim segments");
@@ -1018,7 +1017,8 @@ Status StoreShard::Clean(uint32_t triggering_log) {
     // Read phase: collect the still-live pages of every victim, then free
     // the victims. GC'd pages carry their segment's up2 (§5.2.2 "Garbage
     // Collection Writes").
-    std::vector<MovedPage> moved;
+    std::vector<MovedPage>& moved = clean_moved_;
+    moved.clear();
     uint64_t reclaimed = HarvestVictims(victims, &moved);
     ++stats_.cleanings;
 
@@ -1370,14 +1370,16 @@ Status StoreShard::CheckInvariants() const {
     for (const Segment& s : segments_) {
       open_count += (s.state() == SegmentState::kOpen) ? 1 : 0;
     }
-    if (open_count != open_segments_.size()) {
-      return Status::Corruption("open segment not tracked in map");
-    }
-    for (const auto& [key, id] : open_segments_) {
-      (void)key;
+    size_t tracked = 0;
+    for (const SegmentId id : open_segments_) {
+      if (id == kInvalidSegment) continue;
+      ++tracked;
       if (segments_[id].state() != SegmentState::kOpen) {
         return Status::Corruption("tracked open segment not open");
       }
+    }
+    if (open_count != tracked || open_count != open_count_) {
+      return Status::Corruption("open segment not tracked in map");
     }
   }
   // 4. Every present page owned by this shard points at a live entry

@@ -3,8 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "core/cleaning_policy.h"
@@ -16,6 +14,7 @@
 #include "core/stats.h"
 #include "core/types.h"
 #include "core/write_buffer.h"
+#include "util/radix_order.h"
 #include "util/rng.h"
 
 namespace lss {
@@ -257,6 +256,12 @@ class StoreShard {
     return (static_cast<uint64_t>(log) << 1) | stream;
   }
 
+  // The open segment of OpenKey `key`, or kInvalidSegment.
+  SegmentId OpenSegmentAt(uint64_t key) const {
+    return key < open_segments_.size() ? open_segments_[key]
+                                       : kInvalidSegment;
+  }
+
   // Builds the backend's durable record for a segment this shard is
   // sealing (snapshots the entry list with current liveness). With
   // `checkpoint` the segment is still open and the record marks a
@@ -380,7 +385,13 @@ class StoreShard {
 
   std::vector<Segment> segments_;
   std::vector<SegmentId> free_list_;
-  std::unordered_map<uint64_t, SegmentId> open_segments_;  // OpenKey -> id
+  /// Open segment of each (log, stream), indexed by OpenKey;
+  /// kInvalidSegment where none is open. Index order is key order, so a
+  /// walk over it emits in deterministic key order. Grows on demand
+  /// (multi-log adds logs at run time).
+  std::vector<SegmentId> open_segments_;
+  /// Number of entries of open_segments_ that hold a segment.
+  size_t open_count_ = 0;
 
   /// Cleaned victims whose reclaim has not yet been announced to the
   /// backend. A victim's durable free record erases its entries from
@@ -421,8 +432,9 @@ class StoreShard {
     std::vector<Segment::Entry> needed;
   };
   std::vector<QueuedReclaim> reclaim_queue_;
-  /// Open segments that received GC-moved pages since they were opened.
-  std::unordered_set<SegmentId> gc_dirty_open_;
+  /// Open segments that received GC-moved pages since they were opened,
+  /// ascending by id. At most one per open GC stream, so a sorted vector.
+  std::vector<SegmentId> gc_dirty_open_;
 
   /// Pipeline ticket of each segment's latest emitted seal, indexed by
   /// SegmentId. ReadPage waits on it so a read never races the payload
@@ -466,6 +478,15 @@ class StoreShard {
 
   PageTable& table_;
   WriteBuffer buffer_;
+  /// FlushUserBuffer's batch and its placement order, reused across
+  /// flushes: the batch trades storage with buffer_ (DrainInto), so
+  /// neither regrows. The cleaner runs inside the flush's placement loop
+  /// and must touch neither.
+  std::vector<BufferedWrite> flush_batch_;
+  RadixOrder flush_order_;
+  /// Clean's victim batch and relocation list, reused across cycles.
+  std::vector<SegmentId> clean_victims_;
+  std::vector<MovedPage> clean_moved_;
   StoreStats stats_;
 
   uint32_t shard_id_;

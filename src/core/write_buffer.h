@@ -70,13 +70,15 @@ class WriteBuffer {
   size_t Count() const { return writes_.size(); }
   uint64_t capacity_bytes() const { return capacity_bytes_; }
 
-  /// Drains the buffer, returning all pending writes in arrival order.
-  /// The caller re-resolves page-table locations as it places them.
-  std::vector<BufferedWrite> Drain() {
-    std::vector<BufferedWrite> out;
-    out.swap(writes_);
+  /// Drains the buffer into `*out`, which receives all pending writes in
+  /// arrival order. The caller re-resolves page-table locations as it
+  /// places them. The two vectors trade storage: the buffer keeps the
+  /// (cleared) capacity `*out` had, so a caller that passes the same
+  /// vector every time makes the buffer refill without reallocating.
+  void DrainInto(std::vector<BufferedWrite>* out) {
+    out->clear();
+    out->swap(writes_);
     bytes_ = 0;
-    return out;
   }
 
  private:

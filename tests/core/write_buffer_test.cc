@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace lss {
 namespace {
 
@@ -63,7 +65,8 @@ TEST(WriteBufferTest, DrainReturnsArrivalOrderAndEmpties) {
   b.Add(MakeWrite(3, 4096, 1.0));
   b.Add(MakeWrite(1, 4096, 2.0));
   b.Add(MakeWrite(2, 4096, 3.0));
-  auto out = b.Drain();
+  std::vector<BufferedWrite> out = {MakeWrite(9, 512, 0)};  // stale
+  b.DrainInto(&out);
   ASSERT_EQ(out.size(), 3u);
   EXPECT_EQ(out[0].page, 3u);
   EXPECT_EQ(out[1].page, 1u);
@@ -76,9 +79,33 @@ TEST(WriteBufferTest, ReusableAfterDrain) {
   WriteBuffer b(4096);
   b.Add(MakeWrite(1, 4096, 0));
   EXPECT_TRUE(b.Full());
-  b.Drain();
+  std::vector<BufferedWrite> out;
+  b.DrainInto(&out);
   EXPECT_FALSE(b.Full());
   EXPECT_EQ(b.Add(MakeWrite(2, 4096, 0)), 0u);  // slots restart
+  EXPECT_EQ(b.Count(), 1u);
+}
+
+// Draining into the same vector every time makes the buffer and the
+// batch trade two storages: from the second drain on, neither regrows,
+// so the buffer refills into the storage the previous batch handed back.
+TEST(WriteBufferTest, StorageKeepsCapacityAcrossDrains) {
+  constexpr int kWrites = 100;
+  WriteBuffer b(1 << 20);
+  std::vector<BufferedWrite> batch;
+  std::vector<const BufferedWrite*> storage;
+  for (int round = 0; round < 4; ++round) {
+    for (int i = 0; i < kWrites; ++i) b.Add(MakeWrite(i, 512, i));
+    b.DrainInto(&batch);
+    ASSERT_EQ(batch.size(), static_cast<size_t>(kWrites));
+    EXPECT_EQ(batch[kWrites - 1].page, static_cast<PageId>(kWrites - 1));
+    EXPECT_TRUE(b.Empty());
+    storage.push_back(batch.data());
+  }
+  EXPECT_NE(storage[1], storage[2]);
+  EXPECT_EQ(storage[0], storage[2]);
+  EXPECT_EQ(storage[1], storage[3]);
+  EXPECT_GE(batch.capacity(), static_cast<size_t>(kWrites));
 }
 
 }  // namespace
