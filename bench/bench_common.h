@@ -227,7 +227,10 @@ inline void EmitRunResult(const std::string& bench,
     row.Num("device_bytes_written", r.stats.device_bytes_written)
         .Num("device_bytes_per_user_byte", r.stats.DeviceBytesPerUserByte())
         .Num("backend_blocking_seconds", r.stats.BackendBlockingSeconds())
-        .Num("device_fsyncs", r.stats.device_fsyncs);
+        .Num("device_fsyncs", r.stats.device_fsyncs)
+        .Num("meta_compactions", r.stats.meta_compactions)
+        .Num("meta_compaction_bytes", r.stats.meta_compaction_bytes)
+        .Num("meta_compaction_seconds", r.stats.meta_compaction_seconds);
   }
   Emit(row);
 }

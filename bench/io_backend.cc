@@ -27,6 +27,8 @@
 // backend's synchronous path, so the rows still appear — the JSON field
 // uring_available records which behaviour was measured.
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -36,6 +38,7 @@
 #include <vector>
 
 #ifndef _WIN32
+#include <sys/stat.h>
 #include <unistd.h>
 #endif
 
@@ -51,8 +54,10 @@ namespace lss {
 namespace {
 
 // LSS_BENCH_SMOKE=1 skips the long panels and runs only the checkpoint
-// sweep at its shortest interval on a small device — the CI gate for
-// the full-vs-delta persistence path (seconds, not minutes).
+// sweep at its shortest interval and the compaction panel at its
+// shortest history, both on a small device — the CI gate for the
+// full-vs-delta persistence path and the metadata-log compaction
+// (seconds, not minutes).
 bool SmokeMode() {
   const char* env = std::getenv("LSS_BENCH_SMOKE");
   return env != nullptr && *env != '\0' && *env != '0';
@@ -88,6 +93,7 @@ struct TempDir {
     for (uint32_t i = 0; i < max_shards; ++i) {
       ::unlink(FileBackend::DataPath(path, i).c_str());
       ::unlink(FileBackend::MetaPath(path, i).c_str());
+      ::unlink(FileBackend::MetaTempPath(path, i).c_str());
     }
     ::rmdir(path.c_str());
 #else
@@ -170,6 +176,9 @@ void Panel(const char* workload_name, const WorkloadGenerator& workload,
           .Num("device_bytes_written", st.device_bytes_written)
           .Num("device_bytes_per_user_byte", st.DeviceBytesPerUserByte())
           .Num("device_fsyncs", st.device_fsyncs)
+          .Num("meta_compactions", st.meta_compactions)
+          .Num("meta_compaction_bytes", st.meta_compaction_bytes)
+          .Num("meta_compaction_seconds", st.meta_compaction_seconds)
           .Num("backend_blocking_seconds", st.BackendBlockingSeconds())
           .Num("uring_available", st.uring_available);
       bench::Emit(json);
@@ -261,6 +270,9 @@ void SealPipelinePanel(double fill, const std::string& dir) {
           .Num("uring_submitted", st.uring_submitted)
           .Num("device_bytes_written", st.device_bytes_written)
           .Num("device_fsyncs", st.device_fsyncs)
+          .Num("meta_compactions", st.meta_compactions)
+          .Num("meta_compaction_bytes", st.meta_compaction_bytes)
+          .Num("meta_compaction_seconds", st.meta_compaction_seconds)
           .Num("group_fsyncs", st.group_fsyncs)
           .Num("seal_queue_stalls", st.seal_queue_stalls)
           .Num("checkpoints_written", st.checkpoints_written)
@@ -398,8 +410,8 @@ void CheckpointSweepPanel(double fill, const std::string& dir) {
       // (fixed-size pages), so each seal writes segment_bytes of payload
       // plus a record with one EntryRec per page; each cleaned victim a
       // free record; each re-homing event a SealBody-shaped record with
-      // one EntryRec per re-homed entry. Checkpoint traffic is taken
-      // from the backend's own meter.
+      // one EntryRec per re-homed entry. Checkpoint and metadata-log
+      // compaction traffic are taken from the backend's own meters.
       const StoreStats& st = br.stats;
       const uint64_t pages_per_segment = cfg.segment_bytes / cfg.page_bytes;
       const uint64_t seal_bytes =
@@ -409,7 +421,8 @@ void CheckpointSweepPanel(double fill, const std::string& dir) {
       const uint64_t predicted =
           segments_sealed * seal_bytes + st.segments_cleaned * (24 + 16) +
           st.withheld_slot_reuses_rehomed * (24 + 48) +
-          st.rehome_entries_written * 48 + st.checkpoint_bytes_written;
+          st.rehome_entries_written * 48 + st.checkpoint_bytes_written +
+          st.meta_compaction_bytes;
       const double err =
           st.device_bytes_written > 0
               ? std::abs(static_cast<double>(predicted) -
@@ -468,6 +481,149 @@ void CheckpointSweepPanel(double fill, const std::string& dir) {
       "interval shrinks).\n\n");
 }
 
+// Metadata-log compaction against write history: one store per history
+// length (2 to 16 update passes of 80-20 Zipfian writes with 5 %
+// deletes, MDC with delta checkpoints every 64 backend ops, file-nosync),
+// then a reopen. "appended" is every byte the log received, the size it
+// would have without compaction (the step hook samples the log before
+// each rewrite); "on disk" is the log the reopen replays; "model" prices
+// the live records from first principles — the geometry and watermark
+// records, one full seal record per occupied slot and one tombstone per
+// deleted page. Appended grows with history; on disk stays within the
+// compaction trigger of the model.
+void CompactionPanel(double fill, const std::string& dir) {
+  const bool smoke = SmokeMode();
+  StoreConfig cfg = IoConfig("file-nosync:" + dir);
+  if (smoke) cfg.num_segments = 32;
+  cfg.checkpoint_interval_ops = 64;
+  cfg.checkpoint_delta = true;
+  ApplyVariantConfig(Variant::kMdc, &cfg);
+  const uint64_t user_pages = bench::UserPagesFor(cfg, fill);
+  ZipfianWorkload workload(user_pages, 0.99);
+  std::vector<uint32_t> passes = {2, 4, 8, 16};
+  if (smoke) passes = {2};
+
+  std::printf(
+      "io_backend (e) metadata-log compaction, F=%.2f: log bytes against "
+      "history\n\n",
+      fill);
+  TablePrinter table({"passes", "appended MB", "on disk MB", "model MB",
+                      "compactions", "open ms"});
+  const double mb = 1.0 / (1024.0 * 1024.0);
+  for (uint32_t n : passes) {
+    const std::string meta = FileBackend::MetaPath(dir, 0);
+    uint64_t before_rewrites = 0;  // log bytes sampled before each rewrite
+    Status st;
+    auto store = ShardedStore::Create(
+        cfg, 1, [] { return MakePolicy(Variant::kMdc); }, &st,
+        [&](uint32_t) {
+          auto file = std::make_unique<FileBackend>();
+          file->SetCompactionStepHook(
+              [&](FileBackend::CompactionStep step) {
+                struct stat sb;
+                if (step == FileBackend::CompactionStep::kTempWritten &&
+                    ::stat(meta.c_str(), &sb) == 0) {
+                  before_rewrites += static_cast<uint64_t>(sb.st_size);
+                }
+                return true;
+              });
+          return file;
+        });
+    if (store == nullptr) {
+      std::fprintf(stderr, "compaction panel: %s\n", st.ToString().c_str());
+      continue;
+    }
+    store->SetExactFrequencyOracle(
+        [&workload](PageId p) { return workload.ExactFrequency(p); });
+    std::vector<uint8_t> present(user_pages, 0);
+    Rng rng(7);
+    for (PageId p = 0; p < user_pages && st.ok(); ++p) {
+      st = store->Write(p);
+      present[p] = 1;
+    }
+    for (uint64_t i = 0; i < n * user_pages && st.ok(); ++i) {
+      const PageId p = workload.NextPage(rng);
+      if (present[p] != 0 && rng.NextBool(0.05)) {
+        st = store->Delete(p);
+        present[p] = 0;
+      } else {
+        st = store->Write(p);
+        present[p] = 1;
+      }
+    }
+    const StoreStats stats = store->AggregatedStats();
+    if (st.ok()) st = store->Close();
+    store.reset();
+    if (!st.ok()) {
+      std::fprintf(stderr, "compaction panel: %s\n", st.ToString().c_str());
+      continue;
+    }
+
+    struct stat sb;
+    const uint64_t on_disk =
+        ::stat(meta.c_str(), &sb) == 0 ? static_cast<uint64_t>(sb.st_size)
+                                       : 0;
+    const uint64_t appended =
+        on_disk + before_rewrites - stats.meta_compaction_bytes;
+    uint64_t slots = 0;
+    {
+      FileBackend reader;
+      StoreStats unused;
+      BackendRecovery rec;
+      if (reader.Open(cfg, 0, 1, &unused, /*recover=*/true).ok() &&
+          reader.Scan(&rec).ok()) {
+        slots = rec.segments.size();
+      }
+      (void)reader.Close();
+    }
+    const uint64_t deleted = static_cast<uint64_t>(
+        std::count(present.begin(), present.end(), uint8_t{0}));
+    const uint64_t pages_per_segment = cfg.segment_bytes / cfg.page_bytes;
+    const uint64_t model = (24 + 24) + (24 + 16) +
+                           slots * (24 + 48 + pages_per_segment * 48) +
+                           deleted * (24 + 24);
+
+    const auto t0 = std::chrono::steady_clock::now();
+    auto reopened = ShardedStore::Open(
+        cfg, 1, [] { return MakePolicy(Variant::kMdc); }, &st);
+    const double open_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
+    if (reopened == nullptr) {
+      std::fprintf(stderr, "compaction panel reopen: %s\n",
+                   st.ToString().c_str());
+      continue;
+    }
+    (void)reopened->Close();
+
+    std::vector<TablePrinter::Cell> row;
+    row.emplace_back(static_cast<int>(n));
+    row.emplace_back(static_cast<double>(appended) * mb, 2);
+    row.emplace_back(static_cast<double>(on_disk) * mb, 2);
+    row.emplace_back(static_cast<double>(model) * mb, 2);
+    row.emplace_back(static_cast<int>(stats.meta_compactions));
+    row.emplace_back(open_ms, 2);
+    table.AddRow(std::move(row));
+
+    bench::JsonRow json("io_backend_meta_compaction");
+    json.Num("passes", static_cast<uint64_t>(n))
+        .Num("fill", fill)
+        .Num("meta_appended_bytes", appended)
+        .Num("meta_on_disk_bytes", on_disk)
+        .Num("meta_live_model_bytes", model)
+        .Num("meta_compactions", stats.meta_compactions)
+        .Num("meta_compaction_bytes", stats.meta_compaction_bytes)
+        .Num("meta_compaction_seconds", stats.meta_compaction_seconds)
+        .Num("open_ms", open_ms);
+    bench::Emit(json);
+  }
+  table.Print(stdout);
+  std::printf(
+      "appended = bytes the metadata log received (its size without "
+      "compaction);\non disk = the log the reopen replays; model = live "
+      "records priced from the format.\n\n");
+}
+
 void Run() {
   TempDir dir = TempDir::Make();
   if (dir.path.empty()) {
@@ -484,6 +640,7 @@ void Run() {
     SealPipelinePanel(fill, dir.path);
   }
   CheckpointSweepPanel(fill, dir.path);
+  CompactionPanel(fill, dir.path);
   std::printf(
       "pred dev B/B = simulator prediction (1 + Wamp);\n"
       "meas dev B/B = bytes the file backend physically wrote per user "

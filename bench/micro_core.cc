@@ -144,9 +144,61 @@ void BM_VictimSelection(benchmark::State& state) {
 BENCHMARK(BM_VictimSelection)->Arg(256)->Arg(1024)->Arg(4096);
 
 #ifndef _WIN32
+// A FileBackend whose metadata log keeps its whole write history, the
+// log a store without compaction replays: every append is deferred,
+// Sync() is dropped (fsync is off, so nothing is promised anyway), and
+// the compaction a re-homing record's own sync point may start is
+// refused at its first step, before it touches the log.
+class HistoryFileBackend : public SegmentBackend {
+ public:
+  Status Open(const StoreConfig& config, uint32_t shard_id,
+              uint32_t num_shards, StoreStats* stats, bool recover) override {
+    base_.SetCompactionStepHook([this](FileBackend::CompactionStep) {
+      refused_ = true;
+      return false;
+    });
+    Status s = base_.Open(config, shard_id, num_shards, stats, recover);
+    base_.SetDeferredSync(true);
+    return s;
+  }
+  Status SealSegment(const BackendSegmentRecord& r) override {
+    return base_.SealSegment(r);
+  }
+  Status Checkpoint(const BackendSegmentRecord& r) override {
+    return base_.Checkpoint(r);
+  }
+  Status CheckpointDelta(const BackendSegmentRecord& r) override {
+    return base_.CheckpointDelta(r);
+  }
+  Status RehomeEntries(const BackendSegmentRecord& r) override {
+    refused_ = false;
+    const Status s = base_.RehomeEntries(r);
+    return refused_ ? Status::OK() : s;
+  }
+  Status Sync() override { return Status::OK(); }
+  void SetDeferredSync(bool) override {}
+  Status ReclaimSegment(SegmentId id, UpdateCount unow) override {
+    return base_.ReclaimSegment(id, unow);
+  }
+  Status RecordDelete(PageId page, uint64_t seq, UpdateCount unow) override {
+    return base_.RecordDelete(page, seq, unow);
+  }
+  Status ReadPagePayload(SegmentId id, uint64_t offset, PageId page,
+                         uint32_t bytes, std::vector<uint8_t>* out) override {
+    return base_.ReadPagePayload(id, offset, page, bytes, out);
+  }
+  Status Scan(BackendRecovery* out) override { return base_.Scan(out); }
+  Status Close() override { return base_.Close(); }
+  std::string name() const override { return "history"; }
+
+ private:
+  FileBackend base_;
+  bool refused_ = false;
+};
+
 // One shard's metadata log of about 8 MiB, written once per process by
 // an MDC churn with deletes and periodic checkpoints on the file backend
-// (fsync off), and removed at exit.
+// (fsync off, no compaction), and removed at exit.
 struct RecoverScanLog {
   StoreConfig cfg;
   std::string dir;
@@ -177,7 +229,8 @@ struct RecoverScanLog {
     ApplyVariantConfig(Variant::kMdc, &cfg);
     Status s;
     auto store = ShardedStore::Create(
-        cfg, 1, [] { return MakePolicy(Variant::kMdc); }, &s);
+        cfg, 1, [] { return MakePolicy(Variant::kMdc); }, &s,
+        [](uint32_t) { return std::make_unique<HistoryFileBackend>(); });
     if (store == nullptr) {
       error = s.ToString();
       return;
@@ -208,6 +261,7 @@ struct RecoverScanLog {
     if (dir.empty()) return;
     ::unlink(FileBackend::DataPath(dir, 0).c_str());
     ::unlink(FileBackend::MetaPath(dir, 0).c_str());
+    ::unlink(FileBackend::MetaTempPath(dir, 0).c_str());
     ::rmdir(dir.c_str());
   }
 };

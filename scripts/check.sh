@@ -225,7 +225,9 @@ fi
 # suffix-only open-segment persistence. The JSON must carry both a
 # full-mode and a delta-mode row, and the delta row must have actually
 # emitted suffix records (a silent fallback to full checkpoints would
-# drop the checkpoint_delta_records field's nonzero value).
+# drop the checkpoint_delta_records field's nonzero value). The same run
+# carries the compaction panel's shortest-history row: the store must
+# have compacted its metadata log and reopened from it.
 if [[ -x "$BUILD_DIR/bench/io_backend" ]]; then
   LSS_BENCH_SMOKE=1 \
     LSS_BENCH_JSON="$BUILD_DIR/io_backend_smoke.json" \
@@ -234,6 +236,13 @@ if [[ -x "$BUILD_DIR/bench/io_backend" ]]; then
   grep -q '"mode":"delta"' "$BUILD_DIR/io_backend_smoke.json"
   grep -q '"ckpt_bytes_full_over_delta"' "$BUILD_DIR/io_backend_smoke.json"
   echo "check.sh: io_backend delta-checkpoint smoke green"
+  grep -q '"bench":"io_backend_meta_compaction"' \
+    "$BUILD_DIR/io_backend_smoke.json"
+  if grep -q '"meta_compactions":0[,}]' "$BUILD_DIR/io_backend_smoke.json"; then
+    echo "check.sh: the compaction smoke never compacted" >&2
+    exit 1
+  fi
+  echo "check.sh: io_backend metadata-log compaction smoke green"
 fi
 
 echo "check.sh: all green"

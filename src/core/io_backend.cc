@@ -9,6 +9,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <unordered_map>
 
 #ifndef _WIN32
 #include <fcntl.h>
@@ -129,6 +131,15 @@ std::string FileBackend::MetaPath(const std::string& dir, uint32_t shard_id) {
   (void)shard_id;
   return dir;
 }
+std::string FileBackend::MetaTempPath(const std::string& dir,
+                                      uint32_t shard_id) {
+  (void)shard_id;
+  return dir;
+}
+Status FileBackend::CompactMeta() {
+  return Status::InvalidArgument("file backend not open");
+}
+uint64_t FileBackend::MetaFloorBytes() const { return 0; }
 
 #else  // POSIX
 
@@ -150,6 +161,7 @@ enum MetaType : uint16_t {
   kMetaCheckpoint = 5,       // open-segment snapshot; SealBody layout
   kMetaRehome = 6,           // re-homed victim entries; SealBody layout
   kMetaCheckpointDelta = 7,  // suffix-only checkpoint; DeltaBody layout
+  kMetaWatermark = 8,        // clock high-water marks; WatermarkBody
 };
 
 // Metadata-log format version, recorded in the geometry record.
@@ -160,10 +172,12 @@ enum MetaType : uint16_t {
 //   3  adds kMetaCheckpointDelta (DeltaBody): a checkpoint that rewrote
 //      only the payload suffix appended since the slot's previous
 //      checkpoint record, to which it chains by replay ordinal.
+//   4  adds kMetaWatermark (WatermarkBody): the max_seq and unow of the
+//      records a compaction dropped (FileBackend::CompactMeta).
 // An older log simply lacks the newer record types, so the current
-// reader accepts all four (io_backend_test pins that compatibility).
-// The geometry record is written once at create time and never
-// rewritten, so a new writer appending to an old log leaves the old
+// reader accepts all five (io_backend_test pins that compatibility).
+// The geometry record is written at create time and rewritten only by a
+// compaction, so a new writer appending to an old log leaves the old
 // stamp in place — a crash mid-upgrade yields an older-stamped log
 // containing newer records, which the reader therefore parses
 // regardless of the stamped format.
@@ -171,6 +185,7 @@ constexpr uint32_t kMetaFormatPr3 = 0;
 constexpr uint32_t kMetaFormatCheckpoint = 1;
 constexpr uint32_t kMetaFormatRehome = 2;
 constexpr uint32_t kMetaFormatDelta = 3;
+constexpr uint32_t kMetaFormatWatermark = 4;
 
 struct MetaHeader {
   uint32_t magic;
@@ -262,6 +277,26 @@ struct GeometryBody {
   uint32_t format;  // kMetaFormat*; was reserved (== 0) in PR 3 logs
 };
 static_assert(sizeof(GeometryBody) == 24, "GeometryBody must pack to 24 bytes");
+
+// Body of a kMetaWatermark record: high-water marks of the shard clocks
+// that replay folds in like any record's, so a compacted log restores
+// the sequence and update clocks of the records it no longer holds.
+struct WatermarkBody {
+  uint64_t max_seq;
+  uint64_t unow;
+};
+static_assert(sizeof(WatermarkBody) == 16,
+              "WatermarkBody must pack to 16 bytes");
+
+// The geometry record's body for shard `shard_id` of a store of
+// `num_shards` shards built with `config`, stamped with this writer's
+// format.
+GeometryBody StoreGeometry(const StoreConfig& config, uint32_t shard_id,
+                           uint32_t num_shards) {
+  return GeometryBody{shard_id,           num_shards,
+                      config.num_segments, config.segment_bytes,
+                      config.page_bytes,   kMetaFormatWatermark};
+}
 
 // Serialises one checksummed metadata record (header + body).
 std::vector<uint8_t> BuildRecord(uint16_t type, const void* body,
@@ -480,6 +515,191 @@ BackendSegmentRecord DecodeSealRecord(const MetaHeader& hdr,
   return rec;
 }
 
+// A replayed log image before any seal-layout record is decoded: its
+// framed records, how many of them replay, and per slot the ordinal of
+// its latest seal or checkpoint record (-1: none, or freed).
+struct LogReplay {
+  std::vector<FramedRecord> frames;
+  uint64_t replayed = 0;
+  std::vector<int64_t> latest_seal;
+  // Ordinal of each tombstone of BackendRecovery::deletes, in order.
+  std::vector<uint64_t> delete_ordinals;
+
+  // End of the last replayed record: where appends continue.
+  uint64_t valid_end() const {
+    if (replayed == 0) return 0;
+    const FramedRecord& f = frames[replayed - 1];
+    return f.offset + sizeof(MetaHeader) + f.hdr.body_len;
+  }
+};
+
+// Replays `log[0, log_size)` for a store of geometry `want` (its format
+// field is ignored): checks the geometry record, then frames, verifies
+// and walks the records. Fills `out` with everything but the seal-layout
+// survivors, which `replay->latest_seal` names.
+Status ReplayLog(const uint8_t* log, size_t log_size, const GeometryBody& want,
+                 BackendRecovery* out, LogReplay* replay) {
+  *out = BackendRecovery{};
+  // The log must lead with a geometry record matching the reopening
+  // store, or recovery would silently misroute pages.
+  {
+    if (log_size < sizeof(MetaHeader) + sizeof(GeometryBody)) {
+      return Status::Corruption("recovery: metadata log has no geometry");
+    }
+    MetaHeader hdr;
+    std::memcpy(&hdr, log, sizeof(hdr));
+    if (hdr.magic != kMetaMagic || hdr.type != kMetaGeometry ||
+        hdr.body_len != sizeof(GeometryBody) ||
+        hdr.checksum !=
+            RecordChecksum(hdr.type, log + sizeof(hdr), hdr.body_len)) {
+      return Status::Corruption("recovery: metadata log has no geometry");
+    }
+    GeometryBody gb;
+    std::memcpy(&gb, log + sizeof(hdr), sizeof(gb));
+    if (gb.shard_id != want.shard_id || gb.num_shards != want.num_shards ||
+        gb.num_segments != want.num_segments ||
+        gb.segment_bytes != want.segment_bytes ||
+        gb.page_bytes != want.page_bytes) {
+      return Status::Corruption(
+          "recovery: store geometry mismatch (created with " +
+          std::to_string(gb.num_shards) + " shards, " +
+          std::to_string(gb.num_segments) + " segments of " +
+          std::to_string(gb.segment_bytes) + " bytes)");
+    }
+    // Older logs simply lack the newer record types and replay
+    // unchanged; a format newer than this reader could hold records we
+    // would misparse as a torn tail and silently truncate. Note the
+    // stamp is a lower bound only: a new writer appending to a reopened
+    // old log does not rewrite the geometry record until it compacts,
+    // so the replay below parses every known record type regardless of
+    // stamp.
+    if (gb.format > kMetaFormatWatermark) {
+      return Status::Corruption(
+          "recovery: metadata log format " + std::to_string(gb.format) +
+          " is newer than this build supports");
+    }
+  }
+
+  // Replay runs in three passes over the log. Framing finds the records'
+  // boundaries, verification checks every framed checksum with the
+  // four-lane kernel, and replay walks the verified prefix in order. The
+  // latest record per segment wins. Replay stops at the first bad record
+  // (missing magic, impossible length, checksum mismatch, malformed
+  // body) — the standard WAL rule: a torn tail is expected after a
+  // crash, and nothing after a corrupt record can be trusted because
+  // replay is order-sensitive. A record's position in the log is its
+  // ordinal; recovery breaks equal-seq ties between page versions toward
+  // the later record (see BackendSegmentRecord::ordinal).
+  replay->frames = FrameRecords(log, log_size);
+  const std::vector<FramedRecord>& frames = replay->frames;
+  const size_t verified = FirstBadChecksum(log, frames);
+
+  // Seal and checkpoint records are last-record-per-slot resolved, so
+  // replay keeps only each slot's latest ordinal (-1: none, or freed) and
+  // decodes the survivors' entries afterwards.
+  std::vector<int64_t>& latest_seal = replay->latest_seal;
+  latest_seal.assign(want.num_segments, -1);
+  replay->delete_ordinals.clear();
+  uint64_t ordinal = 0;
+  for (; ordinal < verified; ++ordinal) {
+    const MetaHeader& hdr = frames[ordinal].hdr;
+    const uint8_t* body = frames[ordinal].body(log);
+    if (hdr.type == kMetaSeal || hdr.type == kMetaCheckpoint ||
+        hdr.type == kMetaRehome) {
+      if (hdr.body_len < sizeof(SealBody)) break;
+      SealBody sb;
+      std::memcpy(&sb, body, sizeof(sb));
+      if (sb.entry_count > (hdr.body_len - sizeof(SealBody)) / sizeof(EntryRec))
+        break;
+      if (hdr.body_len != sizeof(SealBody) + sb.entry_count * sizeof(EntryRec))
+        break;
+      if (sb.segment_id >= want.num_segments) break;
+      out->max_seq = std::max(
+          out->max_seq, MaxEntrySeq(body + sizeof(sb), sb.entry_count));
+      out->unow = std::max(out->unow, sb.unow);
+      if (hdr.type == kMetaRehome) {
+        // Every re-homing record is kept, in replay order: records for
+        // the same slot name different victim incarnations, and a free
+        // record for the slot must not clear them (the victim's free
+        // record lands alongside its re-homing record by design).
+        // Recovery resolves the entries per page, newest-wins.
+        out->rehomed.push_back(DecodeSealRecord(hdr, body, ordinal));
+      } else {
+        latest_seal[sb.segment_id] = static_cast<int64_t>(ordinal);
+      }
+    } else if (hdr.type == kMetaCheckpointDelta) {
+      if (hdr.body_len < sizeof(DeltaBody)) break;
+      DeltaBody db;
+      std::memcpy(&db, body, sizeof(db));
+      if (db.entry_count > (hdr.body_len - sizeof(DeltaBody)) / sizeof(EntryRec))
+        break;
+      if (hdr.body_len != sizeof(DeltaBody) + db.entry_count * sizeof(EntryRec))
+        break;
+      if (db.segment_id >= want.num_segments) break;
+      if (db.suffix_offset > want.segment_bytes ||
+          db.suffix_length > want.segment_bytes - db.suffix_offset) {
+        break;
+      }
+      BackendSegmentRecord rec;
+      rec.id = db.segment_id;
+      rec.log = db.log;
+      rec.source = static_cast<SegmentSource>(db.source);
+      rec.open_time = db.open_time;
+      rec.seal_time = db.seal_time;
+      rec.unow = db.unow;
+      rec.checkpoint = true;
+      rec.delta = true;
+      rec.ordinal = ordinal;
+      rec.generation = db.generation;
+      rec.base_ordinal = db.base_ordinal;
+      rec.prefix_entries = db.prefix_entries;
+      rec.suffix_offset = db.suffix_offset;
+      rec.suffix_length = db.suffix_length;
+      DecodeEntries(body + sizeof(db), db.entry_count, &rec.entries);
+      // The entries' seqs count even when the tiling check below ends
+      // the replay at this record.
+      uint64_t suffix_bytes = 0;
+      for (const Segment::Entry& e : rec.entries) {
+        out->max_seq = std::max(out->max_seq, e.seq);
+        suffix_bytes += e.bytes;
+      }
+      if (suffix_bytes != db.suffix_length) break;
+      out->unow = std::max(out->unow, db.unow);
+      // Deltas are NOT last-record-per-slot resolved: recovery walks the
+      // chain from the surviving base record, and a delta orphaned by a
+      // later seal/free/full-checkpoint never matches any chain tip.
+      out->deltas.push_back(std::move(rec));
+    } else if (hdr.type == kMetaFree) {
+      if (hdr.body_len != sizeof(FreeBody)) break;
+      FreeBody fb;
+      std::memcpy(&fb, body, sizeof(fb));
+      if (fb.segment_id >= want.num_segments) break;
+      latest_seal[fb.segment_id] = -1;
+      out->unow = std::max(out->unow, fb.unow);
+    } else if (hdr.type == kMetaDelete) {
+      if (hdr.body_len != sizeof(DeleteBody)) break;
+      DeleteBody db;
+      std::memcpy(&db, body, sizeof(db));
+      out->deletes.emplace_back(db.page, db.seq);
+      replay->delete_ordinals.push_back(ordinal);
+      out->max_seq = std::max(out->max_seq, db.seq);
+      out->unow = std::max(out->unow, db.unow);
+    } else if (hdr.type == kMetaWatermark) {
+      if (hdr.body_len != sizeof(WatermarkBody)) break;
+      WatermarkBody wb;
+      std::memcpy(&wb, body, sizeof(wb));
+      out->max_seq = std::max(out->max_seq, wb.max_seq);
+      out->unow = std::max(out->unow, wb.unow);
+    } else if (hdr.type == kMetaGeometry) {
+      // Validated above; nothing to replay.
+    } else {
+      break;
+    }
+  }
+  replay->replayed = ordinal;
+  return Status::OK();
+}
+
 }  // namespace
 
 FileBackend::~FileBackend() { Close(); }
@@ -494,6 +714,11 @@ std::string FileBackend::MetaPath(const std::string& dir, uint32_t shard_id) {
   char name[32];
   std::snprintf(name, sizeof(name), "/shard-%04u.meta", shard_id);
   return dir + name;
+}
+
+std::string FileBackend::MetaTempPath(const std::string& dir,
+                                      uint32_t shard_id) {
+  return MetaPath(dir, shard_id) + ".tmp";
 }
 
 Status FileBackend::Open(const StoreConfig& config, uint32_t shard_id,
@@ -589,11 +814,15 @@ Status FileBackend::Open(const StoreConfig& config, uint32_t shard_id,
   chain_tip_ordinal_.assign(config_.num_segments, -1);
   chain_generation_.assign(config_.num_segments, 0);
 
+  meta_compacted_bytes_ = 0;
+  // A compaction the previous run did not finish leaves its temporary
+  // log behind; the metadata file itself is whole either way (the
+  // rename is atomic), so the leftover is garbage.
+  ::unlink(MetaTempPath(config.backend_dir, shard_id).c_str());
+
   if (!recover) {
     // First record: the geometry fingerprint recovery validates against.
-    GeometryBody body{shard_id_,           num_shards_,
-                      config_.num_segments, config_.segment_bytes,
-                      config_.page_bytes,   kMetaFormatDelta};
+    const GeometryBody body = StoreGeometry(config_, shard_id_, num_shards_);
     const std::vector<uint8_t> rec =
         BuildRecord(kMetaGeometry, &body, sizeof(body));
     Status s = AppendMeta(rec.data(), rec.size());
@@ -711,14 +940,27 @@ Status FileBackend::DrainReclaims(bool punching_allowed) {
 }
 
 // Everything appended so far — including the stage-1 free records — is
-// durable once SyncBoth returns, so stage-2 punches become safe.
-Status FileBackend::SyncThenPunch() {
+// durable once SyncBoth returns, so stage-2 punches become safe. A
+// durable point is also where the metadata log may be compacted (not on
+// Close: the next run compacts at its first durable point instead).
+Status FileBackend::SyncThenPunch(bool compact) {
   Status s = SyncBoth();
   if (!s.ok()) return s;
   for (PendingReclaim& pr : pending_reclaims_) {
     if (pr.record_appended) pr.record_durable = true;
   }
-  return DrainReclaims(/*punching_allowed=*/true);
+  s = DrainReclaims(/*punching_allowed=*/true);
+  if (!s.ok() || !compact) return s;
+  const uint64_t trigger =
+      kMetaCompactionFactor * std::max(meta_compacted_bytes_, MetaFloorBytes());
+  return meta_offset_ < trigger ? Status::OK() : CompactMeta();
+}
+
+uint64_t FileBackend::MetaFloorBytes() const {
+  const uint64_t pages = std::max<uint64_t>(
+      1, config_.segment_bytes / std::max<uint32_t>(1, config_.page_bytes));
+  return static_cast<uint64_t>(config_.num_segments) *
+         (sizeof(MetaHeader) + sizeof(SealBody) + pages * sizeof(EntryRec));
 }
 
 Status FileBackend::SealSegment(const BackendSegmentRecord& record) {
@@ -1023,168 +1265,23 @@ Status FileBackend::Scan(BackendRecovery* out) {
   if (!s.ok()) return s;
   const uint8_t* log = image.get();
 
-  // The log must lead with a geometry record matching the reopening
-  // store, or recovery would silently misroute pages.
-  {
-    if (log_size < sizeof(MetaHeader) + sizeof(GeometryBody)) {
-      return Status::Corruption("recovery: metadata log has no geometry");
-    }
-    MetaHeader hdr;
-    std::memcpy(&hdr, log, sizeof(hdr));
-    if (hdr.magic != kMetaMagic || hdr.type != kMetaGeometry ||
-        hdr.body_len != sizeof(GeometryBody) ||
-        hdr.checksum !=
-            RecordChecksum(hdr.type, log + sizeof(hdr), hdr.body_len)) {
-      return Status::Corruption("recovery: metadata log has no geometry");
-    }
-    GeometryBody gb;
-    std::memcpy(&gb, log + sizeof(hdr), sizeof(gb));
-    if (gb.shard_id != shard_id_ || gb.num_shards != num_shards_ ||
-        gb.num_segments != config_.num_segments ||
-        gb.segment_bytes != config_.segment_bytes ||
-        gb.page_bytes != config_.page_bytes) {
-      return Status::Corruption(
-          "recovery: store geometry mismatch (created with " +
-          std::to_string(gb.num_shards) + " shards, " +
-          std::to_string(gb.num_segments) + " segments of " +
-          std::to_string(gb.segment_bytes) + " bytes)");
-    }
-    // Older logs (format 0/1) simply lack the newer record types and
-    // replay unchanged; a format newer than this reader could hold
-    // records we would misparse as a torn tail and silently truncate.
-    // Note the stamp is a lower bound only: a new writer appending to a
-    // reopened old log never rewrites the geometry record, so the
-    // replay below parses every known record type regardless of stamp.
-    if (gb.format != kMetaFormatPr3 && gb.format != kMetaFormatCheckpoint &&
-        gb.format != kMetaFormatRehome && gb.format != kMetaFormatDelta) {
-      return Status::Corruption(
-          "recovery: metadata log format " + std::to_string(gb.format) +
-          " is newer than this build supports");
-    }
-  }
-
-  // Replay runs in three passes over the log. Framing finds the records'
-  // boundaries, verification checks every framed checksum with the
-  // four-lane kernel, and replay walks the verified prefix in order. The
-  // latest record per segment wins. Replay stops at the first bad record
-  // (missing magic, impossible length, checksum mismatch, malformed
-  // body) — the standard WAL rule: a torn tail is expected after a
-  // crash, and nothing after a corrupt record can be trusted because
-  // replay is order-sensitive. A record's position in the log is its
-  // ordinal; recovery breaks equal-seq ties between page versions toward
-  // the later record (see BackendSegmentRecord::ordinal).
-  const std::vector<FramedRecord> frames = FrameRecords(log, log_size);
-  const size_t verified = FirstBadChecksum(log, frames);
-
-  // Seal and checkpoint records are last-record-per-slot resolved, so
-  // replay keeps only each slot's latest ordinal (-1: none, or freed) and
-  // decodes the survivors' entries afterwards.
-  std::vector<int64_t> latest_seal(config_.num_segments, -1);
-  uint64_t ordinal = 0;
-  for (; ordinal < verified; ++ordinal) {
-    const MetaHeader& hdr = frames[ordinal].hdr;
-    const uint8_t* body = frames[ordinal].body(log);
-    if (hdr.type == kMetaSeal || hdr.type == kMetaCheckpoint ||
-        hdr.type == kMetaRehome) {
-      if (hdr.body_len < sizeof(SealBody)) break;
-      SealBody sb;
-      std::memcpy(&sb, body, sizeof(sb));
-      if (sb.entry_count > (hdr.body_len - sizeof(SealBody)) / sizeof(EntryRec))
-        break;
-      if (hdr.body_len != sizeof(SealBody) + sb.entry_count * sizeof(EntryRec))
-        break;
-      if (sb.segment_id >= config_.num_segments) break;
-      out->max_seq = std::max(
-          out->max_seq, MaxEntrySeq(body + sizeof(sb), sb.entry_count));
-      out->unow = std::max(out->unow, sb.unow);
-      if (hdr.type == kMetaRehome) {
-        // Every re-homing record is kept, in replay order: records for
-        // the same slot name different victim incarnations, and a free
-        // record for the slot must not clear them (the victim's free
-        // record lands alongside its re-homing record by design).
-        // Recovery resolves the entries per page, newest-wins.
-        out->rehomed.push_back(DecodeSealRecord(hdr, body, ordinal));
-      } else {
-        latest_seal[sb.segment_id] = static_cast<int64_t>(ordinal);
-      }
-    } else if (hdr.type == kMetaCheckpointDelta) {
-      if (hdr.body_len < sizeof(DeltaBody)) break;
-      DeltaBody db;
-      std::memcpy(&db, body, sizeof(db));
-      if (db.entry_count > (hdr.body_len - sizeof(DeltaBody)) / sizeof(EntryRec))
-        break;
-      if (hdr.body_len != sizeof(DeltaBody) + db.entry_count * sizeof(EntryRec))
-        break;
-      if (db.segment_id >= config_.num_segments) break;
-      if (db.suffix_offset > config_.segment_bytes ||
-          db.suffix_length > config_.segment_bytes - db.suffix_offset) {
-        break;
-      }
-      BackendSegmentRecord rec;
-      rec.id = db.segment_id;
-      rec.log = db.log;
-      rec.source = static_cast<SegmentSource>(db.source);
-      rec.open_time = db.open_time;
-      rec.seal_time = db.seal_time;
-      rec.unow = db.unow;
-      rec.checkpoint = true;
-      rec.delta = true;
-      rec.ordinal = ordinal;
-      rec.generation = db.generation;
-      rec.base_ordinal = db.base_ordinal;
-      rec.prefix_entries = db.prefix_entries;
-      rec.suffix_offset = db.suffix_offset;
-      rec.suffix_length = db.suffix_length;
-      DecodeEntries(body + sizeof(db), db.entry_count, &rec.entries);
-      // The entries' seqs count even when the tiling check below ends
-      // the replay at this record.
-      uint64_t suffix_bytes = 0;
-      for (const Segment::Entry& e : rec.entries) {
-        out->max_seq = std::max(out->max_seq, e.seq);
-        suffix_bytes += e.bytes;
-      }
-      if (suffix_bytes != db.suffix_length) break;
-      out->unow = std::max(out->unow, db.unow);
-      // Deltas are NOT last-record-per-slot resolved: recovery walks the
-      // chain from the surviving base record, and a delta orphaned by a
-      // later seal/free/full-checkpoint never matches any chain tip.
-      out->deltas.push_back(std::move(rec));
-    } else if (hdr.type == kMetaFree) {
-      if (hdr.body_len != sizeof(FreeBody)) break;
-      FreeBody fb;
-      std::memcpy(&fb, body, sizeof(fb));
-      if (fb.segment_id >= config_.num_segments) break;
-      latest_seal[fb.segment_id] = -1;
-      out->unow = std::max(out->unow, fb.unow);
-    } else if (hdr.type == kMetaDelete) {
-      if (hdr.body_len != sizeof(DeleteBody)) break;
-      DeleteBody db;
-      std::memcpy(&db, body, sizeof(db));
-      out->deletes.emplace_back(db.page, db.seq);
-      out->max_seq = std::max(out->max_seq, db.seq);
-      out->unow = std::max(out->unow, db.unow);
-    } else if (hdr.type == kMetaGeometry) {
-      // Validated above; nothing to replay.
-    } else {
-      break;
-    }
-  }
-
+  LogReplay replay;
+  s = ReplayLog(log, log_size, StoreGeometry(config_, shard_id_, num_shards_),
+                out, &replay);
+  if (!s.ok()) return s;
   for (SegmentId id = 0; id < config_.num_segments; ++id) {
-    if (latest_seal[id] < 0) continue;
-    const FramedRecord& f = frames[static_cast<size_t>(latest_seal[id])];
-    out->segments.push_back(DecodeSealRecord(
-        f.hdr, f.body(log), static_cast<uint64_t>(latest_seal[id])));
+    const int64_t latest = replay.latest_seal[id];
+    if (latest < 0) continue;
+    const FramedRecord& f = replay.frames[static_cast<size_t>(latest)];
+    out->segments.push_back(
+        DecodeSealRecord(f.hdr, f.body(log), static_cast<uint64_t>(latest)));
   }
   // Future appends continue after the last whole record, numbered where
   // the replay left off; every checkpoint chain is closed (the recovered
   // segments are rebuilt as sealed, so the first checkpoint of any slot
   // in the new run is a full one).
-  const uint64_t valid_end =
-      ordinal == 0 ? 0
-                   : frames[ordinal - 1].offset + sizeof(MetaHeader) +
-                         frames[ordinal - 1].hdr.body_len;
-  next_ordinal_ = ordinal;
+  const uint64_t valid_end = replay.valid_end();
+  next_ordinal_ = replay.replayed;
   chain_tip_ordinal_.assign(config_.num_segments, -1);
   // The truncated tail is cut off the file, not just skipped: stale
   // bytes past the new append position could otherwise be misparsed as
@@ -1197,12 +1294,317 @@ Status FileBackend::Scan(BackendRecovery* out) {
   return Status::OK();
 }
 
+// Rewrites the log as described in the header. The survivors keep their
+// replay order, so every equal-seq tie StoreShard::Recover breaks by
+// ordinal breaks the same way; a folded chain moves to its tip's
+// position, later than any record its entries were copied from.
+Status FileBackend::CompactMeta() {
+  if (meta_fd_ < 0) return Status::InvalidArgument("backend not open");
+  const auto t0 = std::chrono::steady_clock::now();
+
+  // The log as appended so far, replayed exactly as a recovery would.
+  const size_t log_size = static_cast<size_t>(meta_offset_);
+  std::unique_ptr<uint8_t[]> image(new uint8_t[log_size]);
+  Status s = PreadAll(meta_fd_, image.get(), log_size, 0);
+  if (!s.ok()) return s;
+  const uint8_t* log = image.get();
+  BackendRecovery rec;
+  LogReplay replay;
+  s = ReplayLog(log, log_size, StoreGeometry(config_, shard_id_, num_shards_),
+                &rec, &replay);
+  if (!s.ok()) return s;
+  if (replay.valid_end() != meta_offset_) {
+    return Status::Corruption(
+        "compaction: metadata log does not replay to its end");
+  }
+
+  // One record of the compacted log: its replay position in the old log
+  // and its bytes, either the old record's or rebuilt ones. `slot` names
+  // the slot of a seal or checkpoint survivor (-1 for the others).
+  struct Kept {
+    uint64_t ordinal;
+    int64_t slot;
+    const uint8_t* data;
+    size_t len;
+    std::vector<uint8_t> rebuilt;
+  };
+  std::vector<Kept> kept;
+  auto keep_old = [&](uint64_t ordinal, int64_t slot) {
+    const FramedRecord& f = replay.frames[static_cast<size_t>(ordinal)];
+    kept.push_back(Kept{ordinal, slot, log + f.offset,
+                        sizeof(MetaHeader) + f.hdr.body_len, {}});
+  };
+  auto keep_rebuilt = [&](uint64_t ordinal, int64_t slot, MetaType type,
+                          const BackendSegmentRecord& r) {
+    const std::vector<uint8_t> body = SealRecordBody(r);
+    kept.push_back(Kept{ordinal, slot, nullptr, 0,
+                        BuildRecord(type, body.data(), body.size())});
+  };
+
+  // Every page version replay would weigh, in the order Recover meets
+  // them: slot entries by slot, then re-homed entries by record.
+  // `rehome` indexes rec.rehomed (kNotRehomed for slot entries).
+  constexpr size_t kNotRehomed = std::numeric_limits<size_t>::max();
+  struct Version {
+    PageId page;
+    uint64_t seq;
+    uint64_t ordinal;
+    size_t rehome;
+  };
+  std::vector<Version> versions;
+
+  // Each occupied slot's latest record, its delta chain folded in exactly
+  // as Recover assembles it.
+  std::vector<std::vector<const BackendSegmentRecord*>> deltas_by_slot(
+      config_.num_segments);
+  for (const BackendSegmentRecord& d : rec.deltas) {
+    deltas_by_slot[d.id].push_back(&d);
+  }
+  for (SegmentId id = 0; id < config_.num_segments; ++id) {
+    const int64_t latest = replay.latest_seal[id];
+    if (latest < 0) continue;
+    const FramedRecord& f = replay.frames[static_cast<size_t>(latest)];
+    BackendSegmentRecord slot =
+        DecodeSealRecord(f.hdr, f.body(log), static_cast<uint64_t>(latest));
+    std::vector<uint64_t> ordinals(slot.entries.size(), slot.ordinal);
+    uint64_t tip = slot.ordinal;
+    for (const BackendSegmentRecord* d : deltas_by_slot[id]) {
+      if (!slot.checkpoint || d->base_ordinal != tip) continue;
+      if (d->prefix_entries > slot.entries.size()) {
+        return Status::Corruption(
+            "compaction: delta prefix exceeds its chain's entries");
+      }
+      uint64_t prefix_bytes = 0;
+      for (uint64_t i = 0; i < d->prefix_entries; ++i) {
+        prefix_bytes += slot.entries[i].bytes;
+      }
+      if (prefix_bytes != d->suffix_offset) {
+        return Status::Corruption(
+            "compaction: delta suffix offset does not match its chain");
+      }
+      slot.entries.resize(d->prefix_entries);
+      slot.entries.insert(slot.entries.end(), d->entries.begin(),
+                          d->entries.end());
+      ordinals.resize(d->prefix_entries);
+      ordinals.resize(slot.entries.size(), d->ordinal);
+      slot.seal_time = d->seal_time;
+      slot.unow = d->unow;
+      tip = d->ordinal;
+    }
+    if (tip == slot.ordinal) {
+      keep_old(tip, id);
+    } else {
+      keep_rebuilt(tip, id, kMetaCheckpoint, slot);
+    }
+    for (size_t i = 0; i < slot.entries.size(); ++i) {
+      const Segment::Entry& e = slot.entries[i];
+      if (e.page != kInvalidPage) {
+        versions.push_back(Version{e.page, e.seq, ordinals[i], kNotRehomed});
+      }
+    }
+  }
+  for (size_t r = 0; r < rec.rehomed.size(); ++r) {
+    for (const Segment::Entry& e : rec.rehomed[r].entries) {
+      if (e.page != kInvalidPage) {
+        versions.push_back(Version{e.page, e.seq, rec.rehomed[r].ordinal, r});
+      }
+    }
+  }
+
+  // Newest wins, as in Recover: a version older than its page's newest
+  // tombstone is dead, then the highest seq wins, then the later record.
+  std::unordered_map<PageId, size_t> newest_delete;  // into rec.deletes
+  newest_delete.reserve(rec.deletes.size());
+  for (size_t i = 0; i < rec.deletes.size(); ++i) {
+    auto [it, fresh] = newest_delete.emplace(rec.deletes[i].first, i);
+    if (!fresh && rec.deletes[i].second > rec.deletes[it->second].second) {
+      it->second = i;
+    }
+  }
+  std::unordered_map<PageId, const Version*> winner;
+  winner.reserve(versions.size());
+  for (const Version& v : versions) {
+    auto it = newest_delete.find(v.page);
+    if (it != newest_delete.end() && rec.deletes[it->second].second > v.seq) {
+      continue;
+    }
+    const Version*& w = winner[v.page];
+    if (w == nullptr || v.seq > w->seq ||
+        (v.seq == w->seq && v.ordinal > w->ordinal)) {
+      w = &v;
+    }
+  }
+
+  // A re-homed entry survives only while it wins: anything that beats it
+  // now keeps a version at least as new in the log for good. Pages with
+  // a surviving version are noted with their newest seq for the
+  // tombstone rule below.
+  std::unordered_map<PageId, uint64_t> newest_version;
+  newest_version.reserve(winner.size());
+  for (const Version& v : versions) {
+    if (v.rehome != kNotRehomed) continue;
+    uint64_t& n = newest_version[v.page];
+    n = std::max(n, v.seq);
+  }
+  size_t next_version = 0;
+  while (next_version < versions.size() &&
+         versions[next_version].rehome == kNotRehomed) {
+    ++next_version;
+  }
+  for (size_t r = 0; r < rec.rehomed.size(); ++r) {
+    BackendSegmentRecord won = rec.rehomed[r];
+    won.entries.clear();
+    for (const Segment::Entry& e : rec.rehomed[r].entries) {
+      if (e.page == kInvalidPage) continue;
+      const Version& v = versions[next_version++];
+      auto w = winner.find(v.page);
+      if (w == winner.end() || w->second != &v) continue;
+      won.entries.push_back(e);
+      uint64_t& n = newest_version[v.page];
+      n = std::max(n, v.seq);
+    }
+    if (won.entries.empty()) continue;
+    if (won.entries.size() == rec.rehomed[r].entries.size()) {
+      keep_old(won.ordinal, -1);
+    } else {
+      keep_rebuilt(won.ordinal, -1, kMetaRehome, won);
+    }
+  }
+
+  // Per page the newest tombstone, unless a surviving version of the
+  // page is newer (that version beats every older one without it). A
+  // tombstone whose page has no surviving version stays too: the
+  // shard may still hold an unrecorded version of the page in an open
+  // segment, which its seal would record live under the page's identity.
+  for (const auto& [page, index] : newest_delete) {
+    auto it = newest_version.find(page);
+    if (it == newest_version.end() || it->second < rec.deletes[index].second) {
+      keep_old(replay.delete_ordinals[index], -1);
+    }
+  }
+  std::sort(kept.begin(), kept.end(), [](const Kept& a, const Kept& b) {
+    return a.ordinal < b.ordinal;
+  });
+
+  // The compacted log numbers its records afresh: geometry 0, watermark
+  // 1, then the survivors. An open checkpoint chain continues from its
+  // slot's survivor, which must be the chain's writer-side tip.
+  constexpr uint64_t kFirstKeptOrdinal = 2;
+  std::vector<int64_t> chain_tips(config_.num_segments, -1);
+  for (size_t i = 0; i < kept.size(); ++i) {
+    const int64_t slot = kept[i].slot;
+    if (slot >= 0 && chain_tip_ordinal_[static_cast<size_t>(slot)] ==
+                         static_cast<int64_t>(kept[i].ordinal)) {
+      chain_tips[static_cast<size_t>(slot)] =
+          static_cast<int64_t>(kFirstKeptOrdinal + i);
+    }
+  }
+  for (SegmentId id = 0; id < config_.num_segments; ++id) {
+    if (chain_tip_ordinal_[id] >= 0 && chain_tips[id] < 0) {
+      return Status::Corruption(
+          "compaction: a checkpoint chain's tip is not its slot's latest "
+          "record");
+    }
+  }
+
+  std::vector<uint8_t> out;
+  auto append = [&out](const uint8_t* data, size_t len) {
+    out.insert(out.end(), data, data + len);
+  };
+  const GeometryBody geometry = StoreGeometry(config_, shard_id_, num_shards_);
+  const std::vector<uint8_t> geometry_rec =
+      BuildRecord(kMetaGeometry, &geometry, sizeof(geometry));
+  const WatermarkBody watermark{rec.max_seq, rec.unow};
+  const std::vector<uint8_t> watermark_rec =
+      BuildRecord(kMetaWatermark, &watermark, sizeof(watermark));
+  append(geometry_rec.data(), geometry_rec.size());
+  append(watermark_rec.data(), watermark_rec.size());
+  for (const Kept& k : kept) {
+    if (k.rebuilt.empty()) {
+      append(k.data, k.len);
+    } else {
+      append(k.rebuilt.data(), k.rebuilt.size());
+    }
+  }
+
+  // Write, sync, rename, sync the directory; the old log stays the one
+  // appended to until the rename is durable.
+  const std::string meta_path = MetaPath(config_.backend_dir, shard_id_);
+  const std::string temp_path = MetaTempPath(config_.backend_dir, shard_id_);
+  auto step = [this](CompactionStep at) {
+    return !compaction_hook_ || compaction_hook_(at);
+  };
+  const Status interrupted =
+      Status::Corruption("compaction: interrupted by a simulated crash");
+  const int fd = ::open(temp_path.c_str(), O_RDWR | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) return ErrnoStatus("open temporary meta file", errno);
+  auto fail = [fd](Status e) {
+    ::close(fd);
+    return e;
+  };
+  const auto tw = std::chrono::steady_clock::now();
+  s = PwriteAll(fd, out.data(), out.size(), 0);
+  if (!s.ok()) return fail(s);
+  if (stats_ != nullptr) {
+    stats_->device_bytes_written += out.size();
+    stats_->device_write_ops += 1;
+    stats_->device_write_seconds += SecondsSince(tw);
+  }
+  if (!step(CompactionStep::kTempWritten)) return fail(interrupted);
+  uint64_t synced = 0;
+  double sync_seconds = 0.0;
+  if (config_.backend_fsync) {
+    const auto ts = std::chrono::steady_clock::now();
+    if (::fsync(fd) != 0) {
+      return fail(ErrnoStatus("fsync temporary meta file", errno));
+    }
+    ++synced;
+    sync_seconds += SecondsSince(ts);
+  }
+  if (!step(CompactionStep::kTempSynced)) return fail(interrupted);
+  if (::rename(temp_path.c_str(), meta_path.c_str()) != 0) {
+    return fail(ErrnoStatus("rename compacted meta file", errno));
+  }
+  if (!step(CompactionStep::kRenamed)) return fail(interrupted);
+  Status dir_synced = Status::OK();
+  if (config_.backend_fsync) {
+    const auto ts = std::chrono::steady_clock::now();
+    const std::string dir =
+        config_.backend_dir.empty() ? "/" : config_.backend_dir;
+    const int dfd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+    if (dfd < 0 || ::fsync(dfd) != 0) {
+      dir_synced = ErrnoStatus("fsync backend directory", errno);
+    } else {
+      ++synced;
+      sync_seconds += SecondsSince(ts);
+    }
+    if (dfd >= 0) ::close(dfd);
+  }
+  // The new log is the named one now, so it is the one appended to even
+  // when the directory sync failed (the caller then sees that error).
+  ::close(meta_fd_);
+  meta_fd_ = fd;
+  meta_offset_ = out.size();
+  next_ordinal_ = kFirstKeptOrdinal + kept.size();
+  chain_tip_ordinal_ = std::move(chain_tips);
+  meta_compacted_bytes_ = out.size();
+  if (!dir_synced.ok()) return dir_synced;
+  if (stats_ != nullptr) {
+    stats_->device_fsyncs += synced;
+    stats_->device_fsync_seconds += sync_seconds;
+    stats_->meta_compactions += 1;
+    stats_->meta_compaction_bytes += out.size();
+    stats_->meta_compaction_seconds += SecondsSince(t0);
+  }
+  return Status::OK();
+}
+
 Status FileBackend::Close() {
   Status result = Status::OK();
   if (data_fd_ >= 0 && meta_fd_ >= 0) {
     // Flush queued reclaims: records first, sync, then punches.
     result = DrainReclaims(/*punching_allowed=*/false);
-    if (result.ok()) result = SyncThenPunch();
+    if (result.ok()) result = SyncThenPunch(/*compact=*/false);
   } else if (data_fd_ >= 0 || meta_fd_ >= 0) {
     result = SyncBoth();
   }
@@ -1241,6 +1643,53 @@ void FileBackend::ReleaseFds() {
 void FaultInjectionBackend::CrashAfterOps(int64_t ops, uint64_t seed) {
   crash_seed_ = seed;
   crash_budget_.store(ops, std::memory_order_release);
+}
+
+void FaultInjectionBackend::CrashInCompaction(
+    int64_t compactions, FileBackend::CompactionStep step, uint64_t seed) {
+  compaction_seed_ = seed;
+  compaction_kill_step_.store(static_cast<int>(step),
+                              std::memory_order_relaxed);
+  compaction_kill_at_.store(compactions, std::memory_order_release);
+}
+
+bool FaultInjectionBackend::CompactionGate(FileBackend::CompactionStep step) {
+  int64_t index = compactions_.load(std::memory_order_relaxed);
+  if (step == FileBackend::CompactionStep::kTempWritten) {
+    index = compactions_.fetch_add(1, std::memory_order_acq_rel);
+  } else {
+    --index;  // the compaction kTempWritten counted
+  }
+  if (index != compaction_kill_at_.load(std::memory_order_acquire) ||
+      static_cast<int>(step) !=
+          compaction_kill_step_.load(std::memory_order_relaxed)) {
+    return true;
+  }
+#ifndef _WIN32
+  if (step == FileBackend::CompactionStep::kTempWritten) {
+    // Unsynced: writeback may have persisted any prefix of the file.
+    const std::string temp =
+        FileBackend::MetaTempPath(config_.backend_dir, shard_id_);
+    struct stat st;
+    if (::stat(temp.c_str(), &st) == 0 && st.st_size > 0) {
+      Rng rng(compaction_seed_);
+      (void)!::truncate(temp.c_str(),
+                        static_cast<off_t>(rng.NextBounded(
+                            static_cast<uint64_t>(st.st_size))));
+    }
+  }
+#endif
+  compaction_killed_.store(true, std::memory_order_release);
+  return false;
+}
+
+Status FaultInjectionBackend::AfterBase(Status s) {
+  if (!compaction_killed_.load(std::memory_order_acquire) || crashed()) {
+    return s;
+  }
+  base_->Abandon();
+  crashed_.store(true, std::memory_order_release);
+  return CrashedStatus();
 }
 
 bool FaultInjectionBackend::CrashGate(Status* out,

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
@@ -269,6 +270,8 @@ class NullBackend : public SegmentBackend {
 ///   shard-NNNN.meta  metadata log: one binary record per seal, reclaim
 ///                    and delete, appended in operation order and
 ///                    replayed by Scan (last record per segment wins).
+///                    CompactMeta rewrites it down to its live records
+///                    once it outgrows them (see CompactMeta).
 ///
 /// fsync runs after each seal (and on Close) unless
 /// StoreConfig::backend_fsync is off; payload writes use O_DIRECT when
@@ -310,9 +313,42 @@ class FileBackend : public SegmentBackend {
   Status Close() override;
   std::string name() const override { return "file"; }
 
-  /// Path of the payload / metadata file for `shard_id` under `dir`.
+  /// Path of the payload / metadata file for `shard_id` under `dir`, and
+  /// of the temporary log a compaction writes before renaming it over
+  /// the metadata file.
   static std::string DataPath(const std::string& dir, uint32_t shard_id);
   static std::string MetaPath(const std::string& dir, uint32_t shard_id);
+  static std::string MetaTempPath(const std::string& dir, uint32_t shard_id);
+
+  /// Rewrites the metadata log down to the records that still decide
+  /// recovery, in their original replay order: each occupied slot's
+  /// latest seal or checkpoint record (a delta chain folded into one
+  /// full checkpoint record at the chain tip's position), the re-homed
+  /// entries that still win newest-wins, and per page the newest
+  /// tombstone unless a surviving entry of the page is newer. A
+  /// watermark record after the geometry record keeps Scan's max_seq
+  /// and unow exactly. The new log is written to MetaTempPath, synced,
+  /// renamed over MetaPath and the directory synced; only then does the
+  /// backend append to it. A crash at any point leaves one complete log
+  /// that recovers the same state. Runs by itself after a durable sync
+  /// point once the log reaches kMetaCompactionFactor times the larger
+  /// of its last compacted size and a geometry floor, one full seal
+  /// record (a segment of page_bytes pages) per slot.
+  Status CompactMeta();
+  static constexpr uint64_t kMetaCompactionFactor = 4;
+
+  /// Points inside CompactMeta a crash test can stop at.
+  enum class CompactionStep {
+    kTempWritten,  // temporary log written, not yet synced
+    kTempSynced,   // temporary log synced, not yet renamed
+    kRenamed,      // renamed over the log, directory not yet synced
+  };
+  /// Test seam: called at each step; returning false stops CompactMeta
+  /// there with an error, leaving the files exactly as they are, as if
+  /// the process had died (FaultInjectionBackend::CrashInCompaction).
+  void SetCompactionStepHook(std::function<bool(CompactionStep)> hook) {
+    compaction_hook_ = std::move(hook);
+  }
 
  protected:
   // Appends one complete metadata record, consuming one replay ordinal
@@ -397,9 +433,17 @@ class FileBackend : public SegmentBackend {
   uint8_t* payload_buf_ = nullptr;
 
  private:
+  /// Size of the log the last compaction wrote (0 before the first one).
+  uint64_t meta_compacted_bytes_ = 0;
+  std::function<bool(CompactionStep)> compaction_hook_;
+
+  // The geometry floor of the compaction trigger (see CompactMeta).
+  uint64_t MetaFloorBytes() const;
+
   // SyncBoth, then marks every appended free record durable and runs
-  // the stage-2 punches that durability allows.
-  Status SyncThenPunch();
+  // the stage-2 punches that durability allows; then, if `compact`,
+  // compacts the metadata log once it has outgrown its trigger.
+  Status SyncThenPunch(bool compact = true);
 };
 
 /// Test double: forwards every hook to a base backend (NullBackend by
@@ -453,10 +497,33 @@ class FaultInjectionBackend : public SegmentBackend {
     return crashed_.load(std::memory_order_acquire);
   }
 
+  /// Simulated power loss inside a metadata-log compaction of a file
+  /// base (FileBackend::CompactMeta): once `compactions` compactions
+  /// have completed, the next one "kills the process" at `step` — with
+  /// the temporary log torn to a random prefix (drawn from `seed`) when
+  /// the step is kTempWritten — and the operation that ran it fails
+  /// like any crashed operation. Thread-safe to arm, like CrashAfterOps.
+  void CrashInCompaction(int64_t compactions, FileBackend::CompactionStep step,
+                         uint64_t seed);
+  /// Compactions the base has started (file bases only).
+  int64_t compactions() const {
+    return compactions_.load(std::memory_order_acquire);
+  }
+  /// True once a CrashInCompaction kill point fired.
+  bool crashed_in_compaction() const {
+    return compaction_killed_.load(std::memory_order_acquire);
+  }
+
   Status Open(const StoreConfig& config, uint32_t shard_id,
               uint32_t num_shards, StoreStats* stats, bool recover) override {
     config_ = config;
     shard_id_ = shard_id;
+    if (auto* file = dynamic_cast<FileBackend*>(base_.get())) {
+      file->SetCompactionStepHook(
+          [this](FileBackend::CompactionStep step) {
+            return CompactionGate(step);
+          });
+    }
     return base_->Open(config, shard_id, num_shards, stats, recover);
   }
   Status SealSegment(const BackendSegmentRecord& record) override {
@@ -465,12 +532,12 @@ class FaultInjectionBackend : public SegmentBackend {
       return seal_error_;
     }
     ++seals_;
-    return base_->SealSegment(record);
+    return AfterBase(base_->SealSegment(record));
   }
   Status Checkpoint(const BackendSegmentRecord& record) override {
     if (Status s; !CrashGate(&s, &record)) return s;
     ++checkpoints_;
-    return base_->Checkpoint(record);
+    return AfterBase(base_->Checkpoint(record));
   }
   Status CheckpointDelta(const BackendSegmentRecord& record) override {
     // The gate gets the record so a crash here can tear the suffix range
@@ -479,7 +546,7 @@ class FaultInjectionBackend : public SegmentBackend {
     // to earlier durable records and real hardware was not writing them).
     if (Status s; !CrashGate(&s, &record)) return s;
     ++delta_checkpoints_;
-    return base_->CheckpointDelta(record);
+    return AfterBase(base_->CheckpointDelta(record));
   }
   Status RehomeEntries(const BackendSegmentRecord& record) override {
     // No payload accompanies a re-homing record, so a crash here tears
@@ -488,12 +555,12 @@ class FaultInjectionBackend : public SegmentBackend {
     // payload this record does not have).
     if (Status s; !CrashGate(&s, nullptr)) return s;
     ++rehomes_;
-    return base_->RehomeEntries(record);
+    return AfterBase(base_->RehomeEntries(record));
   }
   Status Sync() override {
     if (Status s; !CrashGate(&s, nullptr)) return s;
     ++syncs_;
-    return base_->Sync();
+    return AfterBase(base_->Sync());
   }
   void SetDeferredSync(bool on) override { base_->SetDeferredSync(on); }
   void Abandon() override {
@@ -541,6 +608,13 @@ class FaultInjectionBackend : public SegmentBackend {
   // checkpoint was about to overwrite, for the partial-payload tear.
   bool CrashGate(Status* out, const BackendSegmentRecord* record);
   void TearAndDie(const BackendSegmentRecord* record);
+  // The compaction step hook installed on a file base: counts
+  // compactions and returns false at the armed kill point.
+  bool CompactionGate(FileBackend::CompactionStep step);
+  // Passes a base operation's status through, unless a compaction kill
+  // point fired inside it: then the base is abandoned and the operation
+  // fails as crashed.
+  Status AfterBase(Status s);
 
   std::unique_ptr<SegmentBackend> base_;
   StoreConfig config_;
@@ -564,6 +638,12 @@ class FaultInjectionBackend : public SegmentBackend {
   std::atomic<int64_t> crash_budget_{kCrashDisarmed};
   std::atomic<bool> crashed_{false};
   uint64_t crash_seed_ = 0;
+
+  std::atomic<int64_t> compactions_{0};
+  std::atomic<int64_t> compaction_kill_at_{-1};
+  std::atomic<int> compaction_kill_step_{0};
+  std::atomic<bool> compaction_killed_{false};
+  uint64_t compaction_seed_ = 0;
 };
 
 /// Builds the backend selected by `config.backend` for one shard. Never

@@ -63,6 +63,15 @@ class StoreStats {
   double device_write_seconds = 0.0;
   /// Wall-clock seconds spent inside fsync.
   double device_fsync_seconds = 0.0;
+  /// Metadata-log compactions (FileBackend::CompactMeta): rewrites of
+  /// `.meta` down to its live records. Their bytes, write and fsyncs are
+  /// also counted in the device_* counters above.
+  uint64_t meta_compactions = 0;
+  /// Bytes of the compacted logs written by those rewrites.
+  uint64_t meta_compaction_bytes = 0;
+  /// Wall-clock seconds spent compacting: reading and replaying the old
+  /// log, writing and syncing the new one, renaming it into place.
+  double meta_compaction_seconds = 0.0;
 
   // --- io_uring backend (all zero on other backends; see
   // --- core/uring_backend.h) ------------------------------------------
@@ -195,6 +204,9 @@ class StoreStats {
     device_bytes_punched += other.device_bytes_punched;
     device_write_seconds += other.device_write_seconds;
     device_fsync_seconds += other.device_fsync_seconds;
+    meta_compactions += other.meta_compactions;
+    meta_compaction_bytes += other.meta_compaction_bytes;
+    meta_compaction_seconds += other.meta_compaction_seconds;
     uring_available += other.uring_available;
     uring_submitted += other.uring_submitted;
     uring_completed += other.uring_completed;
@@ -234,6 +246,9 @@ class StoreStats {
     device_bytes_punched = 0;
     device_write_seconds = 0.0;
     device_fsync_seconds = 0.0;
+    meta_compactions = 0;
+    meta_compaction_bytes = 0;
+    meta_compaction_seconds = 0.0;
     // uring_available is a capability flag set once at Open; zeroing it
     // between warmup and measurement would erase a fact that has not
     // changed, so it deliberately survives.

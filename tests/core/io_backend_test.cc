@@ -4,7 +4,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -80,6 +82,7 @@ class IoBackendTest : public ::testing::Test {
     for (uint32_t i = 0; i < 64; ++i) {
       ::unlink(FileBackend::DataPath(dir_, i).c_str());
       ::unlink(FileBackend::MetaPath(dir_, i).c_str());
+      ::unlink(FileBackend::MetaTempPath(dir_, i).c_str());
     }
     ::rmdir(dir_.c_str());
   }
@@ -1195,9 +1198,13 @@ TEST_F(IoBackendTest, SyncSealDeviceAccountingMatchesGolden) {
   }
   ASSERT_TRUE(store->Close().ok());
   const StoreStats s = store->AggregatedStats();
-  EXPECT_EQ(s.device_bytes_written, 18656736u);
-  EXPECT_EQ(s.device_write_ops, 1200u);
-  EXPECT_EQ(s.device_fsyncs, 1871u);
+  // The churn compacts the metadata log twice. Each compaction adds its
+  // log's bytes, one write and two fsyncs (the temporary log and the
+  // directory); restated out, the constants pin the emission path alone.
+  EXPECT_EQ(s.meta_compactions, 2u);
+  EXPECT_EQ(s.device_bytes_written - s.meta_compaction_bytes, 18656736u);
+  EXPECT_EQ(s.device_write_ops - s.meta_compactions, 1200u);
+  EXPECT_EQ(s.device_fsyncs - 2 * s.meta_compactions, 1871u);
   EXPECT_EQ(s.checkpoint_full_records, 100u);
   EXPECT_EQ(s.checkpoint_delta_records, 272u);
 }
@@ -1286,6 +1293,10 @@ struct RefGeometryBody {
   uint32_t page_bytes;
   uint32_t format;
 };
+struct RefWatermarkBody {
+  uint64_t max_seq;
+  uint64_t unow;
+};
 constexpr uint32_t kRefMagic = 0x4C535331;
 enum RefType : uint16_t {
   kRefSeal = 1,
@@ -1295,6 +1306,7 @@ enum RefType : uint16_t {
   kRefCheckpoint = 5,
   kRefRehome = 6,
   kRefDelta = 7,
+  kRefWatermark = 8,
 };
 
 uint64_t RefChecksum(uint16_t type, const uint8_t* body, uint64_t body_len) {
@@ -1310,7 +1322,7 @@ struct RefReplay {
   BackendRecovery rec;
   uint64_t valid_end = 0;
   // Records replayed, by type (index = record type).
-  uint64_t type_counts[8] = {};
+  uint64_t type_counts[9] = {};
 };
 
 // Decodes `count` entry records at `p`, folding their seqs into max_seq.
@@ -1355,7 +1367,7 @@ RefReplay ReferenceReplay(const std::vector<uint8_t>& log,
     if (gb.shard_id != 0 || gb.num_shards != 1 ||
         gb.num_segments != cfg.num_segments ||
         gb.segment_bytes != cfg.segment_bytes ||
-        gb.page_bytes != cfg.page_bytes || gb.format > 3) {
+        gb.page_bytes != cfg.page_bytes || gb.format > 4) {
       r.status = Status::Corruption("geometry mismatch");
       return r;
     }
@@ -1453,6 +1465,12 @@ RefReplay ReferenceReplay(const std::vector<uint8_t>& log,
       out->deletes.emplace_back(db.page, db.seq);
       out->max_seq = std::max(out->max_seq, db.seq);
       out->unow = std::max(out->unow, db.unow);
+    } else if (hdr.type == kRefWatermark) {
+      if (hdr.body_len != sizeof(RefWatermarkBody)) break;
+      RefWatermarkBody wb;
+      std::memcpy(&wb, body, sizeof(wb));
+      out->max_seq = std::max(out->max_seq, wb.max_seq);
+      out->unow = std::max(out->unow, wb.unow);
     } else if (hdr.type != kRefGeometry) {
       break;
     }
@@ -1559,9 +1577,24 @@ TEST_F(IoBackendTest, ScanMatchesReferenceOnTornAndCorruptLogs) {
   cfg.checkpoint_delta = true;
   cfg.clean_batch_segments = 8;
   ApplyVariantConfig(Variant::kMdc, &cfg);
+  // The log as the writer appended it: compaction rewrites it whenever it
+  // outgrows its live records, so each compaction's input is kept.
+  std::vector<std::vector<uint8_t>> appended;
+  const std::string meta_path = FileBackend::MetaPath(dir_, 0);
   {
     auto store = ShardedStore::Create(
-        cfg, 1, [] { return MakePolicy(Variant::kMdc); });
+        cfg, 1, [] { return MakePolicy(Variant::kMdc); }, nullptr,
+        [&appended, &meta_path](uint32_t) {
+          auto file = std::make_unique<FileBackend>();
+          file->SetCompactionStepHook(
+              [&appended, &meta_path](FileBackend::CompactionStep step) {
+                if (step == FileBackend::CompactionStep::kTempWritten) {
+                  appended.push_back(ReadAllBytes(meta_path));
+                }
+                return true;
+              });
+          return file;
+        });
     ASSERT_NE(store, nullptr);
     const PageId pages = 200;
     Rng rng(29);
@@ -1580,17 +1613,27 @@ TEST_F(IoBackendTest, ScanMatchesReferenceOnTornAndCorruptLogs) {
     }
     ASSERT_TRUE(store->Close().ok());
   }
-  const std::vector<uint8_t> log =
-      ReadAllBytes(FileBackend::MetaPath(dir_, 0));
+  appended.push_back(ReadAllBytes(meta_path));
 
-  // The whole log replays fully, and holds every record type.
-  const RefReplay whole = ReferenceReplay(log, cfg);
+  // The log under test is the first one that holds every record type,
+  // the watermark of an earlier compaction included; it replays fully.
+  constexpr uint16_t kTypes[] = {kRefSeal,   kRefFree,  kRefDelete,
+                                 kRefCheckpoint, kRefRehome, kRefDelta,
+                                 kRefWatermark};
+  std::vector<uint8_t> log;
+  RefReplay whole;
+  for (const std::vector<uint8_t>& image : appended) {
+    whole = ReferenceReplay(image, cfg);
+    if (std::all_of(
+            std::begin(kTypes), std::end(kTypes),
+            [&whole](uint16_t t) { return whole.type_counts[t] > 0; })) {
+      log = image;
+      break;
+    }
+  }
+  ASSERT_FALSE(log.empty()) << "no appended log holds every record type";
   ASSERT_TRUE(whole.status.ok());
   ASSERT_EQ(whole.valid_end, log.size());
-  for (uint16_t type : {kRefSeal, kRefFree, kRefDelete, kRefCheckpoint,
-                        kRefRehome, kRefDelta}) {
-    EXPECT_GT(whole.type_counts[type], 0u) << "record type " << type;
-  }
   std::printf("scan equivalence log: %zu bytes, %llu seals, %llu frees, "
               "%llu deletes, %llu checkpoints, %llu deltas, %llu re-homes\n",
               log.size(),
@@ -1649,6 +1692,435 @@ TEST_F(IoBackendTest, ScanMatchesReferenceOnTornAndCorruptLogs) {
       if (HasFailure()) return;
     }
   }
+}
+
+// ---------------------------------------------------------------------
+// Metadata-log compaction. FileBackend::CompactMeta rewrites the log down
+// to the records that decide recovery. The round trip below feeds the
+// same random record stream to a backend that never compacts and to one
+// that compacts at random points, and demands that both logs resolve to
+// the same recovered store, exactly as StoreShard::Recover resolves it.
+// ---------------------------------------------------------------------
+
+// One page version as recovery places it: in a slot, or re-homed.
+struct ResolvedVersion {
+  uint64_t seq = 0;
+  uint32_t bytes = 0;
+  SegmentId slot = kInvalidSegment;  // kInvalidSegment: re-homed
+  uint64_t index = 0;
+  bool operator==(const ResolvedVersion& o) const {
+    return seq == o.seq && bytes == o.bytes && slot == o.slot &&
+           index == o.index;
+  }
+};
+
+// A recovered store, resolved from a Scan as StoreShard::Recover does:
+// each slot's assembled record and entries, each present page's winning
+// version, the re-homed winners in materialisation order, and the clocks.
+struct ResolvedStore {
+  std::map<SegmentId, BackendSegmentRecord> slots;
+  std::map<PageId, ResolvedVersion> pages;
+  std::vector<std::pair<PageId, uint64_t>> rehomed_winners;
+  uint64_t max_seq = 0;
+  UpdateCount unow = 0;
+};
+
+ResolvedStore Resolve(const BackendRecovery& log) {
+  ResolvedStore r;
+  r.max_seq = log.max_seq;
+  r.unow = log.unow;
+  struct Placed {
+    PageId page;
+    ResolvedVersion v;
+    uint64_t ordinal;
+  };
+  std::vector<Placed> placed;
+  for (const BackendSegmentRecord& rec : log.segments) {
+    BackendSegmentRecord slot = rec;
+    std::vector<uint64_t> ordinals(slot.entries.size(), rec.ordinal);
+    uint64_t tip = rec.ordinal;
+    for (const BackendSegmentRecord& d : log.deltas) {
+      if (!rec.checkpoint || d.id != rec.id || d.base_ordinal != tip) continue;
+      slot.entries.resize(d.prefix_entries);
+      slot.entries.insert(slot.entries.end(), d.entries.begin(),
+                          d.entries.end());
+      ordinals.resize(d.prefix_entries);
+      ordinals.resize(slot.entries.size(), d.ordinal);
+      slot.seal_time = d.seal_time;
+      tip = d.ordinal;
+    }
+    for (size_t i = 0; i < slot.entries.size(); ++i) {
+      const Segment::Entry& e = slot.entries[i];
+      if (e.page == kInvalidPage) continue;
+      placed.push_back(
+          Placed{e.page, ResolvedVersion{e.seq, e.bytes, rec.id, i},
+                 ordinals[i]});
+    }
+    // Only what Recover rebuilds a segment from is compared.
+    slot.unow = 0;
+    slot.ordinal = 0;
+    r.slots[rec.id] = std::move(slot);
+  }
+  for (const BackendSegmentRecord& rec : log.rehomed) {
+    for (const Segment::Entry& e : rec.entries) {
+      if (e.page == kInvalidPage) continue;
+      placed.push_back(Placed{
+          e.page, ResolvedVersion{e.seq, e.bytes, kInvalidSegment, 0},
+          rec.ordinal});
+    }
+  }
+  std::map<PageId, uint64_t> latest_delete;
+  for (const auto& [page, seq] : log.deletes) {
+    latest_delete[page] = std::max(latest_delete[page], seq);
+  }
+  std::map<PageId, const Placed*> winner;
+  for (const Placed& p : placed) {
+    auto it = latest_delete.find(p.page);
+    if (it != latest_delete.end() && it->second > p.v.seq) continue;
+    const Placed*& w = winner[p.page];
+    if (w == nullptr || p.v.seq > w->v.seq ||
+        (p.v.seq == w->v.seq && p.ordinal > w->ordinal)) {
+      w = &p;
+    }
+  }
+  for (const Placed& p : placed) {
+    if (winner[p.page] != &p) continue;
+    r.pages[p.page] = p.v;
+    if (p.v.slot == kInvalidSegment) {
+      r.rehomed_winners.emplace_back(p.page, p.v.seq);
+    }
+  }
+  return r;
+}
+
+void ExpectSameStore(const ResolvedStore& got, const ResolvedStore& want) {
+  EXPECT_EQ(got.max_seq, want.max_seq);
+  EXPECT_EQ(got.unow, want.unow);
+  EXPECT_EQ(got.pages.size(), want.pages.size());
+  for (const auto& [page, v] : want.pages) {
+    auto it = got.pages.find(page);
+    ASSERT_NE(it, got.pages.end()) << "page " << page << " lost";
+    EXPECT_TRUE(it->second == v)
+        << "page " << page << ": seq " << it->second.seq << " in slot "
+        << it->second.slot << ", want seq " << v.seq << " in slot "
+        << v.slot;
+  }
+  EXPECT_EQ(got.rehomed_winners, want.rehomed_winners);
+  std::vector<BackendSegmentRecord> g, w;
+  for (const auto& [id, rec] : got.slots) g.push_back(rec);
+  for (const auto& [id, rec] : want.slots) w.push_back(rec);
+  ExpectSameRecords(g, w, "slots");
+}
+
+// Scans shard `shard` of a 2-shard geometry in a fresh backend.
+ResolvedStore ScanAndResolve(const StoreConfig& cfg, uint32_t shard) {
+  FileBackend reader;
+  StoreStats stats;
+  EXPECT_TRUE(reader.Open(cfg, shard, 2, &stats, /*recover=*/true).ok());
+  BackendRecovery out;
+  EXPECT_TRUE(reader.Scan(&out).ok());
+  EXPECT_TRUE(reader.Close().ok());
+  return Resolve(out);
+}
+
+// Drives one random record stream into `backends`: seals, full and
+// delta checkpoints, re-homes, frees and deletes over a small slot
+// space, under the store's invariants. A slot is freed only once it
+// holds no page's newest version (a re-homing record may take them
+// first), and a delta re-records the entries past its retained prefix.
+// Copies of a version (a relocation into a later record or a re-homing
+// record) are made at most once per version and only from a sealed
+// slot, so equal-seq ties always pair an older source with a later
+// copy, as in the store.
+class RecordStream {
+ public:
+  RecordStream(const StoreConfig& cfg, uint64_t seed)
+      : cfg_(cfg), rng_(seed), slots_(cfg.num_segments) {}
+
+  // The next operation, applied to every backend in turn.
+  void Step(const std::vector<SegmentBackend*>& backends) {
+    ++unow_;
+    const uint64_t pick = rng_.NextBounded(100);
+    const SegmentId id =
+        static_cast<SegmentId>(rng_.NextBounded(slots_.size()));
+    Slot& slot = slots_[id];
+    auto apply = [&](auto&& op) {
+      for (SegmentBackend* b : backends) op(b);
+    };
+    if (pick < 8) {
+      const PageId page = rng_.NextBounded(kPages);
+      const uint64_t seq = ++seq_;
+      newest_[page] = seq;
+      apply([&](SegmentBackend* b) {
+        EXPECT_TRUE(b->RecordDelete(page, seq, unow_).ok());
+      });
+    } else if (pick < 20 && slot.state != kFree && !HoldsNewest(slot)) {
+      slot.state = kFree;
+      apply([&](SegmentBackend* b) {
+        EXPECT_TRUE(b->ReclaimSegment(id, unow_).ok());
+      });
+    } else if (pick < 26 && slot.state == kSealed) {
+      // Re-home the sealed slot's newest versions (and some older ones),
+      // then free the slot. Skipped when another record already copies
+      // one of those newest versions: that copy's slot may be freed next.
+      BackendSegmentRecord rec = Record(id, slot);
+      rec.entries.clear();
+      for (const Segment::Entry& e : slot.entries) {
+        if (IsNewest(e) && copied_.count({e.page, e.seq}) != 0) return;
+      }
+      for (const Segment::Entry& e : slot.entries) {
+        if (e.page != kInvalidPage && (IsNewest(e) || rng_.NextBool(0.3)) &&
+            copied_.count({e.page, e.seq}) == 0) {
+          rec.entries.push_back(e);
+        }
+      }
+      for (const Segment::Entry& e : rec.entries) {
+        copied_.insert({e.page, e.seq});
+      }
+      slot.state = kFree;
+      if (!rec.entries.empty()) {
+        apply([&](SegmentBackend* b) { (void)b->RehomeEntries(rec); });
+      }
+      apply([&](SegmentBackend* b) {
+        EXPECT_TRUE(b->ReclaimSegment(id, unow_).ok());
+      });
+    } else if (slot.state == kChain && pick < 70) {
+      // A delta over a random retained prefix: it re-records the entries
+      // past the prefix and adds fresh ones.
+      const size_t prefix = rng_.NextBounded(slot.entries.size() + 1);
+      Fill(&slot.entries, 1 + rng_.NextBounded(3));
+      BackendSegmentRecord rec = Record(id, slot);
+      rec.checkpoint = true;
+      rec.delta = true;
+      rec.prefix_entries = prefix;
+      rec.suffix_offset = prefix == 0 ? 0 : slot.entries[prefix - 1].offset +
+                                                slot.entries[prefix - 1].bytes;
+      rec.entries.erase(rec.entries.begin(), rec.entries.begin() + prefix);
+      for (const Segment::Entry& e : rec.entries) rec.suffix_length += e.bytes;
+      apply([&](SegmentBackend* b) {
+        EXPECT_TRUE(b->CheckpointDelta(rec).ok());
+      });
+    } else if (slot.state == kChain && pick < 85) {
+      // Close the chain with a seal, or restart it with a full record.
+      Fill(&slot.entries, rng_.NextBounded(3));
+      const bool seal = rng_.NextBool(0.5);
+      BackendSegmentRecord rec = Record(id, slot);
+      rec.checkpoint = !seal;
+      if (seal) slot.state = kSealed;
+      apply([&](SegmentBackend* b) {
+        EXPECT_TRUE((seal ? b->SealSegment(rec) : b->Checkpoint(rec)).ok());
+      });
+    } else if (slot.state == kFree) {
+      // Fill the slot and seal it, or open a checkpoint chain on it.
+      slot.entries.clear();
+      ++slot.generation;
+      slot.open_time = unow_;
+      Fill(&slot.entries, 2 + rng_.NextBounded(6));
+      const bool chain = rng_.NextBool(0.4);
+      slot.state = chain ? kChain : kSealed;
+      BackendSegmentRecord rec = Record(id, slot);
+      rec.checkpoint = chain;
+      apply([&](SegmentBackend* b) {
+        EXPECT_TRUE((chain ? b->Checkpoint(rec) : b->SealSegment(rec)).ok());
+      });
+    }
+  }
+
+ private:
+  enum State { kFree, kSealed, kChain };
+  struct Slot {
+    State state = kFree;
+    uint64_t generation = 0;
+    UpdateCount open_time = 0;
+    std::vector<Segment::Entry> entries;
+  };
+  static constexpr PageId kPages = 40;
+
+  bool IsNewest(const Segment::Entry& e) const {
+    auto it = newest_.find(e.page);
+    return e.page != kInvalidPage && it != newest_.end() && it->second == e.seq;
+  }
+  bool HoldsNewest(const Slot& slot) const {
+    return std::any_of(slot.entries.begin(), slot.entries.end(),
+                       [this](const Segment::Entry& e) { return IsNewest(e); });
+  }
+
+  BackendSegmentRecord Record(SegmentId id, const Slot& slot) const {
+    BackendSegmentRecord rec;
+    rec.id = id;
+    rec.log = id % 3;
+    rec.source = id % 2 == 0 ? SegmentSource::kUser : SegmentSource::kGc;
+    rec.open_time = slot.open_time;
+    rec.seal_time = unow_;
+    rec.unow = unow_;
+    rec.generation = slot.generation;
+    rec.entries = slot.entries;
+    return rec;
+  }
+
+  // Appends up to `n` entries that fit the segment: fresh versions, dead
+  // entries, and copies of versions sealed elsewhere.
+  void Fill(std::vector<Segment::Entry>* entries, uint64_t n) {
+    uint64_t used = 0;
+    for (const Segment::Entry& e : *entries) used += e.bytes;
+    for (uint64_t i = 0; i < n; ++i) {
+      Segment::Entry e;
+      const uint64_t kind = rng_.NextBounded(10);
+      const bool copy = kind < 2 && CopySealedVersion(&e);
+      if (!copy) {
+        e.page = kind < 3 ? kInvalidPage : rng_.NextBounded(kPages);
+        e.bytes = 256 * (1 + static_cast<uint32_t>(rng_.NextBounded(4)));
+        e.seq = ++seq_;
+      }
+      e.last_update = unow_;
+      e.up2 = static_cast<double>(rng_.NextBounded(1000)) / 7.0;
+      e.exact_upf = static_cast<double>(rng_.NextBounded(1000)) / 13.0;
+      if (used + e.bytes > cfg_.segment_bytes) return;
+      e.offset = used;
+      used += e.bytes;
+      if (copy) copied_.insert({e.page, e.seq});
+      if (e.page != kInvalidPage && e.seq > newest_[e.page]) {
+        newest_[e.page] = e.seq;
+      }
+      entries->push_back(e);
+    }
+  }
+
+  bool CopySealedVersion(Segment::Entry* out) {
+    const Slot& from = slots_[rng_.NextBounded(slots_.size())];
+    if (from.state != kSealed || from.entries.empty()) return false;
+    const Segment::Entry& e =
+        from.entries[rng_.NextBounded(from.entries.size())];
+    if (e.page == kInvalidPage || copied_.count({e.page, e.seq}) != 0) {
+      return false;
+    }
+    *out = e;
+    return true;
+  }
+
+  StoreConfig cfg_;
+  Rng rng_;
+  std::vector<Slot> slots_;
+  std::set<std::pair<PageId, uint64_t>> copied_;
+  // Per page the seq of its newest version or tombstone.
+  std::map<PageId, uint64_t> newest_;
+  uint64_t seq_ = 0;
+  UpdateCount unow_ = 0;
+};
+
+// Appends a torn record to shard `shard`'s log: a seal header whose body
+// never fully landed.
+void TearLogTail(const StoreConfig& cfg, uint32_t shard) {
+  std::FILE* f =
+      std::fopen(FileBackend::MetaPath(cfg.backend_dir, shard).c_str(), "ab");
+  ASSERT_NE(f, nullptr);
+  const RefHeader hdr{kRefMagic, kRefSeal, 0, 400, 12345};
+  const uint8_t junk[100] = {7};
+  ASSERT_EQ(std::fwrite(&hdr, sizeof(hdr), 1, f), 1u);
+  ASSERT_EQ(std::fwrite(junk, sizeof(junk), 1, f), 1u);
+  std::fclose(f);
+}
+
+TEST_F(IoBackendTest, CompactionPreservesRecovery) {
+  StoreConfig cfg = FileConfig();
+  cfg.page_bytes = 1024;
+  cfg.segment_bytes = 8 * 1024;
+  cfg.num_segments = 12;
+  uint64_t compactions = 0;
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    // Shard 0 keeps the whole history: its compactions are refused at the
+    // first step, before they touch the log, which fails the Sync or
+    // re-home that started them after their own work is done. Shard 1
+    // compacts by its own trigger and at random points besides.
+    StoreStats history_stats;
+    StoreStats compacted_stats;
+    FileBackend history;
+    FileBackend compacted;
+    history.SetCompactionStepHook(
+        [](FileBackend::CompactionStep) { return false; });
+    ASSERT_TRUE(history.Open(cfg, 0, 2, &history_stats, false).ok());
+    ASSERT_TRUE(compacted.Open(cfg, 1, 2, &compacted_stats, false).ok());
+    // Group-commit mode: durable points (and so compactions) come only
+    // from Sync() and re-homing records.
+    history.SetDeferredSync(true);
+    compacted.SetDeferredSync(true);
+    RecordStream stream(cfg, seed);
+    Rng rng(seed * 7919);
+    for (int op = 0; op < 600; ++op) {
+      stream.Step({&history, &compacted});
+      if (HasFatalFailure()) return;
+      if (rng.NextBool(0.02)) {
+        ASSERT_TRUE(compacted.CompactMeta().ok());
+      }
+      if (rng.NextBool(0.05)) {
+        (void)history.Sync();  // refused compactions fail the call
+        ASSERT_TRUE(compacted.Sync().ok());
+      }
+    }
+    compactions += compacted_stats.meta_compactions;
+    history.Abandon();
+    compacted.Abandon();
+    TearLogTail(cfg, 0);
+    TearLogTail(cfg, 1);
+
+    const ResolvedStore want = ScanAndResolve(cfg, 0);
+    ExpectSameStore(ScanAndResolve(cfg, 1), want);
+    if (HasFailure()) return;
+
+    // Compacting the recovered history resolves the same, and compacting
+    // the result again rewrites it byte for byte.
+    std::vector<uint8_t> once;
+    for (int round = 0; round < 2; ++round) {
+      FileBackend b;
+      StoreStats stats;
+      ASSERT_TRUE(b.Open(cfg, 0, 2, &stats, /*recover=*/true).ok());
+      BackendRecovery unused;
+      ASSERT_TRUE(b.Scan(&unused).ok());
+      ASSERT_TRUE(b.CompactMeta().ok());
+      ASSERT_TRUE(b.Close().ok());
+      const std::vector<uint8_t> log =
+          ReadAllBytes(FileBackend::MetaPath(dir_, 0));
+      if (round == 0) {
+        once = log;
+        ExpectSameStore(ScanAndResolve(cfg, 0), want);
+      } else {
+        EXPECT_EQ(log, once) << "a second compaction changed the log";
+      }
+    }
+    if (HasFailure()) return;
+  }
+  std::printf("compaction round trip: %llu compactions across 24 streams\n",
+              static_cast<unsigned long long>(compactions));
+  EXPECT_GT(compactions, 24u);
+}
+
+// A delete can kill a version that still sits in an open segment and was
+// never recorded. The shard records such an in-place-killed entry live
+// under its page's identity when the segment seals (MakeSealRecord), so
+// the tombstone must survive a compaction that finds no version of the
+// page in the log at all, or the seal would resurrect the page.
+TEST_F(IoBackendTest, CompactionKeepsTombstoneOfUnrecordedVersion) {
+  const StoreConfig cfg = FileConfig();
+  FileBackend writer;
+  StoreStats stats;
+  ASSERT_TRUE(writer.Open(cfg, 0, 2, &stats, /*recover=*/false).ok());
+  Segment::Entry e;
+  e.page = 5;
+  e.bytes = 4096;
+  e.seq = 10;  // written into open slot 1, not yet recorded
+  ASSERT_TRUE(writer.RecordDelete(5, 11, /*unow=*/11).ok());
+  ASSERT_TRUE(writer.CompactMeta().ok());
+  BackendSegmentRecord seal;
+  seal.id = 1;
+  seal.seal_time = 12;
+  seal.unow = 12;
+  seal.entries = {e};
+  ASSERT_TRUE(writer.SealSegment(seal).ok());
+  ASSERT_TRUE(writer.Close().ok());
+  EXPECT_EQ(ScanAndResolve(cfg, 0).pages.count(5), 0u)
+      << "the compaction dropped the tombstone and the seal resurrected "
+         "page 5";
 }
 
 // ---------------------------------------------------------------------

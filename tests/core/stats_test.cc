@@ -31,6 +31,9 @@ TEST(StoreStatsTest, ResetMeasurementZeroesEverything) {
   s.group_fsyncs = 9;
   s.group_fsync_ops = 10;
   s.checkpoints_written = 11;
+  s.meta_compactions = 12;
+  s.meta_compaction_bytes = 13;
+  s.meta_compaction_seconds = 1.5;
   s.ResetMeasurement();
   EXPECT_EQ(s.user_updates, 0u);
   EXPECT_EQ(s.user_pages_written, 0u);
@@ -43,6 +46,9 @@ TEST(StoreStatsTest, ResetMeasurementZeroesEverything) {
   EXPECT_EQ(s.group_fsyncs, 0u);
   EXPECT_EQ(s.group_fsync_ops, 0u);
   EXPECT_EQ(s.checkpoints_written, 0u);
+  EXPECT_EQ(s.meta_compactions, 0u);
+  EXPECT_EQ(s.meta_compaction_bytes, 0u);
+  EXPECT_EQ(s.meta_compaction_seconds, 0.0);
   EXPECT_EQ(s.clean_emptiness().count(), 0u);
   EXPECT_EQ(s.MeanCleanEmptiness(), 0.0);
 }
@@ -56,12 +62,19 @@ TEST(StoreStatsTest, MergeCoversPipelineCounters) {
   b.group_fsyncs = 5;
   b.group_fsync_ops = 6;
   b.checkpoints_written = 7;
+  a.meta_compactions = 1;
+  b.meta_compactions = 2;
+  b.meta_compaction_bytes = 300;
+  b.meta_compaction_seconds = 0.25;
   a.Merge(b);
   EXPECT_EQ(a.seal_queue_enqueued, 4u);
   EXPECT_EQ(a.seal_queue_stalls, 4u);
   EXPECT_EQ(a.group_fsyncs, 7u);
   EXPECT_EQ(a.group_fsync_ops, 6u);
   EXPECT_EQ(a.checkpoints_written, 7u);
+  EXPECT_EQ(a.meta_compactions, 3u);
+  EXPECT_EQ(a.meta_compaction_bytes, 300u);
+  EXPECT_EQ(a.meta_compaction_seconds, 0.25);
 }
 
 // End-to-end accounting identity: measured Wamp must equal the ratio

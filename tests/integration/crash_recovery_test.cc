@@ -100,6 +100,7 @@ class CrashRecoveryTest : public ::testing::Test {
     for (uint32_t i = 0; i < 16; ++i) {
       ::unlink(FileBackend::DataPath(dir_, i).c_str());
       ::unlink(FileBackend::MetaPath(dir_, i).c_str());
+      ::unlink(FileBackend::MetaTempPath(dir_, i).c_str());
     }
     ::rmdir(dir_.c_str());
   }
@@ -244,12 +245,26 @@ void AuditCleanPage(const ShardedStore& store, PageId p,
   }
 }
 
+// What an iteration exercised, summed over its shards; the geometries
+// that exist to reach a path assert on these.
+struct TortureCounts {
+  uint64_t rehomed_reuses = 0;
+  uint64_t plain_reuses = 0;
+  uint64_t delta_records = 0;
+  uint64_t compactions = 0;
+  // Shards whose crash landed inside a metadata-log compaction.
+  uint64_t compaction_kills = 0;
+};
+
+// Runs one kill-point iteration. `compaction_kill` >= 0 replaces the
+// random op-count kill point with one inside the first or second
+// compaction after the frontier, at FileBackend::CompactionStep
+// `compaction_kill`.
 void RunTortureIteration(const std::string& dir, uint32_t num_shards,
                          uint64_t seed, bool async_seal, bool audit_reuse,
                          const TortureGeometry& geo = {},
-                         uint64_t* rehomed_reuses_out = nullptr,
-                         uint64_t* plain_reuses_out = nullptr,
-                         uint64_t* delta_records_out = nullptr) {
+                         TortureCounts* counts = nullptr,
+                         int compaction_kill = -1) {
   SCOPED_TRACE("seed=" + std::to_string(seed) +
                " shards=" + std::to_string(num_shards) +
                " async=" + std::to_string(async_seal) +
@@ -304,6 +319,14 @@ void RunTortureIteration(const std::string& dir, uint32_t num_shards,
   // generates leave some shards uncrashed — also a valid outcome.
   const uint64_t budget_span = 220 / num_shards + 30;
   for (uint32_t s = 0; s < num_shards; ++s) {
+    if (compaction_kill >= 0) {
+      faults[s]->CrashInCompaction(
+          faults[s]->compactions() +
+              static_cast<int64_t>(rng.NextBounded(2)),
+          static_cast<FileBackend::CompactionStep>(compaction_kill),
+          /*seed=*/seed * 1000003u + s);
+      continue;
+    }
     faults[s]->CrashAfterOps(
         static_cast<int64_t>(rng.NextBounded(budget_span)),
         /*seed=*/seed * 1000003u + s);
@@ -329,14 +352,10 @@ void RunTortureIteration(const std::string& dir, uint32_t num_shards,
   // that the re-homed path actually fires.
   for (uint32_t s = 0; s < num_shards; ++s) {
     const StoreStats snap = store->shard(s).stats();
-    if (rehomed_reuses_out != nullptr) {
-      *rehomed_reuses_out += snap.withheld_slot_reuses_rehomed;
-    }
-    if (plain_reuses_out != nullptr) {
-      *plain_reuses_out += snap.withheld_slot_reuses_plain;
-    }
-    if (delta_records_out != nullptr) {
-      *delta_records_out += snap.checkpoint_delta_records;
+    if (counts != nullptr) {
+      counts->rehomed_reuses += snap.withheld_slot_reuses_rehomed;
+      counts->plain_reuses += snap.withheld_slot_reuses_plain;
+      counts->delta_records += snap.checkpoint_delta_records;
     }
   }
 
@@ -348,7 +367,13 @@ void RunTortureIteration(const std::string& dir, uint32_t num_shards,
   // crash flags only afterwards.
   (void)store->Close();
   std::vector<bool> crashed(num_shards);
-  for (uint32_t s = 0; s < num_shards; ++s) crashed[s] = faults[s]->crashed();
+  for (uint32_t s = 0; s < num_shards; ++s) {
+    crashed[s] = faults[s]->crashed();
+    if (counts != nullptr) {
+      counts->compactions += static_cast<uint64_t>(faults[s]->compactions());
+      counts->compaction_kills += faults[s]->crashed_in_compaction() ? 1 : 0;
+    }
+  }
   store.reset();
 
   // Reopen from the torn files with a plain file backend.
@@ -394,23 +419,23 @@ void RunTortureIteration(const std::string& dir, uint32_t num_shards,
 void RunTortureGeometry(const std::string& dir, uint32_t num_shards,
                         uint64_t seed_base) {
   const int iters = TortureIters();
-  uint64_t total_rehomed = 0;
-  uint64_t total_plain = 0;
+  TortureCounts counts;
   for (int i = 0; i < iters; ++i) {
     RunTortureIteration(dir, num_shards, seed_base + i,
                         /*async_seal=*/(i % 2) == 1,
                         /*audit_reuse=*/(i % 8) == 0, TortureGeometry{},
-                        &total_rehomed, &total_plain);
+                        &counts);
     if (::testing::Test::HasFatalFailure() ||
         ::testing::Test::HasNonfatalFailure()) {
       FAIL() << "torture iteration " << i << " failed";
     }
   }
-  if (total_rehomed + total_plain > 0) {
+  if (counts.rehomed_reuses + counts.plain_reuses > 0) {
     std::printf("%u-shard torture: %llu re-homed + %llu plain withheld-slot "
                 "reuses across %d iterations, zero losses\n",
-                num_shards, static_cast<unsigned long long>(total_rehomed),
-                static_cast<unsigned long long>(total_plain), iters);
+                num_shards,
+                static_cast<unsigned long long>(counts.rehomed_reuses),
+                static_cast<unsigned long long>(counts.plain_reuses), iters);
   }
 }
 
@@ -464,24 +489,22 @@ TEST_F(CrashRecoveryTest, TortureMultiLogTinyFreePool) {
   // claims to.
   const TortureGeometry geo = MultiLogTinyPoolGeometry();
   const int iters = std::max(TortureIters() / 4, 25);
-  uint64_t total_rehomed = 0;
-  uint64_t total_plain = 0;
+  TortureCounts counts;
   for (int i = 0; i < iters; ++i) {
     RunTortureIteration(dir_, /*num_shards=*/1, /*seed=*/30000 + i,
                         /*async_seal=*/(i % 2) == 1,
-                        /*audit_reuse=*/(i % 8) == 0, geo, &total_rehomed,
-                        &total_plain);
+                        /*audit_reuse=*/(i % 8) == 0, geo, &counts);
     if (HasFatalFailure() || HasNonfatalFailure()) {
       FAIL() << "multi-log torture iteration " << i << " failed";
     }
   }
-  EXPECT_GT(total_rehomed, 0u)
+  EXPECT_GT(counts.rehomed_reuses, 0u)
       << "multi-log tiny-pool geometry never re-homed a withheld slot; "
          "tighten the free pool";
   std::printf("multi-log tiny-pool: %llu re-homed + %llu plain "
               "withheld-slot reuses across %d iterations, zero losses\n",
-              static_cast<unsigned long long>(total_rehomed),
-              static_cast<unsigned long long>(total_plain), iters);
+              static_cast<unsigned long long>(counts.rehomed_reuses),
+              static_cast<unsigned long long>(counts.plain_reuses), iters);
 }
 
 // The regime where delta checkpoints chain: a short periodic interval
@@ -503,23 +526,62 @@ TortureGeometry DeltaChainGeometry() {
 TEST_F(CrashRecoveryTest, TortureDeltaCheckpointChains) {
   const TortureGeometry geo = DeltaChainGeometry();
   const int iters = std::max(TortureIters() / 4, 25);
-  uint64_t total_deltas = 0;
+  TortureCounts counts;
   for (int i = 0; i < iters; ++i) {
     RunTortureIteration(dir_, /*num_shards=*/1, /*seed=*/50000 + i,
                         /*async_seal=*/(i % 2) == 1,
                         /*audit_reuse=*/(i % 8) == 0, geo,
-                        /*rehomed_reuses_out=*/nullptr,
-                        /*plain_reuses_out=*/nullptr, &total_deltas);
+                        &counts);
     if (HasFatalFailure() || HasNonfatalFailure()) {
       FAIL() << "delta-chain torture iteration " << i << " failed";
     }
   }
-  EXPECT_GT(total_deltas, 0u)
+  EXPECT_GT(counts.delta_records, 0u)
       << "delta-chain geometry never emitted a delta checkpoint; shorten "
          "the barrier period";
   std::printf("delta-chain torture: %llu delta records across %d "
               "iterations, zero losses\n",
-              static_cast<unsigned long long>(total_deltas), iters);
+              static_cast<unsigned long long>(counts.delta_records), iters);
+}
+
+// The regime where the metadata log compacts several times per
+// iteration: a small slot space puts the compaction trigger (a few full
+// seal records per slot) well below one iteration's log growth.
+TortureGeometry CompactionGeometry() {
+  TortureGeometry geo;
+  geo.segments_per_shard = 8;
+  geo.pages_per_shard = 26;
+  return geo;
+}
+
+// Metadata-log compaction torture: kill plans rotate between an ordinary
+// op-count kill point and a kill inside a compaction at each of its
+// three steps — a torn temporary log, a synced temporary log not yet
+// renamed, and a rename whose directory sync never ran. Every iteration
+// must recover under the same strict zero-loss audit, the geometry must
+// compact several times per iteration, and the compaction kill points
+// must actually fire.
+TEST_F(CrashRecoveryTest, TortureMetaCompaction) {
+  const TortureGeometry geo = CompactionGeometry();
+  const int iters = std::max(TortureIters() / 4, 32);
+  TortureCounts counts;
+  for (int i = 0; i < iters; ++i) {
+    RunTortureIteration(dir_, /*num_shards=*/1, /*seed=*/80000 + i,
+                        /*async_seal=*/(i % 8) >= 4,
+                        /*audit_reuse=*/(i % 8) == 0, geo, &counts,
+                        /*compaction_kill=*/i % 4 - 1);
+    if (HasFatalFailure() || HasNonfatalFailure()) {
+      FAIL() << "compaction torture iteration " << i << " failed";
+    }
+  }
+  EXPECT_GE(counts.compactions, 3u * static_cast<uint64_t>(iters))
+      << "the compaction geometry no longer compacts several times per "
+         "iteration; shrink it";
+  EXPECT_GT(counts.compaction_kills, 0u);
+  std::printf("compaction torture: %llu compactions, %llu kills inside one, "
+              "across %d iterations, zero losses\n",
+              static_cast<unsigned long long>(counts.compactions),
+              static_cast<unsigned long long>(counts.compaction_kills), iters);
 }
 
 // Pinned regression seeds for the withheld-slot fallback. Before entry
@@ -541,23 +603,21 @@ TEST_F(CrashRecoveryTest, TortureDeltaCheckpointChains) {
 // seal timing; its diversions precede the phase-1 checkpoint barrier, so
 // it never lost pages even without re-homing.
 TEST_F(CrashRecoveryTest, PinnedLossSeedEightShardAsync) {
-  uint64_t rehomed = 0;
-  uint64_t plain = 0;
+  TortureCounts counts;
   RunTortureIteration(dir_, /*num_shards=*/8, /*seed=*/20624,
                       /*async_seal=*/true, /*audit_reuse=*/false,
-                      TortureGeometry{}, &rehomed, &plain);
+                      TortureGeometry{}, &counts);
   // The seed is pinned *because* it diverts; if the diversion stops
   // firing, the regression test has gone stale — repin it.
-  EXPECT_GT(rehomed + plain, 0u);
+  EXPECT_GT(counts.rehomed_reuses + counts.plain_reuses, 0u);
 }
 
 TEST_F(CrashRecoveryTest, PinnedLossSeedMultiLogTinyFreePool) {
-  uint64_t rehomed = 0;
-  uint64_t plain = 0;
+  TortureCounts counts;
   RunTortureIteration(dir_, /*num_shards=*/1, /*seed=*/30076,
                       /*async_seal=*/false, /*audit_reuse=*/false,
-                      MultiLogTinyPoolGeometry(), &rehomed, &plain);
-  EXPECT_GT(rehomed + plain, 0u);
+                      MultiLogTinyPoolGeometry(), &counts);
+  EXPECT_GT(counts.rehomed_reuses + counts.plain_reuses, 0u);
 }
 
 // A focused regression for the crash window the checkpointing closed:
