@@ -18,21 +18,12 @@
 //   LSS_BENCH_JSON=path   machine-readable results (bench_common.h)
 //   LSS_BENCH_IO_DIR=dir  where the segment files live (default: a fresh
 //                         directory under $TMPDIR, removed afterwards)
-//   LSS_BENCH_URING_DEPTH=N  io_uring queue depth for the uring rows
-//                         (default: StoreConfig::uring_queue_depth)
-//
-// The uring rows run the io_uring-overlapped backend
-// (core/uring_backend.h). Where the kernel or a seccomp filter
-// disallows io_uring the backend probes, logs, and degrades to the file
-// backend's synchronous path, so the rows still appear — the JSON field
-// uring_available records which behaviour was measured.
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -122,8 +113,7 @@ void Panel(const char* workload_name, const WorkloadGenerator& workload,
            double fill, const std::string& dir) {
   const std::vector<Variant> variants = {Variant::kGreedy, Variant::kMdc};
   const std::vector<std::string> backends = {
-      "null", "file-nosync:" + dir, "file:" + dir, "uring-nosync:" + dir,
-      "uring:" + dir};
+      "null", "file-nosync:" + dir, "file:" + dir};
 
   std::printf("io_backend %s, F=%.2f: predicted vs device-measured\n\n",
               workload_name, fill);
@@ -179,8 +169,7 @@ void Panel(const char* workload_name, const WorkloadGenerator& workload,
           .Num("meta_compactions", st.meta_compactions)
           .Num("meta_compaction_bytes", st.meta_compaction_bytes)
           .Num("meta_compaction_seconds", st.meta_compaction_seconds)
-          .Num("backend_blocking_seconds", st.BackendBlockingSeconds())
-          .Num("uring_available", st.uring_available);
+          .Num("backend_blocking_seconds", st.BackendBlockingSeconds());
       bench::Emit(json);
     }
   }
@@ -188,17 +177,13 @@ void Panel(const char* workload_name, const WorkloadGenerator& workload,
   std::printf("\n");
 }
 
-// Sync vs async seal, file vs uring, at equal fsync policy: identical
+// Sync vs async seal on the file backend with fsync: identical
 // placement (the determinism tests pin it), different I/O schedule.
 // Sync pays a pwrite+fsync inside the write path per seal; async hands
 // the seal to the per-shard I/O thread and group-commits the fsyncs,
 // so the column to watch is updates/s against fsyncs (and the group-
-// commit batch size). The uring rows replace the blocking payload
-// pwrite with SQE submission + a batch-end completion reap, so their
-// "blk ms" — milliseconds the thread driving the backend spent blocked
-// on device work — should undercut the file rows; that saving is what
-// the ring buys. Checkpointing adds periodic open-segment persistence —
-// crash-window closure priced in device bytes.
+// commit batch size). Checkpointing adds periodic open-segment
+// persistence — crash-window closure priced in device bytes.
 void SealPipelinePanel(double fill, const std::string& dir) {
   struct Mode {
     const char* label;
@@ -210,86 +195,76 @@ void SealPipelinePanel(double fill, const std::string& dir) {
       {"async", true, 0},
       {"async+ckpt", true, bench::CheckpointInterval(64)},
   };
-  const std::vector<std::string> backends = {"file:" + dir, "uring:" + dir};
 
   const StoreConfig probe = IoConfig("null");
   UniformWorkload workload(bench::UserPagesFor(probe, fill));
 
   std::printf(
-      "io_backend (c) seal pipeline, F=%.2f: sync vs async seal, file vs "
-      "uring\n\n",
+      "io_backend (c) seal pipeline, F=%.2f: sync vs async seal (file)\n\n",
       fill);
-  TablePrinter table({"mode", "backend", "Wamp", "kupd/s", "wall s", "blk ms",
-                      "dev MB", "fsyncs", "group fsyncs", "stalls", "ckpts",
-                      "rehomed", "plain"});
+  TablePrinter table({"mode", "Wamp", "kupd/s", "wall s", "blk ms", "dev MB",
+                      "fsyncs", "group fsyncs", "stalls", "ckpts", "rehomed",
+                      "plain"});
   for (const Mode& m : modes) {
-    for (const std::string& spec : backends) {
-      StoreConfig cfg = IoConfig(spec);
-      cfg.async_seal = m.async;
-      cfg.seal_queue_depth = 16;
-      cfg.checkpoint_interval_ops = m.checkpoint_interval;
-      cfg.uring_queue_depth = bench::UringDepth(cfg.uring_queue_depth);
-      RunSpec run = bench::DefaultSpec(fill);
-      run.warmup_multiplier = 4;
-      run.measure_multiplier = 6;
-      const RunResult r = RunSynthetic(cfg, Variant::kMdc, workload, run);
-      const std::string label = spec.substr(0, spec.find(':'));
-      if (!r.status.ok()) {
-        std::fprintf(stderr, "%s/%s failed: %s\n", m.label, label.c_str(),
-                     r.status.ToString().c_str());
-        continue;
-      }
-      const StoreStats& st = r.stats;
-      std::vector<TablePrinter::Cell> row;
-      row.emplace_back(m.label);
-      row.emplace_back(label);
-      row.emplace_back(r.wamp, 3);
-      row.emplace_back(r.updates_per_second / 1000.0, 1);
-      row.emplace_back(r.measure_seconds, 2);
-      row.emplace_back(st.BackendBlockingSeconds() * 1000.0, 1);
-      row.emplace_back(
-          static_cast<double>(st.device_bytes_written) / (1024.0 * 1024.0), 1);
-      row.emplace_back(static_cast<int>(st.device_fsyncs));
-      row.emplace_back(static_cast<int>(st.group_fsyncs));
-      row.emplace_back(static_cast<int>(st.seal_queue_stalls));
-      row.emplace_back(static_cast<int>(st.checkpoints_written));
-      row.emplace_back(static_cast<int>(st.withheld_slot_reuses_rehomed));
-      row.emplace_back(static_cast<int>(st.withheld_slot_reuses_plain));
-      table.AddRow(std::move(row));
-
-      bench::JsonRow json("io_backend_seal_pipeline");
-      json.Str("mode", m.label)
-          .Str("backend", label)
-          .Str("variant", r.variant)
-          .Num("fill", fill)
-          .Num("wamp", r.wamp)
-          .Num("updates_per_second", r.updates_per_second)
-          .Num("measure_seconds", r.measure_seconds)
-          .Num("backend_blocking_seconds", st.BackendBlockingSeconds())
-          .Num("uring_available", st.uring_available)
-          .Num("uring_submitted", st.uring_submitted)
-          .Num("device_bytes_written", st.device_bytes_written)
-          .Num("device_fsyncs", st.device_fsyncs)
-          .Num("meta_compactions", st.meta_compactions)
-          .Num("meta_compaction_bytes", st.meta_compaction_bytes)
-          .Num("meta_compaction_seconds", st.meta_compaction_seconds)
-          .Num("group_fsyncs", st.group_fsyncs)
-          .Num("seal_queue_stalls", st.seal_queue_stalls)
-          .Num("checkpoints_written", st.checkpoints_written)
-          .Num("checkpoint_rounds", st.checkpoint_rounds)
-          .Num("checkpoint_full_records", st.checkpoint_full_records)
-          .Num("checkpoint_delta_records", st.checkpoint_delta_records)
-          .Num("checkpoint_bytes_written", st.checkpoint_bytes_written)
-          .Num("withheld_slot_reuses_rehomed", st.withheld_slot_reuses_rehomed)
-          .Num("withheld_slot_reuses_plain", st.withheld_slot_reuses_plain);
-      bench::Emit(json);
+    StoreConfig cfg = IoConfig("file:" + dir);
+    cfg.async_seal = m.async;
+    cfg.seal_queue_depth = 16;
+    cfg.checkpoint_interval_ops = m.checkpoint_interval;
+    RunSpec run = bench::DefaultSpec(fill);
+    run.warmup_multiplier = 4;
+    run.measure_multiplier = 6;
+    const RunResult r = RunSynthetic(cfg, Variant::kMdc, workload, run);
+    if (!r.status.ok()) {
+      std::fprintf(stderr, "%s failed: %s\n", m.label,
+                   r.status.ToString().c_str());
+      continue;
     }
+    const StoreStats& st = r.stats;
+    std::vector<TablePrinter::Cell> row;
+    row.emplace_back(m.label);
+    row.emplace_back(r.wamp, 3);
+    row.emplace_back(r.updates_per_second / 1000.0, 1);
+    row.emplace_back(r.measure_seconds, 2);
+    row.emplace_back(st.BackendBlockingSeconds() * 1000.0, 1);
+    row.emplace_back(
+        static_cast<double>(st.device_bytes_written) / (1024.0 * 1024.0), 1);
+    row.emplace_back(static_cast<int>(st.device_fsyncs));
+    row.emplace_back(static_cast<int>(st.group_fsyncs));
+    row.emplace_back(static_cast<int>(st.seal_queue_stalls));
+    row.emplace_back(static_cast<int>(st.checkpoints_written));
+    row.emplace_back(static_cast<int>(st.withheld_slot_reuses_rehomed));
+    row.emplace_back(static_cast<int>(st.withheld_slot_reuses_plain));
+    table.AddRow(std::move(row));
+
+    bench::JsonRow json("io_backend_seal_pipeline");
+    json.Str("mode", m.label)
+        .Str("backend", "file")
+        .Str("variant", r.variant)
+        .Num("fill", fill)
+        .Num("wamp", r.wamp)
+        .Num("updates_per_second", r.updates_per_second)
+        .Num("measure_seconds", r.measure_seconds)
+        .Num("backend_blocking_seconds", st.BackendBlockingSeconds())
+        .Num("device_bytes_written", st.device_bytes_written)
+        .Num("device_fsyncs", st.device_fsyncs)
+        .Num("meta_compactions", st.meta_compactions)
+        .Num("meta_compaction_bytes", st.meta_compaction_bytes)
+        .Num("meta_compaction_seconds", st.meta_compaction_seconds)
+        .Num("group_fsyncs", st.group_fsyncs)
+        .Num("seal_queue_stalls", st.seal_queue_stalls)
+        .Num("checkpoints_written", st.checkpoints_written)
+        .Num("checkpoint_rounds", st.checkpoint_rounds)
+        .Num("checkpoint_full_records", st.checkpoint_full_records)
+        .Num("checkpoint_delta_records", st.checkpoint_delta_records)
+        .Num("checkpoint_bytes_written", st.checkpoint_bytes_written)
+        .Num("withheld_slot_reuses_rehomed", st.withheld_slot_reuses_rehomed)
+        .Num("withheld_slot_reuses_plain", st.withheld_slot_reuses_plain);
+    bench::Emit(json);
   }
   table.Print(stdout);
   std::printf(
       "blk ms = milliseconds the backend-driving thread was blocked on "
-      "device work\n(write submit + fsync + completion waits); uring vs "
-      "file at equal mode is the\noverlap the ring bought.\n\n");
+      "device work\n(pwrite + fsync).\n\n");
 }
 
 // One cell of the checkpoint sweep: a store driven directly, with an
@@ -363,15 +338,8 @@ BarrierRun RunBarrierWorkload(const StoreConfig& cfg,
 // the sweep stays fast).
 void CheckpointSweepPanel(double fill, const std::string& dir) {
   const bool smoke = SmokeMode();
-  // The sweep needs exact byte accounting, so it runs nosync — but it
-  // honours a uring LSS_BENCH_BACKEND (the --uring CI smoke): the
-  // ring-overlapped path must reproduce the same exact bytes, which the
-  // pred-err column then asserts.
-  const char* backend_env = std::getenv("LSS_BENCH_BACKEND");
-  const bool want_uring =
-      backend_env != nullptr && std::strncmp(backend_env, "uring", 5) == 0;
-  const std::string nosync_spec =
-      (want_uring ? "uring-nosync:" : "file-nosync:") + dir;
+  // The sweep needs exact byte accounting, so it runs nosync.
+  const std::string nosync_spec = "file-nosync:" + dir;
   StoreConfig probe = IoConfig("null");
   if (smoke) probe.num_segments = 32;
   UniformWorkload workload(bench::UserPagesFor(probe, fill));
@@ -391,7 +359,6 @@ void CheckpointSweepPanel(double fill, const std::string& dir) {
     for (bool delta : {false, true}) {
       StoreConfig cfg = IoConfig(nosync_spec);
       cfg.num_segments = probe.num_segments;
-      cfg.uring_queue_depth = bench::UringDepth(cfg.uring_queue_depth);
       // Keep the checkpoint-mode reclaim protocol on (the withheld-free
       // machinery is gated on a non-zero interval) but push the
       // seal-count-driven rounds out of reach: only the explicit
@@ -457,8 +424,7 @@ void CheckpointSweepPanel(double fill, const std::string& dir) {
 
       bench::JsonRow json("io_backend_ckpt_sweep");
       json.Str("mode", delta ? "delta" : "full")
-          .Str("backend", nosync_spec.substr(0, nosync_spec.find(':')))
-          .Num("uring_available", st.uring_available)
+          .Str("backend", "file-nosync")
           .Num("interval", static_cast<uint64_t>(interval))
           .Num("fill", fill)
           .Num("wamp", br.wamp)

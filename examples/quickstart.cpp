@@ -143,8 +143,8 @@ int Part2FileBackendAndReopen() {
   const Variant variant = Variant::kMdc;
   ApplyVariantConfig(variant, &config);
 
-  // Backend selection is one string: "file:DIR" (fsync every seal),
-  // "file-nosync:DIR" (page-cache speed) or "file-direct:DIR" (O_DIRECT).
+  // Backend selection is one string: "file:DIR" (fsync every seal) or
+  // "file-nosync:DIR" (page-cache speed).
   if (Status s = ApplyBackendSpec("file-nosync:" + std::string(dir), &config);
       !s.ok()) {
     std::fprintf(stderr, "backend spec: %s\n", s.ToString().c_str());

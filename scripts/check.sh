@@ -4,8 +4,11 @@
 # This mirrors .github/workflows/ci.yml exactly; if this passes locally,
 # CI should be green.
 #
-# Usage: scripts/check.sh [--tsan|--asan|--torture|--uring] [build-dir]
-#   default:  full build + full test suite in ./build
+# Usage: scripts/check.sh [--tsan|--asan|--torture] [build-dir]
+#   default:  full build + full test suite in ./build, then lssbench
+#             built as its own CMake project (bench/lssbench, the
+#             build BENCHMARK.json's command makes) in
+#             <build-dir>/lssbench and its --selftest
 #   --tsan:   rebuild with -fsanitize=thread in ./build-tsan (or the given
 #             build dir) and run the concurrency test suites under
 #             ThreadSanitizer — the data-race gate for ShardedStore
@@ -23,7 +26,7 @@
 #   --asan:   rebuild with -fsanitize=address,undefined in ./build-asan
 #             (or the given build dir) and run the FULL test suite — the
 #             memory-safety gate for the raw-I/O backend (pwrite buffers,
-#             recovery scans, O_DIRECT alignment) and everything else.
+#             recovery scans) and everything else.
 #   --torture: normal build, then the crash-recovery torture harness
 #             (tests/integration/crash_recovery_test.cc) with extra
 #             randomized kill points per geometry (LSS_TORTURE_ITERS,
@@ -34,15 +37,6 @@
 #             (withheld_slot_reuses_rehomed; a plain reuse of a slot
 #             with still-needed entries cannot happen by construction
 #             and any loss it would cause fails the audit).
-#   --uring:  normal build, then the io_uring gate: the backend parity
-#             suite (byte-identical durable state vs the file backend),
-#             the uring crash-recovery torture geometry, and a bench
-#             smoke through LSS_BENCH_BACKEND=uring:... asserting the
-#             ring actually activated. When the kernel or seccomp
-#             disallows io_uring this mode REPORTS the probe's reason
-#             and exits 0 (the tests skip themselves; the smoke falls
-#             back to synchronous pwrite) — availability is a property
-#             of the host, not of the code under test.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -50,7 +44,6 @@ cd "$(dirname "$0")/.."
 TSAN=0
 ASAN=0
 TORTURE=0
-URING=0
 if [[ "${1:-}" == "--tsan" ]]; then
   TSAN=1
   shift
@@ -59,9 +52,6 @@ elif [[ "${1:-}" == "--asan" ]]; then
   shift
 elif [[ "${1:-}" == "--torture" ]]; then
   TORTURE=1
-  shift
-elif [[ "${1:-}" == "--uring" ]]; then
-  URING=1
   shift
 fi
 
@@ -74,7 +64,6 @@ elif [[ $TORTURE -eq 1 ]]; then
   # the tier-1 ./build.
   BUILD_DIR="${1:-build-torture}"
 else
-  # --uring shares the tier-1 build (same flags, benches ON).
   BUILD_DIR="${1:-build}"
 fi
 JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
@@ -121,40 +110,18 @@ if [[ $ASAN -eq 1 ]]; then
   exit 0
 fi
 
-if [[ $URING -eq 1 ]]; then
-  cmake -B "$BUILD_DIR" -S .
-  cmake --build "$BUILD_DIR" -j "$JOBS"
-  # Parity suite + fallback contract + the uring torture geometry. On a
-  # host without io_uring the UringParity*/TortureUringBackend cases
-  # GTEST_SKIP with the probe's reason and UringBackendWorksWithOrWithout-
-  # Ring pins the pwrite fallback — so this pass is green either way.
-  ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
-    -R 'Uring|BackendSpec' --timeout 1800
-  # Bench smoke through the ring: the checkpoint sweep with the uring
-  # backend must keep its byte-exact device accounting. Ring activation
-  # is a host property, so its absence is reported, not failed.
-  URING_TMP="$(mktemp -d "${TMPDIR:-/tmp}/lss_uring_check_XXXXXX")"
-  trap 'rm -rf "$URING_TMP"' EXIT
-  LSS_BENCH_SMOKE=1 \
-    LSS_BENCH_BACKEND="uring:$URING_TMP" \
-    LSS_BENCH_IO_DIR="$URING_TMP" \
-    LSS_BENCH_JSON="$URING_TMP/uring_smoke.json" \
-    "$BUILD_DIR/bench/io_backend"
-  grep -q '"bench":"io_backend_ckpt_sweep"' "$URING_TMP/uring_smoke.json"
-  if grep -q '"uring_available":1' "$URING_TMP/uring_smoke.json"; then
-    echo "check.sh: uring smoke ran with a live ring"
-  else
-    echo "check.sh: io_uring unavailable on this host; smoke used the" \
-         "synchronous pwrite fallback (see the 'lss: uring backend'" \
-         "stderr line above for the probe's reason)"
-  fi
-  echo "check.sh: uring green"
-  exit 0
-fi
-
 cmake -B "$BUILD_DIR" -S .
 cmake --build "$BUILD_DIR" -j "$JOBS"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
+
+# lssbench as the benchmark builds it: bench/lssbench is its own CMake
+# project that pulls in the library with tests, benches and examples
+# off, so a src/ change that breaks it (say, a dropped StoreConfig or
+# StoreStats field it reads) fails here, then its self-test runs.
+cmake -S bench/lssbench -B "$BUILD_DIR/lssbench"
+cmake --build "$BUILD_DIR/lssbench" -j "$JOBS"
+"$BUILD_DIR/lssbench/lssbench" --selftest
+echo "check.sh: lssbench selftest green"
 
 # Small-scale parallel TPC-C smoke: 2-worker trace generation, replay
 # through RunTrace over 2 shards, machine-readable output — the

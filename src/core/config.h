@@ -13,15 +13,10 @@ namespace lss {
 /// are counted but never performed. kFile gives every shard its own
 /// segment file pair so write-amplification predictions can be compared
 /// against real device traffic, and lets a store survive process
-/// restart (ShardedStore::Open). kUring is
-/// the file backend with payload writes overlapped through a raw
-/// io_uring ring (core/uring_backend.h): same files, byte-identical
-/// metadata log, and a runtime probe that degrades to the synchronous
-/// pwrite path where the kernel or a seccomp filter disallows io_uring.
+/// restart (ShardedStore::Open).
 enum class BackendKind : uint8_t {
   kNull,
   kFile,
-  kUring,
 };
 
 /// Configuration of a store (per shard, once ShardedStore has divided
@@ -61,13 +56,6 @@ struct StoreConfig {
   /// stream as user writes (multi-log semantics) rather than into
   /// dedicated GC output segments.
   bool gc_shares_user_stream = false;
-  /// When true, re-updating a page that is still in the write buffer
-  /// overwrites the buffered copy in place, so only one physical write
-  /// reaches a segment (what a real write cache does). Off by default:
-  /// the paper's simulator counts every update as a page write, and at
-  /// bench scale absorption would skew the write-amplification
-  /// denominator (noticeable in the Figure 4 buffer sweep).
-  bool absorb_buffered_rewrites = false;
 
   /// Persistence backend for sealed segments. The default keeps the
   /// simulator bookkeeping-only; kFile performs real pwrite/fsync I/O.
@@ -78,16 +66,6 @@ struct StoreConfig {
   /// fsync data + metadata after each segment seal (kFile only). Off
   /// trades durability for speed, like a drive write cache.
   bool backend_fsync = true;
-  /// Open the payload file with O_DIRECT, bypassing the page cache so
-  /// device-byte measurements reflect media traffic (kFile only;
-  /// requires segment_bytes to be a multiple of 4 KiB).
-  bool backend_direct_io = false;
-  /// io_uring submission-queue depth (kUring only): how many payload
-  /// writes may be in flight before a submit blocks reaping
-  /// completions. Also sizes the registered payload-buffer pool, so the
-  /// per-shard memory cost is roughly uring_queue_depth * segment_bytes
-  /// (the pool clamps itself for huge segments).
-  uint32_t uring_queue_depth = 32;
 
   /// Run segment seals asynchronously: the shard hands sealed-in-memory
   /// segments (and reclaims, deletes, checkpoints) to a per-shard I/O
@@ -114,10 +92,8 @@ struct StoreConfig {
   /// only the payload appended since the durable watermark, recorded as
   /// a kMetaCheckpointDelta chained to the previous record by ordinal.
   /// Falls back to a full checkpoint whenever the slot generation
-  /// changed (reseal/reuse/rehome) or no prior checkpoint exists, and is
-  /// ignored under backend_direct_io (a suffix write is not guaranteed
-  /// to be O_DIRECT-aligned). Off re-records the whole payload every
-  /// round, the pre-delta behaviour.
+  /// changed (reseal/reuse/rehome) or no prior checkpoint exists. Off
+  /// re-records the whole payload every round, the pre-delta behaviour.
   bool checkpoint_delta = true;
 
   /// Total physical page frames of `page_bytes` size.
@@ -161,22 +137,8 @@ struct StoreConfig {
       return Status::InvalidArgument(
           "clean trigger too large for device size");
     }
-    if ((backend == BackendKind::kFile || backend == BackendKind::kUring) &&
-        backend_dir.empty()) {
-      return Status::InvalidArgument(
-          "file/uring backend requires backend_dir");
-    }
-    if (backend != BackendKind::kFile && backend_direct_io) {
-      return Status::InvalidArgument(
-          "backend_direct_io requires the file backend");
-    }
-    if (backend == BackendKind::kUring && uring_queue_depth < 1) {
-      return Status::InvalidArgument(
-          "uring backend requires uring_queue_depth >= 1");
-    }
-    if (backend_direct_io && segment_bytes % 4096 != 0) {
-      return Status::InvalidArgument(
-          "backend_direct_io requires 4 KiB-aligned segments");
+    if (backend == BackendKind::kFile && backend_dir.empty()) {
+      return Status::InvalidArgument("file backend requires backend_dir");
     }
     if (async_seal && seal_queue_depth < 1) {
       return Status::InvalidArgument(

@@ -1,6 +1,5 @@
 #include "core/io_backend.h"
 
-#include "core/uring_backend.h"
 #include "util/fnv1a.h"
 
 #include <algorithm>
@@ -58,8 +57,6 @@ std::unique_ptr<SegmentBackend> MakeBackend(const StoreConfig& config) {
       return std::make_unique<NullBackend>();
     case BackendKind::kFile:
       return std::make_unique<FileBackend>();
-    case BackendKind::kUring:
-      return std::make_unique<UringBackend>();
   }
   return std::make_unique<NullBackend>();
 }
@@ -94,21 +91,10 @@ Status FileBackend::CheckpointDelta(const BackendSegmentRecord&) {
 Status FileBackend::RehomeEntries(const BackendSegmentRecord&) {
   return Status::InvalidArgument("file backend not open");
 }
-Status FileBackend::WriteSegmentRecord(const BackendSegmentRecord&, bool) {
-  return Status::InvalidArgument("file backend not open");
-}
-uint8_t* FileBackend::AcquirePayloadBuffer() { return nullptr; }
-Status FileBackend::WritePayload(const uint8_t*, uint64_t, uint64_t) {
-  return Status::InvalidArgument("file backend not open");
-}
-Status FileBackend::SyncBoth() {
-  return Status::InvalidArgument("file backend not open");
-}
 Status FileBackend::Sync() {
   return Status::InvalidArgument("file backend not open");
 }
 void FileBackend::Abandon() {}
-void FileBackend::ReleaseFds() {}
 Status FileBackend::ReclaimSegment(SegmentId, UpdateCount) {
   return Status::InvalidArgument("file backend not open");
 }
@@ -139,7 +125,6 @@ std::string FileBackend::MetaTempPath(const std::string& dir,
 Status FileBackend::CompactMeta() {
   return Status::InvalidArgument("file backend not open");
 }
-uint64_t FileBackend::MetaFloorBytes() const { return 0; }
 
 #else  // POSIX
 
@@ -745,31 +730,8 @@ Status FileBackend::Open(const StoreConfig& config, uint32_t shard_id,
     flags |= O_CREAT | O_TRUNC;
   }
 
-  direct_io_ = config.backend_direct_io;
-  int data_flags = flags;
-#ifdef O_DIRECT
-  if (direct_io_) data_flags |= O_DIRECT;
-#endif
-  data_fd_ = ::open(data_path.c_str(), data_flags, 0644);
-  if (data_fd_ < 0 && direct_io_ && (errno == EINVAL || errno == EOPNOTSUPP)) {
-    // Filesystem refuses O_DIRECT (e.g. tmpfs): fall back to buffered.
-    direct_io_ = false;
-    data_fd_ = ::open(data_path.c_str(), flags, 0644);
-  }
+  data_fd_ = ::open(data_path.c_str(), flags, 0644);
   if (data_fd_ < 0) return ErrnoStatus("open data file", errno);
-#ifndef O_DIRECT
-  direct_io_ = false;
-#endif
-
-  if (direct_io_) {
-    // Page reads are sub-segment and unaligned; give them a buffered fd.
-    read_fd_ = ::open(data_path.c_str(), O_RDONLY);
-    if (read_fd_ < 0) {
-      const Status s = ErrnoStatus("open data file for reads", errno);
-      Close();
-      return s;
-    }
-  }
 
   meta_fd_ = ::open(meta_path.c_str(), flags, 0644);
   if (meta_fd_ < 0) {
@@ -798,7 +760,7 @@ Status FileBackend::Open(const StoreConfig& config, uint32_t shard_id,
     meta_offset_ = static_cast<uint64_t>(st.st_size);
   }
 
-  // One whole-segment write buffer, page-aligned for O_DIRECT.
+  // One whole-segment write buffer, page-aligned.
   void* buf = nullptr;
   if (::posix_memalign(&buf, 4096, config.segment_bytes) != 0) {
     Close();
@@ -848,14 +810,9 @@ Status FileBackend::AppendMeta(const void* data, size_t len) {
   return Status::OK();
 }
 
-uint8_t* FileBackend::AcquirePayloadBuffer() { return payload_buf_; }
-
-// The base payload write: a blocking full-length pwrite, timed into the
-// device counters. UringBackend overrides this with SQE submission.
-Status FileBackend::WritePayload(const uint8_t* buf, uint64_t len,
-                                 uint64_t offset) {
+Status FileBackend::WritePayload(uint64_t len, uint64_t offset) {
   const auto t0 = std::chrono::steady_clock::now();
-  Status s = PwriteAll(data_fd_, buf, len, offset);
+  Status s = PwriteAll(data_fd_, payload_buf_, len, offset);
   if (!s.ok()) return s;
   if (stats_ != nullptr) {
     stats_->device_bytes_written += len;
@@ -1017,10 +974,7 @@ Status FileBackend::CheckpointDelta(const BackendSegmentRecord& record) {
   // Suffix payload, built at buffer offset (entry.offset - suffix_offset).
   // Entries must tile the declared range exactly — a mismatch means the
   // caller's watermark bookkeeping is broken.
-  uint8_t* buf = AcquirePayloadBuffer();
-  if (buf == nullptr) {
-    return Status::Corruption("delta checkpoint: no payload buffer");
-  }
+  uint8_t* const buf = payload_buf_;
   uint64_t cursor = record.suffix_offset;
   for (const Segment::Entry& e : record.entries) {
     if (e.offset != cursor ||
@@ -1041,7 +995,7 @@ Status FileBackend::CheckpointDelta(const BackendSegmentRecord& record) {
   }
 
   if (record.suffix_length > 0) {
-    s = WritePayload(buf, record.suffix_length,
+    s = WritePayload(record.suffix_length,
                      static_cast<uint64_t>(record.id) * config_.segment_bytes +
                          record.suffix_offset);
     if (!s.ok()) return s;
@@ -1133,8 +1087,7 @@ Status FileBackend::WriteSegmentRecord(const BackendSegmentRecord& record,
   // only referencing record dies with the crash. Only entries whose
   // original page is unknown (recovery-reconstructed dead entries, never
   // rewritten) and the unused tail are zero-filled.
-  uint8_t* buf = AcquirePayloadBuffer();
-  if (buf == nullptr) return Status::Corruption("seal: no payload buffer");
+  uint8_t* const buf = payload_buf_;
   uint64_t cursor = 0;
   for (const Segment::Entry& e : record.entries) {
     if (cursor + e.bytes > config_.segment_bytes) {
@@ -1150,7 +1103,7 @@ Status FileBackend::WriteSegmentRecord(const BackendSegmentRecord& record,
   }
   std::memset(buf + cursor, 0, config_.segment_bytes - cursor);
 
-  s = WritePayload(buf, config_.segment_bytes,
+  s = WritePayload(config_.segment_bytes,
                    static_cast<uint64_t>(record.id) * config_.segment_bytes);
   if (!s.ok()) return s;
 
@@ -1230,18 +1183,13 @@ Status FileBackend::RecordDelete(PageId page, uint64_t seq, UpdateCount unow) {
 
 Status FileBackend::ReadPagePayload(SegmentId id, uint64_t offset, PageId page,
                                     uint32_t bytes, std::vector<uint8_t>* out) {
-  if (read_fd_ < 0 && data_fd_ < 0) {
-    return Status::InvalidArgument("backend not open");
-  }
+  if (data_fd_ < 0) return Status::InvalidArgument("backend not open");
   if (id >= config_.num_segments ||
       offset + bytes > config_.segment_bytes) {
     return Status::InvalidArgument("read: location out of range");
   }
-  // Reads go through the buffered fd: page reads are sub-segment and
-  // unaligned, which O_DIRECT rejects.
-  const int fd = read_fd_ >= 0 ? read_fd_ : data_fd_;
   out->resize(bytes);
-  Status s = PreadAll(fd, out->data(), bytes,
+  Status s = PreadAll(data_fd_, out->data(), bytes,
                       static_cast<uint64_t>(id) * config_.segment_bytes +
                           offset);
   if (!s.ok()) return s;
@@ -1624,10 +1572,6 @@ void FileBackend::ReleaseFds() {
     ::close(data_fd_);
     data_fd_ = -1;
   }
-  if (read_fd_ >= 0) {
-    ::close(read_fd_);
-    read_fd_ = -1;
-  }
   if (meta_fd_ >= 0) {
     ::close(meta_fd_);
     meta_fd_ = -1;
@@ -1711,17 +1655,11 @@ bool FaultInjectionBackend::CrashGate(Status* out,
 }
 
 void FaultInjectionBackend::TearAndDie(const BackendSegmentRecord* record) {
-  // The uring backend shares the file backend's on-disk layout (same
-  // DataPath/MetaPath, byte-identical metadata log), so its crash tear
-  // is the same file surgery.
-  const bool file_base =
-      (base_->name() == "file" && config_.backend == BackendKind::kFile) ||
-      (base_->name() == "uring" && config_.backend == BackendKind::kUring);
   // Drop the base first: its queued free records and any other pending
   // work die with the "process", never reaching the files we tear below.
   base_->Abandon();
   crashed_.store(true, std::memory_order_release);
-  if (!file_base) return;
+  if (file_base_ == nullptr) return;
 #ifndef _WIN32
   Rng rng(crash_seed_);
   const std::string meta_path =

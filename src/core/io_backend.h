@@ -274,20 +274,13 @@ class NullBackend : public SegmentBackend {
 ///                    once it outgrows them (see CompactMeta).
 ///
 /// fsync runs after each seal (and on Close) unless
-/// StoreConfig::backend_fsync is off; payload writes use O_DIRECT when
-/// backend_direct_io is set (requires 4 KiB-aligned segments; silently
-/// falls back where the platform lacks O_DIRECT). Reclaim punches a hole
+/// StoreConfig::backend_fsync is off. Every payload write is one blocking
+/// pwrite from a single reused segment buffer. Reclaim punches a hole
 /// in the payload slot where fallocate supports it, returning the space
 /// to the filesystem while keeping offsets stable.
 ///
 /// Device counters (bytes written, write/fsync counts and seconds,
 /// bytes punched) accumulate into the shard's StoreStats.
-///
-/// Subclassing: the payload write path is virtual (AcquirePayloadBuffer
-/// / WritePayload / SyncBoth) so UringBackend (core/uring_backend.h) can
-/// overlap payload writes through an io_uring ring while sharing the
-/// metadata serialisation and Scan literally — the two backends produce
-/// byte-identical metadata logs by construction.
 class FileBackend : public SegmentBackend {
  public:
   FileBackend() = default;
@@ -350,35 +343,27 @@ class FileBackend : public SegmentBackend {
     compaction_hook_ = std::move(hook);
   }
 
- protected:
+ private:
   // Appends one complete metadata record, consuming one replay ordinal
   // (next_ordinal_) on success — the writer-side mirror of Scan's
   // per-record numbering, which delta records reference as base_ordinal.
   Status AppendMeta(const void* data, size_t len);
 
-  // --- Payload-write seam (overridden by UringBackend) ----------------
+  // Writes `len` payload bytes from payload_buf_ at `offset` in the data
+  // file with one blocking pwrite and accounts the device counters.
+  Status WritePayload(uint64_t len, uint64_t offset);
 
-  /// Returns the buffer the caller fills with one payload write's bytes
-  /// (at least segment_bytes; 4 KiB-aligned), or nullptr on resource
-  /// exhaustion. The base backend always hands out its single reusable
-  /// payload_buf_; an overlapping backend hands out a pool slot that
-  /// stays owned by the in-flight write until its completion is reaped.
-  virtual uint8_t* AcquirePayloadBuffer();
+  // Durability barrier: both files fsynced (skipped when
+  // StoreConfig::backend_fsync is off).
+  Status SyncBoth();
 
-  /// Writes `len` payload bytes from `buf` (a pointer previously
-  /// returned by AcquirePayloadBuffer) at `offset` in the data file and
-  /// accounts the device counters. The base backend blocks in pwrite;
-  /// an overlapping backend may return after submission only — the
-  /// bytes must be readable and durable-orderable by the next SyncBoth.
-  virtual Status WritePayload(const uint8_t* buf, uint64_t len,
-                              uint64_t offset);
+  // SyncBoth, then marks every appended free record durable and runs
+  // the stage-2 punches that durability allows; then, if `compact`,
+  // compacts the metadata log once it has outgrown its trigger.
+  Status SyncThenPunch(bool compact = true);
 
-  /// Durability barrier: every payload write issued so far has fully
-  /// completed and both files are fsynced (fsync skipped when
-  /// StoreConfig::backend_fsync is off — but an overlapping backend
-  /// still waits out its in-flight writes, because callers may read or
-  /// rewrite the ranges afterwards). Virtual for exactly that reason.
-  virtual Status SyncBoth();
+  // The geometry floor of the compaction trigger (see CompactMeta).
+  uint64_t MetaFloorBytes() const;
 
   // Shared payload-write + metadata-append path of SealSegment and
   // Checkpoint (they differ only in record type and durability rules).
@@ -409,11 +394,7 @@ class FileBackend : public SegmentBackend {
   uint32_t num_shards_ = 1;
   std::vector<PendingReclaim> pending_reclaims_;
   int data_fd_ = -1;
-  /// Buffered fd for sub-segment page reads (O_DIRECT rejects unaligned
-  /// preads); -1 when data_fd_ itself is buffered.
-  int read_fd_ = -1;
   int meta_fd_ = -1;
-  bool direct_io_ = false;
   /// Group-commit mode (SetDeferredSync): per-op fsyncs are skipped and
   /// Sync() supplies durability + releases deferred punches.
   bool deferred_sync_ = false;
@@ -429,21 +410,11 @@ class FileBackend : public SegmentBackend {
   /// tip and refuses to append without one.
   std::vector<int64_t> chain_tip_ordinal_;
   std::vector<uint64_t> chain_generation_;
-  /// Reused pwrite buffer for a whole segment (aligned when direct_io_).
+  /// Reused pwrite buffer for a whole segment.
   uint8_t* payload_buf_ = nullptr;
-
- private:
   /// Size of the log the last compaction wrote (0 before the first one).
   uint64_t meta_compacted_bytes_ = 0;
   std::function<bool(CompactionStep)> compaction_hook_;
-
-  // The geometry floor of the compaction trigger (see CompactMeta).
-  uint64_t MetaFloorBytes() const;
-
-  // SyncBoth, then marks every appended free record durable and runs
-  // the stage-2 punches that durability allows; then, if `compact`,
-  // compacts the metadata log once it has outgrown its trigger.
-  Status SyncThenPunch(bool compact = true);
 };
 
 /// Test double: forwards every hook to a base backend (NullBackend by
@@ -518,8 +489,9 @@ class FaultInjectionBackend : public SegmentBackend {
               uint32_t num_shards, StoreStats* stats, bool recover) override {
     config_ = config;
     shard_id_ = shard_id;
-    if (auto* file = dynamic_cast<FileBackend*>(base_.get())) {
-      file->SetCompactionStepHook(
+    file_base_ = dynamic_cast<FileBackend*>(base_.get());
+    if (file_base_ != nullptr) {
+      file_base_->SetCompactionStepHook(
           [this](FileBackend::CompactionStep step) {
             return CompactionGate(step);
           });
@@ -617,6 +589,8 @@ class FaultInjectionBackend : public SegmentBackend {
   Status AfterBase(Status s);
 
   std::unique_ptr<SegmentBackend> base_;
+  /// base_ as a FileBackend, or nullptr: the files a crash tears.
+  FileBackend* file_base_ = nullptr;
   StoreConfig config_;
   uint32_t shard_id_ = 0;
   int64_t seals_ = 0;

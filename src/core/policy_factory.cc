@@ -72,46 +72,31 @@ Status ApplyBackendSpec(const std::string& spec, StoreConfig* config) {
     config->backend = BackendKind::kNull;
     config->backend_dir.clear();
     config->backend_fsync = true;
-    config->backend_direct_io = false;
     return Status::OK();
   }
   const size_t colon = spec.find(':');
   const std::string kind = spec.substr(0, colon);
   const std::string dir =
       colon == std::string::npos ? "" : spec.substr(colon + 1);
-  const bool is_file =
-      kind == "file" || kind == "file-nosync" || kind == "file-direct";
-  const bool is_uring = kind == "uring" || kind == "uring-nosync";
-  if (!is_file && !is_uring) {
+  if (kind != "file" && kind != "file-nosync") {
     return Status::InvalidArgument(
         "unknown backend spec '" + spec +
-        "' (want null | file:DIR | file-nosync:DIR | file-direct:DIR | "
-        "uring:DIR | uring-nosync:DIR)");
+        "' (want null | file:DIR | file-nosync:DIR)");
   }
   if (dir.empty()) {
     return Status::InvalidArgument("backend spec '" + spec +
                                    "' is missing the directory");
   }
-  config->backend = is_uring ? BackendKind::kUring : BackendKind::kFile;
+  config->backend = BackendKind::kFile;
   config->backend_dir = dir;
-  config->backend_fsync = kind != "file-nosync" && kind != "uring-nosync";
-  config->backend_direct_io = kind == "file-direct";
+  config->backend_fsync = kind == "file";
   return Status::OK();
 }
 
 std::string BackendSpecName(const StoreConfig& config) {
   if (config.backend == BackendKind::kNull) return "null";
-  std::string kind;
-  if (config.backend == BackendKind::kUring) {
-    kind = config.backend_fsync ? "uring" : "uring-nosync";
-  } else if (config.backend_direct_io) {
-    kind = "file-direct";
-  } else if (!config.backend_fsync) {
-    kind = "file-nosync";
-  } else {
-    kind = "file";
-  }
-  return kind + ":" + config.backend_dir;
+  return (config.backend_fsync ? "file:" : "file-nosync:") +
+         config.backend_dir;
 }
 
 void ApplyVariantConfig(Variant v, StoreConfig* config) {

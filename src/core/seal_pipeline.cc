@@ -20,9 +20,9 @@ void SealPipeline::Start() {
   started_ = true;
   if (executor_ == Executor::kInline) return;
   {
-    // Publish what Open/Scan already accumulated (recovery device
-    // counters, the uring capability flag) — a snapshot taken before the
-    // first batch must not read as "no backend activity".
+    // Publish what Open/Scan already accumulated (the geometry record,
+    // recovery device counters) — a snapshot taken before the first
+    // batch must not read as "no backend activity".
     std::lock_guard<std::mutex> stats_lock(stats_mu_);
     published_stats_ = backend_stats_;
   }

@@ -57,9 +57,7 @@ class StoreStats {
   uint64_t device_fsyncs = 0;
   /// Payload bytes released back to the filesystem via hole punching.
   uint64_t device_bytes_punched = 0;
-  /// Wall-clock seconds spent inside pwrite (for the uring backend:
-  /// inside buffer packing + SQE submission, the only part of a payload
-  /// write that blocks the calling thread).
+  /// Wall-clock seconds spent inside pwrite.
   double device_write_seconds = 0.0;
   /// Wall-clock seconds spent inside fsync.
   double device_fsync_seconds = 0.0;
@@ -72,27 +70,6 @@ class StoreStats {
   /// Wall-clock seconds spent compacting: reading and replaying the old
   /// log, writing and syncing the new one, renaming it into place.
   double meta_compaction_seconds = 0.0;
-
-  // --- io_uring backend (all zero on other backends; see
-  // --- core/uring_backend.h) ------------------------------------------
-
-  /// Shard backends whose capability probe found a working ring (a
-  /// kUring store with uring_available == 0 is running the probe's
-  /// pwrite fallback everywhere). Capability flag, not a measurement:
-  /// ResetMeasurement leaves it alone.
-  uint64_t uring_available = 0;
-  /// Payload-write SQEs submitted to the ring.
-  uint64_t uring_submitted = 0;
-  /// CQEs reaped (payload writes + ring-issued fsyncs).
-  uint64_t uring_completed = 0;
-  /// Short payload writes patched with a synchronous pwrite of the
-  /// remainder (essentially ENOSPC territory; always worth surfacing).
-  uint64_t uring_short_writes = 0;
-  /// Wall-clock seconds the calling thread spent waiting on CQEs (the
-  /// durability barrier in Sync/seal paths). Device work that finished
-  /// while the CPU packed the next segment costs nothing here — that
-  /// overlap is the point of the backend.
-  double uring_wait_seconds = 0.0;
 
   // --- Seal pipeline (core/seal_pipeline.h): seal_queue_* / group_fsync*
   // --- are the I/O thread's, zero in sync mode; checkpoint records are
@@ -175,13 +152,9 @@ class StoreStats {
 
   /// Wall-clock seconds the thread driving the backend (the seal
   /// pipeline's I/O thread in async mode, the writer itself in sync
-  /// mode) spent *blocked* on device work: writes + fsyncs + CQE waits.
-  /// For the file backend that is all its device time; for the uring
-  /// backend the payload pwrite time is replaced by submit time +
-  /// CQE-wait time, so the difference against the file backend at equal
-  /// fsync policy is the overlap the ring bought.
+  /// mode) spent *blocked* on device work: writes + fsyncs.
   double BackendBlockingSeconds() const {
-    return device_write_seconds + device_fsync_seconds + uring_wait_seconds;
+    return device_write_seconds + device_fsync_seconds;
   }
 
   /// Accumulates another store's counters into this one (ShardedStore
@@ -207,11 +180,6 @@ class StoreStats {
     meta_compactions += other.meta_compactions;
     meta_compaction_bytes += other.meta_compaction_bytes;
     meta_compaction_seconds += other.meta_compaction_seconds;
-    uring_available += other.uring_available;
-    uring_submitted += other.uring_submitted;
-    uring_completed += other.uring_completed;
-    uring_short_writes += other.uring_short_writes;
-    uring_wait_seconds += other.uring_wait_seconds;
     seal_queue_enqueued += other.seal_queue_enqueued;
     seal_queue_stalls += other.seal_queue_stalls;
     group_fsyncs += other.group_fsyncs;
@@ -249,13 +217,6 @@ class StoreStats {
     meta_compactions = 0;
     meta_compaction_bytes = 0;
     meta_compaction_seconds = 0.0;
-    // uring_available is a capability flag set once at Open; zeroing it
-    // between warmup and measurement would erase a fact that has not
-    // changed, so it deliberately survives.
-    uring_submitted = 0;
-    uring_completed = 0;
-    uring_short_writes = 0;
-    uring_wait_seconds = 0.0;
     seal_queue_enqueued = 0;
     seal_queue_stalls = 0;
     group_fsyncs = 0;

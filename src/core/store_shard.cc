@@ -166,13 +166,6 @@ Status StoreShard::Write(PageId page, uint32_t bytes) {
     const double old_up2 = CurrentUp2(m.loc);
     up2 = old_up2 + 0.5 * (static_cast<double>(unow_) - old_up2);
     if (m.loc.InBuffer()) {
-      if (config_.absorb_buffered_rewrites) {
-        // Absorb the re-update in place; no physical write happens now.
-        buffer_.Update(m.loc.index, bytes, up2, exact);
-        m.bytes = bytes;
-        m.last_update = unow_;
-        return Status::OK();
-      }
       // Paper accounting: the buffer is a queue of writes, so the
       // superseded copy stays queued and will be flushed as a write that
       // is dead on arrival (it costs a physical page write and becomes
@@ -523,7 +516,7 @@ Status StoreShard::EmitCheckpoint(SegmentId id, const Segment& seg,
 Status StoreShard::EmitOpenSegmentCheckpoint(SegmentId id,
                                              const Segment& seg) {
   const CheckpointChain& chain = ckpt_chain_[id];
-  if (!DeltaCheckpointsEnabled() || !chain.valid ||
+  if (!config_.checkpoint_delta || !chain.valid ||
       chain.generation != slot_generation_[id]) {
     // Deltas off, no base, or the slot was refilled since: a full
     // record starts the chain over.

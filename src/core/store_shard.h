@@ -139,7 +139,7 @@ class StoreShard {
 
   const StoreConfig& config() const { return config_; }
   /// All counters, by value: the shard's own merged with its seal
-  /// pipeline's (device_*, uring_*, checkpoint records, and in async
+  /// pipeline's (device_*, checkpoint records, and in async
   /// mode seal_queue_* / group_fsync*; see SealPipeline::StatsSnapshot).
   StoreStats stats() const;
 
@@ -289,20 +289,14 @@ class StoreShard {
   Status EmitCheckpoint(SegmentId id, const Segment& seg, bool delta);
   // Checkpoint decision for one open segment: skip when the emitted
   // chain already covers every entry, delta when a same-generation chain
-  // exists, full otherwise (no chain, generation changed, delta disabled
-  // or O_DIRECT).
+  // exists, full otherwise (no chain, generation changed or delta
+  // disabled).
   Status EmitOpenSegmentCheckpoint(SegmentId id, const Segment& seg);
   Status EmitReclaim(SegmentId id, UpdateCount unow);
   Status EmitDelete(PageId page, uint64_t seq, UpdateCount unow);
 
   bool CheckpointingEnabled() const {
     return config_.checkpoint_interval_ops > 0;
-  }
-
-  // Delta checkpoints are gated off under O_DIRECT: a suffix pwrite is
-  // not guaranteed to be aligned, and the full-rewrite path already is.
-  bool DeltaCheckpointsEnabled() const {
-    return config_.checkpoint_delta && !config_.backend_direct_io;
   }
 
   // Bumps the slot's fill generation and closes its emitted chain; any

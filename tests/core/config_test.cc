@@ -71,20 +71,6 @@ TEST(StoreConfigTest, FileBackendRequiresDirectory) {
   EXPECT_TRUE(c.Validate().ok());
 }
 
-TEST(StoreConfigTest, DirectIoRequiresFileBackendAndAlignment) {
-  StoreConfig c;
-  c.backend_direct_io = true;
-  EXPECT_FALSE(c.Validate().ok());  // null backend cannot do O_DIRECT
-  c.backend = BackendKind::kFile;
-  c.backend_dir = "/tmp/somewhere";
-  EXPECT_TRUE(c.Validate().ok());
-  c.segment_bytes = 6 * 1024;  // multiple of page 2 KiB, not of 4 KiB
-  c.page_bytes = 2048;
-  EXPECT_FALSE(c.Validate().ok());
-  c.backend_direct_io = false;
-  EXPECT_TRUE(c.Validate().ok());
-}
-
 TEST(StoreConfigTest, GeometryHelpers) {
   StoreConfig c;
   c.segment_bytes = 1u << 20;

@@ -18,7 +18,6 @@
 
 #include "core/policy_factory.h"
 #include "core/sharded_store.h"
-#include "core/uring_backend.h"
 #include "util/fnv1a.h"
 #include "util/rng.h"
 
@@ -120,29 +119,12 @@ TEST(BackendSpecTest, ParsesAllForms) {
   EXPECT_EQ(c.backend, BackendKind::kFile);
   EXPECT_EQ(c.backend_dir, "/x/y");
   EXPECT_TRUE(c.backend_fsync);
-  EXPECT_FALSE(c.backend_direct_io);
   EXPECT_EQ(BackendSpecName(c), "file:/x/y");
 
   ASSERT_TRUE(ApplyBackendSpec("file-nosync:/x", &c).ok());
+  EXPECT_EQ(c.backend, BackendKind::kFile);
   EXPECT_FALSE(c.backend_fsync);
   EXPECT_EQ(BackendSpecName(c), "file-nosync:/x");
-
-  ASSERT_TRUE(ApplyBackendSpec("file-direct:/x", &c).ok());
-  EXPECT_TRUE(c.backend_direct_io);
-  EXPECT_TRUE(c.backend_fsync);
-  EXPECT_EQ(BackendSpecName(c), "file-direct:/x");
-
-  ASSERT_TRUE(ApplyBackendSpec("uring:/x/y", &c).ok());
-  EXPECT_EQ(c.backend, BackendKind::kUring);
-  EXPECT_EQ(c.backend_dir, "/x/y");
-  EXPECT_TRUE(c.backend_fsync);
-  EXPECT_FALSE(c.backend_direct_io);
-  EXPECT_EQ(BackendSpecName(c), "uring:/x/y");
-
-  ASSERT_TRUE(ApplyBackendSpec("uring-nosync:/x", &c).ok());
-  EXPECT_EQ(c.backend, BackendKind::kUring);
-  EXPECT_FALSE(c.backend_fsync);
-  EXPECT_EQ(BackendSpecName(c), "uring-nosync:/x");
 
   ASSERT_TRUE(ApplyBackendSpec("null", &c).ok());
   EXPECT_EQ(c.backend, BackendKind::kNull);
@@ -155,8 +137,15 @@ TEST(BackendSpecTest, RejectsBadSpecs) {
             Status::Code::kInvalidArgument);
   EXPECT_EQ(ApplyBackendSpec("file:", &c).code(),
             Status::Code::kInvalidArgument);
-  EXPECT_EQ(ApplyBackendSpec("io_uring:/x", &c).code(),
-            Status::Code::kInvalidArgument);
+  // Unknown kinds fail, and the error names every accepted form.
+  for (const char* spec :
+       {"io_uring:/x", "uring:/x", "uring-nosync:/x", "file-direct:/x"}) {
+    const Status s = ApplyBackendSpec(spec, &c);
+    EXPECT_EQ(s.code(), Status::Code::kInvalidArgument) << spec;
+    EXPECT_NE(s.ToString().find("(want null | file:DIR | file-nosync:DIR)"),
+              std::string::npos)
+        << s.ToString();
+  }
 }
 
 TEST_F(IoBackendTest, NullBackendIsBitForBitIdenticalToFileBackend) {
@@ -374,30 +363,6 @@ TEST(IoBackendPlainTest, OpenWithNullBackendIsRejected) {
       SmallConfig(), 1, [] { return MakePolicy(Variant::kGreedy); }, &st);
   EXPECT_EQ(store, nullptr);
   EXPECT_EQ(st.code(), Status::Code::kInvalidArgument);
-}
-
-TEST_F(IoBackendTest, DirectIoConfigRoundTrips) {
-  // O_DIRECT where the filesystem supports it, silent fallback where it
-  // does not (tmpfs) — either way the store must round-trip.
-  StoreConfig cfg = FileConfig(/*fsync=*/true);
-  cfg.backend_direct_io = true;
-  ASSERT_TRUE(cfg.Validate().ok());
-  {
-    auto store = ShardedStore::Create(
-        cfg, 1, [] { return MakePolicy(Variant::kGreedy); });
-    ASSERT_NE(store, nullptr);
-    Rng rng(13);
-    for (PageId p = 0; p < 32; ++p) ASSERT_TRUE(store->Write(p).ok());
-    for (int i = 0; i < 1500; ++i) {
-      ASSERT_TRUE(store->Write(rng.NextBounded(32)).ok());
-    }
-    ASSERT_TRUE(store->Close().ok());
-  }
-  auto store = ShardedStore::Open(
-      cfg, 1, [] { return MakePolicy(Variant::kGreedy); });
-  ASSERT_NE(store, nullptr);
-  EXPECT_TRUE(store->CheckInvariants().ok());
-  EXPECT_EQ(store->LivePageCount(), 32u);
 }
 
 TEST_F(IoBackendTest, BufferedStoreFlushesThroughCloseAndRecovers) {
@@ -2121,321 +2086,6 @@ TEST_F(IoBackendTest, CompactionKeepsTombstoneOfUnrecordedVersion) {
   EXPECT_EQ(ScanAndResolve(cfg, 0).pages.count(5), 0u)
       << "the compaction dropped the tombstone and the seal resurrected "
          "page 5";
-}
-
-// ---------------------------------------------------------------------
-// io_uring backend parity. The overlapped write path must be invisible
-// on disk: the same operation sequence through FileBackend and
-// UringBackend yields byte-identical metadata logs (and payload files),
-// so either backend can recover the other's state. Skip-gated on the
-// runtime capability probe — kernels or seccomp policies without
-// io_uring skip with the probe's reason instead of failing.
-// ---------------------------------------------------------------------
-
-// Two scratch directories — one per backend under comparison.
-class UringParityTest : public IoBackendTest {
- protected:
-  void SetUp() override {
-    IoBackendTest::SetUp();
-    std::string reason;
-    if (!UringBackend::ProbeAvailable(&reason)) {
-      GTEST_SKIP() << "io_uring unavailable: " << reason;
-    }
-    const char* base = std::getenv("TMPDIR");
-    std::string tmpl =
-        std::string(base != nullptr ? base : "/tmp") + "/lss_uring_XXXXXX";
-    std::vector<char> buf(tmpl.begin(), tmpl.end());
-    buf.push_back('\0');
-    ASSERT_NE(::mkdtemp(buf.data()), nullptr);
-    uring_dir_ = buf.data();
-  }
-
-  void TearDown() override {
-    if (!uring_dir_.empty()) {
-      for (uint32_t i = 0; i < 64; ++i) {
-        ::unlink(FileBackend::DataPath(uring_dir_, i).c_str());
-        ::unlink(FileBackend::MetaPath(uring_dir_, i).c_str());
-      }
-      ::rmdir(uring_dir_.c_str());
-    }
-    IoBackendTest::TearDown();
-  }
-
-  StoreConfig UringConfig(bool fsync = false) {
-    StoreConfig c = SmallConfig();
-    c.backend = BackendKind::kUring;
-    c.backend_dir = uring_dir_;
-    c.backend_fsync = fsync;
-    return c;
-  }
-
-  std::string uring_dir_;
-};
-
-// The canonical durable-op sequence of the seam: seals (including a
-// reseal of the same slot), a full checkpoint, a delta extending it, a
-// reclaim, a delete tombstone and a re-homing record.
-void DriveParitySequence(SegmentBackend* b) {
-  auto entry = [](PageId page, uint64_t seq, uint64_t offset) {
-    Segment::Entry e;
-    e.page = page;
-    e.bytes = 4096;
-    e.seq = seq;
-    e.last_update = seq;
-    e.offset = offset;
-    return e;
-  };
-
-  BackendSegmentRecord s0;
-  s0.id = 0;
-  s0.source = SegmentSource::kUser;
-  s0.seal_time = 4;
-  s0.unow = 4;
-  s0.entries = {entry(1, 1, 0), entry(2, 2, 4096), entry(3, 3, 2 * 4096),
-                entry(4, 4, 3 * 4096)};
-  ASSERT_TRUE(b->SealSegment(s0).ok());
-
-  // Open-segment checkpoint chain on slot 1: full record, then a
-  // suffix-only delta, then the real seal superseding both.
-  BackendSegmentRecord ck;
-  ck.id = 1;
-  ck.source = SegmentSource::kUser;
-  ck.seal_time = 6;
-  ck.unow = 6;
-  ck.checkpoint = true;
-  ck.entries = {entry(5, 5, 0), entry(6, 6, 4096)};
-  ASSERT_TRUE(b->Checkpoint(ck).ok());
-
-  BackendSegmentRecord d = ck;
-  d.delta = true;
-  d.seal_time = 7;
-  d.unow = 7;
-  d.prefix_entries = 2;
-  d.suffix_offset = 2 * 4096;
-  d.suffix_length = 4096;
-  d.entries = {entry(7, 7, 2 * 4096)};
-  ASSERT_TRUE(b->CheckpointDelta(d).ok());
-
-  BackendSegmentRecord s1 = ck;
-  s1.checkpoint = false;
-  s1.seal_time = 8;
-  s1.unow = 8;
-  s1.entries.push_back(entry(7, 7, 2 * 4096));
-  s1.entries.push_back(entry(8, 8, 3 * 4096));
-  ASSERT_TRUE(b->SealSegment(s1).ok());
-
-  // Reseal slot 0 (GC rewrote it), free the old copy's nothing — then
-  // reclaim slot 1 and tombstone a page.
-  BackendSegmentRecord s0b = s0;
-  s0b.source = SegmentSource::kGc;
-  s0b.seal_time = 10;
-  s0b.unow = 10;
-  s0b.entries = {entry(1, 9, 0), entry(3, 10, 4096)};
-  ASSERT_TRUE(b->SealSegment(s0b).ok());
-  ASSERT_TRUE(b->ReclaimSegment(1, /*unow=*/11).ok());
-  ASSERT_TRUE(b->RecordDelete(3, /*seq=*/11, /*unow=*/12).ok());
-
-  // Re-home slot 0's survivors, as withheld-slot reuse would.
-  BackendSegmentRecord rh = s0b;
-  rh.seal_time = 13;
-  rh.unow = 13;
-  ASSERT_TRUE(b->RehomeEntries(rh).ok());
-  ASSERT_TRUE(b->Sync().ok());
-}
-
-TEST_F(UringParityTest, RawSequenceYieldsByteIdenticalFiles) {
-  const StoreConfig fcfg = FileConfig(/*fsync=*/true);
-  StoreConfig ucfg = UringConfig(/*fsync=*/true);
-  {
-    StoreStats fstats;
-    FileBackend file;
-    ASSERT_TRUE(file.Open(fcfg, 0, 1, &fstats, /*recover=*/false).ok());
-    DriveParitySequence(&file);
-    ASSERT_TRUE(file.Close().ok());
-
-    StoreStats ustats;
-    UringBackend uring;
-    ASSERT_TRUE(uring.Open(ucfg, 0, 1, &ustats, /*recover=*/false).ok());
-    ASSERT_TRUE(uring.ring_active()) << uring.fallback_reason();
-    DriveParitySequence(&uring);
-    // The ring overlaps payload writes but must account them identically.
-    EXPECT_GT(ustats.uring_submitted, 0u);
-    EXPECT_EQ(ustats.device_bytes_written, fstats.device_bytes_written);
-    ASSERT_TRUE(uring.Close().ok());
-  }
-
-  // Byte-for-byte identical durable state: metadata log and payload file.
-  EXPECT_EQ(ReadAllBytes(FileBackend::MetaPath(dir_, 0)),
-            ReadAllBytes(FileBackend::MetaPath(uring_dir_, 0)));
-  EXPECT_EQ(ReadAllBytes(FileBackend::DataPath(dir_, 0)),
-            ReadAllBytes(FileBackend::DataPath(uring_dir_, 0)));
-
-  // Cross-recovery: a plain FileBackend reads the uring-written log...
-  FileBackend reader;
-  StoreStats rstats;
-  ASSERT_TRUE(reader.Open(ucfg, 0, 1, &rstats, /*recover=*/true).ok());
-  BackendRecovery out;
-  ASSERT_TRUE(reader.Scan(&out).ok());
-  // Slot 1 was reclaimed, so only slot 0's (latest) seal survives.
-  ASSERT_EQ(out.segments.size(), 1u);
-  EXPECT_EQ(out.segments[0].id, 0u);
-  EXPECT_EQ(out.segments[0].entries.size(), 2u);
-  ASSERT_EQ(out.rehomed.size(), 1u);
-  ASSERT_EQ(out.deletes.size(), 1u);
-  EXPECT_EQ(out.deletes[0].first, 3u);
-  // ...and the payload the ring wrote reads back with the right pattern.
-  std::vector<uint8_t> data;
-  ASSERT_TRUE(reader.ReadPagePayload(0, 0, 1, 4096, &data).ok());
-  EXPECT_TRUE(VerifyPagePayload(1, 4096, data.data()));
-  ASSERT_TRUE(reader.Close().ok());
-}
-
-TEST_F(UringParityTest, StoreChurnMatchesFileBackendBitForBit) {
-  // Same churn, same seed, different backend: every simulator counter
-  // and every durable byte must match. Runs the full store stack —
-  // seals, GC rewrites, deletes, checkpoints — through the ring.
-  auto churn = [](const StoreConfig& cfg) {
-    StoreConfig c = cfg;
-    c.checkpoint_interval_ops = 64;
-    auto store = ShardedStore::Create(
-        c, 1, [] { return MakePolicy(Variant::kGreedy); });
-    EXPECT_NE(store, nullptr);
-    Rng rng(19);
-    for (PageId p = 0; p < 32; ++p) EXPECT_TRUE(store->Write(p).ok());
-    for (int i = 0; i < 2500; ++i) {
-      const PageId p = rng.NextBounded(32);
-      if (store->Contains(p) && rng.NextBool(0.05)) {
-        EXPECT_TRUE(store->Delete(p).ok());
-      } else {
-        EXPECT_TRUE(store->Write(p).ok());
-      }
-    }
-    EXPECT_TRUE(store->CheckInvariants().ok());
-    return store;
-  };
-
-  auto file_store = churn(FileConfig(/*fsync=*/true));
-  auto uring_store = churn(UringConfig(/*fsync=*/true));
-  const StoreStats a = file_store->AggregatedStats();
-  const StoreStats b = uring_store->AggregatedStats();
-  EXPECT_EQ(b.uring_available, 1u);
-  EXPECT_GT(b.uring_submitted, 0u);
-  EXPECT_EQ(a.user_updates, b.user_updates);
-  EXPECT_EQ(a.user_segments_sealed, b.user_segments_sealed);
-  EXPECT_EQ(a.gc_segments_sealed, b.gc_segments_sealed);
-  EXPECT_EQ(a.segments_cleaned, b.segments_cleaned);
-  EXPECT_EQ(a.device_bytes_written, b.device_bytes_written);
-  EXPECT_EQ(a.device_write_ops, b.device_write_ops);
-  const size_t file_live = file_store->LivePageCount();
-  std::vector<bool> file_has(32);
-  for (PageId p = 0; p < 32; ++p) file_has[p] = file_store->Contains(p);
-  ASSERT_TRUE(file_store->Close().ok());
-  ASSERT_TRUE(uring_store->Close().ok());
-
-  EXPECT_EQ(ReadAllBytes(FileBackend::MetaPath(dir_, 0)),
-            ReadAllBytes(FileBackend::MetaPath(uring_dir_, 0)));
-  EXPECT_EQ(ReadAllBytes(FileBackend::DataPath(dir_, 0)),
-            ReadAllBytes(FileBackend::DataPath(uring_dir_, 0)));
-
-  // The uring-written store recovers through the uring backend too.
-  Status st;
-  auto reopened = ShardedStore::Open(
-      UringConfig(/*fsync=*/true),
-      1,
-      [] { return MakePolicy(Variant::kGreedy); },
-      &st);
-  ASSERT_NE(reopened, nullptr) << st.ToString();
-  EXPECT_TRUE(reopened->CheckInvariants().ok());
-  EXPECT_EQ(reopened->LivePageCount(), file_live);
-  for (PageId p = 0; p < 32; ++p) {
-    ASSERT_EQ(reopened->Contains(p), file_has[p]) << p;
-    if (!reopened->Contains(p)) continue;
-    std::vector<uint8_t> data;
-    EXPECT_TRUE(reopened->ReadPage(p, &data).ok()) << p;
-  }
-  ASSERT_TRUE(reopened->Close().ok());
-}
-
-TEST_F(UringParityTest, AsyncSealPipelineOverUringRecovers) {
-  // The ring under the seal pipeline: payload writes overlap inside a
-  // group-commit batch, the batch-end Sync reaps them, WaitApplied
-  // (exercised by ReadPage racing queued seals) keeps its durability
-  // meaning.
-  StoreConfig cfg = UringConfig(/*fsync=*/true);
-  cfg.async_seal = true;
-  cfg.seal_queue_depth = 4;
-  cfg.checkpoint_interval_ops = 32;
-  size_t live_before = 0;
-  {
-    auto store = ShardedStore::Create(
-        cfg, 1, [] { return MakePolicy(Variant::kGreedy); });
-    ASSERT_NE(store, nullptr);
-    Rng rng(43);
-    for (PageId p = 0; p < 32; ++p) ASSERT_TRUE(store->Write(p).ok());
-    for (int i = 0; i < 2000; ++i) {
-      ASSERT_TRUE(store->Write(rng.NextBounded(32)).ok());
-      if (i % 89 == 0) {
-        const PageId p = rng.NextBounded(32);
-        if (store->Contains(p)) {
-          std::vector<uint8_t> data;
-          const Status s = store->ReadPage(p, &data);
-          EXPECT_TRUE(s.ok() || s.code() == Status::Code::kInvalidArgument)
-              << s.ToString();
-        }
-      }
-    }
-    const StoreStats snap = store->AggregatedStats();
-    EXPECT_EQ(snap.uring_available, 1u);
-    EXPECT_GT(snap.uring_submitted, 0u);
-    EXPECT_GT(snap.group_fsyncs, 0u);
-    live_before = store->LivePageCount();
-    ASSERT_TRUE(store->Close().ok());
-  }
-  Status st;
-  auto store = ShardedStore::Open(
-      cfg, 1, [] { return MakePolicy(Variant::kGreedy); }, &st);
-  ASSERT_NE(store, nullptr) << st.ToString();
-  EXPECT_TRUE(store->CheckInvariants().ok());
-  EXPECT_EQ(store->LivePageCount(), live_before);
-}
-
-// NOT skip-gated: whichever way the probe goes, the backend must work.
-// With a ring it reports the capability; without one it degrades to the
-// FileBackend write path with a recorded reason — either way the store
-// round-trips. This is the test that pins the fallback contract on
-// kernels where the gated suite above skips.
-TEST_F(IoBackendTest, UringBackendWorksWithOrWithoutRing) {
-  StoreConfig cfg = FileConfig(/*fsync=*/true);
-  cfg.backend = BackendKind::kUring;
-  StoreStats stats;
-  {
-    UringBackend backend;
-    ASSERT_TRUE(backend.Open(cfg, 0, 1, &stats, /*recover=*/false).ok());
-    std::string reason;
-    const bool probed = UringBackend::ProbeAvailable(&reason);
-    EXPECT_EQ(backend.ring_active(), probed) << reason;
-    if (backend.ring_active()) {
-      EXPECT_EQ(stats.uring_available, 1u);
-      EXPECT_TRUE(backend.fallback_reason().empty());
-    } else {
-      EXPECT_EQ(stats.uring_available, 0u);
-      EXPECT_FALSE(backend.fallback_reason().empty());
-    }
-    DriveParitySequence(&backend);
-    ASSERT_TRUE(backend.Close().ok());
-  }
-  UringBackend reader;
-  StoreStats rstats;
-  ASSERT_TRUE(reader.Open(cfg, 0, 1, &rstats, /*recover=*/true).ok());
-  BackendRecovery out;
-  ASSERT_TRUE(reader.Scan(&out).ok());
-  ASSERT_EQ(out.segments.size(), 1u);
-  ASSERT_EQ(out.rehomed.size(), 1u);
-  ASSERT_EQ(out.deletes.size(), 1u);
-  std::vector<uint8_t> data;
-  ASSERT_TRUE(reader.ReadPagePayload(0, 0, 1, 4096, &data).ok());
-  EXPECT_TRUE(VerifyPagePayload(1, 4096, data.data()));
-  ASSERT_TRUE(reader.Close().ok());
 }
 
 }  // namespace

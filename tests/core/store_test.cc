@@ -165,21 +165,6 @@ TEST(StoreTest, RewriteWhileBufferedCountsEachWriteByDefault) {
   EXPECT_TRUE(store->CheckInvariants().ok());
 }
 
-TEST(StoreTest, BufferedWritesAreAbsorbed) {
-  StoreConfig c = SmallConfig();
-  c.write_buffer_segments = 2;
-  c.absorb_buffered_rewrites = true;
-  auto store = MakeStore(c);
-  // Two writes to the same page while it fits in the buffer: only one
-  // physical page write should result.
-  ASSERT_TRUE(store->Write(1).ok());
-  ASSERT_TRUE(store->Write(1).ok());
-  EXPECT_EQ(store->shard(0).stats().user_updates, 2u);
-  ASSERT_TRUE(store->Flush().ok());
-  EXPECT_EQ(store->shard(0).stats().user_pages_written, 1u);
-  EXPECT_TRUE(store->CheckInvariants().ok());
-}
-
 TEST(StoreTest, FlushDrainsBuffer) {
   StoreConfig c = SmallConfig();
   c.write_buffer_segments = 4;

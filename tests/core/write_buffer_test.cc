@@ -40,26 +40,6 @@ TEST(WriteBufferTest, FullAtCapacity) {
   EXPECT_TRUE(b.Full());
 }
 
-TEST(WriteBufferTest, UpdateAbsorbsInPlace) {
-  WriteBuffer b(1 << 20);
-  const uint32_t slot = b.Add(MakeWrite(5, 4096, 10.0, /*first=*/true));
-  b.Update(slot, 8192, 20.0, 1.5);
-  EXPECT_EQ(b.Count(), 1u);  // no new slot
-  EXPECT_EQ(b.bytes(), 8192u);
-  const BufferedWrite& w = b.Get(slot);
-  EXPECT_EQ(w.bytes, 8192u);
-  EXPECT_DOUBLE_EQ(w.up2, 20.0);
-  EXPECT_FALSE(w.first_write);
-  EXPECT_DOUBLE_EQ(w.exact_upf, 1.5);
-}
-
-TEST(WriteBufferTest, UpdateCanShrink) {
-  WriteBuffer b(1 << 20);
-  const uint32_t slot = b.Add(MakeWrite(5, 8192, 0));
-  b.Update(slot, 100, 0, 0);
-  EXPECT_EQ(b.bytes(), 100u);
-}
-
 TEST(WriteBufferTest, DrainReturnsArrivalOrderAndEmpties) {
   WriteBuffer b(1 << 20);
   b.Add(MakeWrite(3, 4096, 1.0));

@@ -53,7 +53,6 @@
 #include "core/io_backend.h"
 #include "core/policy_factory.h"
 #include "core/sharded_store.h"
-#include "core/uring_backend.h"
 #include "util/rng.h"
 
 namespace lss {
@@ -125,10 +124,6 @@ struct TortureGeometry {
   // re-checkpointed as they grow — the regime where suffix-only delta
   // records chain off a full base.
   uint32_t barrier_every = 0;
-  // Backend under the fault layer (kFile or kUring); the recovery
-  // reopen uses the same kind. The uring geometry is skip-gated on the
-  // runtime capability probe.
-  BackendKind backend = BackendKind::kFile;
 };
 
 // The geometry that reliably reaches the withheld-slot fallback (see
@@ -151,7 +146,7 @@ StoreConfig TortureConfig(uint32_t num_shards, bool async_seal,
   c.clean_trigger_segments = 2;
   c.clean_batch_segments = 4;
   c.write_buffer_segments = 2;
-  c.backend = geo.backend;
+  c.backend = BackendKind::kFile;
   c.backend_dir = dir;
   c.backend_fsync = true;
   c.async_seal = async_seal;
@@ -280,19 +275,11 @@ void RunTortureIteration(const std::string& dir, uint32_t num_shards,
 
   Status st;
   const Variant variant = geo.variant;
-  const BackendKind backend_kind = geo.backend;
   auto store = ShardedStore::Create(
       cfg, num_shards, [variant] { return MakePolicy(variant); }, &st,
-      [&faults, backend_kind](uint32_t shard_id)
-          -> std::unique_ptr<SegmentBackend> {
-        std::unique_ptr<FileBackend> inner;
-        if (backend_kind == BackendKind::kUring) {
-          inner = std::make_unique<UringBackend>();
-        } else {
-          inner = std::make_unique<FileBackend>();
-        }
-        auto fault =
-            std::make_unique<FaultInjectionBackend>(std::move(inner));
+      [&faults](uint32_t shard_id) -> std::unique_ptr<SegmentBackend> {
+        auto fault = std::make_unique<FaultInjectionBackend>(
+            std::make_unique<FileBackend>());
         faults[shard_id] = fault.get();
         return fault;
       });
@@ -445,33 +432,6 @@ TEST_F(CrashRecoveryTest, TortureSingleShard) {
 
 TEST_F(CrashRecoveryTest, TortureEightShards) {
   RunTortureGeometry(dir_, /*num_shards=*/8, /*seed_base=*/20000);
-}
-
-// The same kill-point harness with UringBackend under the fault layer.
-// A kill lands with payload SQEs possibly still in flight; the fault
-// layer's tear calls Abandon() first, which waits out every submitted
-// write (a power cut cannot un-issue DMA the device already accepted),
-// so the tear operates on deterministic file state — the torn tail and
-// partial overwrite land *on top of* whatever the ring had completed.
-// Recovery reopens through the uring backend too, and the audit is the
-// same strict zero-loss rule as every other geometry. Skip-gated on the
-// runtime capability probe.
-TEST_F(CrashRecoveryTest, TortureUringBackend) {
-  std::string reason;
-  if (!UringBackend::ProbeAvailable(&reason)) {
-    GTEST_SKIP() << "io_uring unavailable: " << reason;
-  }
-  TortureGeometry geo;
-  geo.backend = BackendKind::kUring;
-  const int iters = std::max(TortureIters() / 4, 25);
-  for (int i = 0; i < iters; ++i) {
-    RunTortureIteration(dir_, /*num_shards=*/1, /*seed=*/70000 + i,
-                        /*async_seal=*/(i % 2) == 1,
-                        /*audit_reuse=*/(i % 8) == 0, geo);
-    if (HasFatalFailure() || HasNonfatalFailure()) {
-      FAIL() << "uring torture iteration " << i << " failed";
-    }
-  }
 }
 
 TEST_F(CrashRecoveryTest, TortureMultiLogTinyFreePool) {
