@@ -15,10 +15,10 @@
 //
 // Environment:
 //   LSS_BENCH_SCALE=N     multiply warehouses / transaction counts
-//   LSS_BENCH_THREADS=N   worker threads for trace generation AND shards
-//                         for trace replay (default 1 = the serial
-//                         pipeline; replay at N>1 runs RunTrace
-//                         over an N-shard store)
+//   LSS_BENCH_THREADS=N   shards for trace replay (default 1 = the
+//                         serial pipeline; at N>1 RunTrace replays over
+//                         an N-shard store). The trace itself always
+//                         comes from the one-writer engine.
 //   LSS_BENCH_SMOKE=1     tiny cardinality + one fill factor, for CI
 //   LSS_BENCH_NO_CACHE=1  always regenerate the trace
 //   LSS_BENCH_JSON=path   machine-readable results (bench_common.h)
@@ -27,6 +27,7 @@
 #include <cinttypes>
 #include <unistd.h>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -38,8 +39,8 @@
 namespace lss {
 namespace {
 
-// Generation workers / replay shards (LSS_BENCH_THREADS). The value is
-// parsed strictly: garbage exits(2) instead of clamping to 1.
+// Replay shards (LSS_BENCH_THREADS). The value is parsed strictly:
+// garbage exits(2) instead of clamping to 1.
 uint32_t BenchThreads() {
   return static_cast<uint32_t>(
       bench::EnvInt("LSS_BENCH_THREADS", 1, 1, 4096));
@@ -52,10 +53,9 @@ bool SmokeMode() {
 
 // Trace generation dominates this bench's runtime, so the generated
 // trace is cached in the system temp directory, keyed by every parameter
-// that shapes it — including the worker-thread count (parallel
-// generation produces a differently interleaved trace) and the trace
-// generator's format version, so stale cached traces regenerate instead
-// of silently replaying old data after a format change. Re-runs (e.g.
+// that shapes it — including the trace generator's format version, so
+// stale cached traces regenerate instead of silently replaying old data
+// after a format change. Re-runs (e.g.
 // sweeping simulator-side settings) load the cache in milliseconds; set
 // LSS_BENCH_NO_CACHE=1 to force regeneration.
 struct CachedTrace {
@@ -81,9 +81,10 @@ std::string TraceCachePath(const tpcc::TpccConfig& tc, uint64_t warm_txns,
   mix(tc.orders_per_district);
   mix(tc.buffer_pool_pages);
   mix(tc.seed);
-  mix(tc.workers);
-  // The pool policy was always exact LRU (0); mixing that value keeps
-  // existing cached traces valid.
+  // Constants where the key once mixed the generation worker count (1)
+  // and the pool policy (exact LRU, 0): keeping them keeps the default
+  // cache path, and so existing cached traces, valid.
+  mix(1);
   mix(0);
   mix(warm_txns);
   mix(measure_txns);
@@ -97,17 +98,22 @@ std::string TraceCachePath(const tpcc::TpccConfig& tc, uint64_t warm_txns,
 
 // The trace's binary files hold only the records; the run metadata
 // (boundaries, pool counters, pre-split shape) rides in a tiny sidecar
-// so a cache hit restores the full TpccTraceResult.
+// so a cache hit restores the full TpccTraceResult. The sidecar opens
+// with a layout tag: a sidecar of another layout (such as the untagged
+// one that carried a fifth pool counter) reads as a cache miss instead
+// of misparsing.
+constexpr char kMetaTag[] = "fig6-meta-2";
+
 bool SaveMeta(const std::string& path, const tpcc::TpccTraceResult& gen) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;
+  std::fprintf(f, "%s\n", kMetaTag);
   std::fprintf(f, "%zu %" PRIu64 " %" PRIu64 " %" PRIu64 "\n",
                gen.measure_from, gen.pages_after_load, gen.pages_final,
                gen.transactions);
-  std::fprintf(f, "%" PRIu64 " %" PRIu64 " %" PRIu64 " %" PRIu64 " %" PRIu64
-               "\n",
+  std::fprintf(f, "%" PRIu64 " %" PRIu64 " %" PRIu64 " %" PRIu64 "\n",
                gen.pool_hits, gen.pool_misses, gen.pool_evictions,
-               gen.pool_write_backs, gen.pool_latch_acquisitions);
+               gen.pool_write_backs);
   std::fprintf(f, "%u", gen.presplit.shards);
   for (uint32_t s = 0; s < gen.presplit.shards; ++s) {
     std::fprintf(f, " %zu", gen.presplit.measure_from[s]);
@@ -117,25 +123,31 @@ bool SaveMeta(const std::string& path, const tpcc::TpccTraceResult& gen) {
   return true;
 }
 
-bool LoadMeta(const std::string& path, tpcc::TpccTraceResult* gen) {
+// A pre-split for another shard count than `presplit_shards` is ignored
+// (the replay re-splits the trace itself); only a matching one is read,
+// so a damaged shard count sizes nothing.
+bool LoadMeta(const std::string& path, uint32_t presplit_shards,
+              tpcc::TpccTraceResult* gen) {
   std::FILE* f = std::fopen(path.c_str(), "r");
   if (f == nullptr) return false;
+  char tag[16] = {};  // longer than kMetaTag: a longer token cannot match
   size_t measure_from = 0;
   uint64_t after_load = 0, final_pages = 0, txns = 0;
   uint32_t shards = 0;
   bool ok =
+      std::fscanf(f, "%15s", tag) == 1 && std::strcmp(tag, kMetaTag) == 0 &&
       std::fscanf(f, "%zu %" SCNu64 " %" SCNu64 " %" SCNu64, &measure_from,
                   &after_load, &final_pages, &txns) == 4 &&
-      std::fscanf(f, "%" SCNu64 " %" SCNu64 " %" SCNu64 " %" SCNu64
-                  " %" SCNu64,
+      std::fscanf(f, "%" SCNu64 " %" SCNu64 " %" SCNu64 " %" SCNu64,
                   &gen->pool_hits, &gen->pool_misses, &gen->pool_evictions,
-                  &gen->pool_write_backs,
-                  &gen->pool_latch_acquisitions) == 5 &&
+                  &gen->pool_write_backs) == 4 &&
       std::fscanf(f, "%u", &shards) == 1;
-  gen->presplit.shards = shards;
-  gen->presplit.measure_from.assign(shards, 0);
-  for (uint32_t s = 0; ok && s < shards; ++s) {
-    ok = std::fscanf(f, "%zu", &gen->presplit.measure_from[s]) == 1;
+  if (ok && shards == presplit_shards) {
+    gen->presplit.shards = shards;
+    gen->presplit.measure_from.assign(shards, 0);
+    for (uint32_t s = 0; ok && s < shards; ++s) {
+      ok = std::fscanf(f, "%zu", &gen->presplit.measure_from[s]) == 1;
+    }
   }
   std::fclose(f);
   if (!ok) return false;
@@ -161,7 +173,7 @@ CachedTrace GenerateOrLoadTrace(const tpcc::TpccConfig& tc,
   const bool cache_enabled = std::getenv("LSS_BENCH_NO_CACHE") == nullptr;
 
   CachedTrace out;
-  if (cache_enabled && LoadMeta(meta_path, &out.gen) &&
+  if (cache_enabled && LoadMeta(meta_path, presplit_shards, &out.gen) &&
       out.gen.trace.LoadFrom(trace_path) && !out.gen.trace.Empty()) {
     // The per-shard sub-traces ride in sibling files; a damaged or
     // missing one just forfeits the cached split (the replay re-splits
@@ -179,7 +191,6 @@ CachedTrace GenerateOrLoadTrace(const tpcc::TpccConfig& tc,
       out.gen.presplit = ShardedTrace();
     }
     out.from_cache = true;
-    out.gen.workers = tc.workers;
     return out;
   }
   out.gen = tpcc::GenerateTpccTrace(tc, warm_txns, measure_txns,
@@ -218,35 +229,28 @@ void Run() {
   // mix + cache ratio), not absolute size. LSS_BENCH_SCALE=N multiplies
   // the warehouse count (TPC-C's own scaling knob) as well as the
   // transaction counts, growing the database toward the paper's
-  // 4 GB-cache regime; LSS_BENCH_THREADS=N generates (and replays) with
-  // N-way parallelism, which is what makes paper-scale runs tractable.
+  // 4 GB-cache regime; LSS_BENCH_THREADS=N replays over N shards.
   const uint32_t scale = bench::ScaleFactor();
   const uint32_t threads = BenchThreads();
   const bool smoke = SmokeMode();
-  // Generation workers and replay shards both default to `threads`, but
-  // the smoke database is too small to carve into many replay shards
+  // The smoke database is too small to carve into many replay shards
   // (per-shard cleaner geometry would be invalid), so smoke caps the
-  // replay side at 2 — generation still runs all `threads` workers,
-  // which is what the workers-beyond-warehouses CI gate exercises.
+  // replay at 2 shards.
   const uint32_t replay_shards = smoke ? std::min(threads, 2u) : threads;
   TpccConfig tc;
-  // Smoke pins 2 warehouses regardless of the thread count: with
-  // LSS_BENCH_THREADS > 2 this exercises the workers-beyond-warehouses
-  // path (several sessions sharing a partition group) in CI.
   tc.warehouses = smoke ? 2 : 4 * scale;
   tc.districts_per_warehouse = smoke ? 4 : 10;
   tc.customers_per_district = smoke ? 120 : 400;
   tc.items = smoke ? 500 : 5000;
   tc.orders_per_district = smoke ? 120 : 400;
   tc.seed = 17;
-  tc.workers = threads;
 
   const uint64_t warm_txns = smoke ? 1000 : 20000ull * scale;
   const uint64_t measure_txns = smoke ? 3000 : 80000ull * scale;
 
   // Pre-size the cache to ~10% of the database footprint: populate a
-  // throwaway instance to learn the page count (in parallel when
-  // threads > 1 — no trace is collected here).
+  // throwaway instance to learn the page count (no trace is collected
+  // here).
   uint64_t db_pages;
   {
     tpcc::TpccDb probe(tc);
@@ -283,13 +287,14 @@ void Run() {
                 static_cast<unsigned long long>(gen.pages_after_load),
                 static_cast<unsigned long long>(gen.pages_final));
   } else {
+    // "with 1 worker" stays in the line so its text matches the
+    // committed outputs, made when the worker count could vary.
     std::printf("trace: %zu page writes (%zu measured), db grew %llu -> "
-                "%llu pages, generated in %.2fs with %u worker%s\n\n",
+                "%llu pages, generated in %.2fs with 1 worker\n\n",
                 gen.trace.Size(), gen.trace.Size() - gen.measure_from,
                 static_cast<unsigned long long>(gen.pages_after_load),
                 static_cast<unsigned long long>(gen.pages_final),
-                gen.generation_seconds, gen.workers,
-                gen.workers == 1 ? "" : "s");
+                gen.generation_seconds);
   }
   bench::Emit(bench::JsonRow("fig6_tpcc")
                   .Str("row", "generation")
@@ -304,8 +309,6 @@ void Run() {
                   .Num("pool_misses", gen.pool_misses)
                   .Num("pool_evictions", gen.pool_evictions)
                   .Num("pool_write_backs", gen.pool_write_backs)
-                  .Num("pool_latch_acquisitions",
-                       gen.pool_latch_acquisitions)
                   .Num("presplit_shards",
                        static_cast<uint64_t>(gen.presplit.shards)));
 

@@ -1,11 +1,8 @@
 // Micro-benchmarks for the B+-tree storage engine substrate: point ops
-// and scans through a small buffer pool (single- and multi-threaded over
-// one shared latch-coupled tree), and TPC-C transaction throughput
-// including a workers-per-warehouse sweep. Explains the cost of
-// regenerating the Figure 6 trace.
+// and scans through a small buffer pool, and TPC-C transaction
+// throughput. Explains the cost of regenerating the Figure 6 trace.
 
 #include <string>
-#include <vector>
 
 #include <benchmark/benchmark.h>
 
@@ -72,91 +69,6 @@ void BM_BtreeScan100(benchmark::State& state) {
 }
 BENCHMARK(BM_BtreeScan100);
 
-// --- Concurrent tree benchmarks -----------------------------------------
-//
-// One shared tree, N benchmark threads. Thread 0 builds the tree before
-// the timed region (google-benchmark barriers all threads at the loop
-// start/stop), every thread then drives its own op stream.
-
-void BM_BtreeGetParallel(benchmark::State& state) {
-  static Pager* pager;
-  static BufferPool* pool;
-  static BTree* tree;
-  constexpr uint64_t kN = 100000;
-  if (state.thread_index() == 0) {
-    pager = new Pager();
-    pool = new BufferPool(pager, 4096);
-    tree = new BTree(pool);
-    const std::string value(120, 'v');
-    for (uint64_t i = 0; i < kN; ++i) tree->Insert(Key(i), value).ok();
-  }
-  Rng rng(100 + state.thread_index());
-  std::string out;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(tree->Get(Key(rng.NextBounded(kN)), &out));
-  }
-  state.SetItemsProcessed(state.iterations());
-  if (state.thread_index() == 0) {
-    delete tree;
-    delete pool;
-    delete pager;
-  }
-}
-BENCHMARK(BM_BtreeGetParallel)
-    ->Threads(1)
-    ->Threads(2)
-    ->Threads(4)
-    ->Threads(8)
-    ->UseRealTime();
-
-void BM_BtreeMixedParallel(benchmark::State& state) {
-  // 20% Put / 10% Delete / 70% Get per thread, disjoint key ranges in
-  // one shared tree: the optimistic write descent under read pressure.
-  static Pager* pager;
-  static BufferPool* pool;
-  static BTree* tree;
-  constexpr uint64_t kRange = 20000;
-  constexpr int kMaxThreads = 8;
-  if (state.thread_index() == 0) {
-    pager = new Pager();
-    pool = new BufferPool(pager, 4096);
-    tree = new BTree(pool);
-    const std::string value(100, 'v');
-    for (int t = 0; t < kMaxThreads; ++t) {
-      for (uint64_t i = 0; i < kRange; i += 2) {
-        tree->Insert(Key(t * 1000000 + i), value).ok();
-      }
-    }
-  }
-  const uint64_t base = state.thread_index() * 1000000ull;
-  Rng rng(200 + state.thread_index());
-  const std::string value(100, 'w');
-  std::string out;
-  for (auto _ : state) {
-    const uint64_t k = base + rng.NextBounded(kRange);
-    const uint32_t dice = static_cast<uint32_t>(rng.NextBounded(10));
-    if (dice < 2) {
-      benchmark::DoNotOptimize(tree->Put(Key(k), value));
-    } else if (dice < 3) {
-      benchmark::DoNotOptimize(tree->Delete(Key(k)));
-    } else {
-      benchmark::DoNotOptimize(tree->Get(Key(k), &out));
-    }
-  }
-  state.SetItemsProcessed(state.iterations());
-  if (state.thread_index() == 0) {
-    delete tree;
-    delete pool;
-    delete pager;
-  }
-}
-BENCHMARK(BM_BtreeMixedParallel)
-    ->Threads(1)
-    ->Threads(2)
-    ->Threads(4)
-    ->Threads(8)
-    ->UseRealTime();
-
 void BM_TpccTransaction(benchmark::State& state) {
   tpcc::TpccConfig cfg;
   cfg.warehouses = 1;
@@ -173,46 +85,6 @@ void BM_TpccTransaction(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TpccTransaction);
-
-void BM_TpccWorkersPerWarehouse(benchmark::State& state) {
-  // Fixed 2 warehouses, N worker sessions: at 4 and 8 threads several
-  // sessions share a partition group, measuring how throughput scales
-  // when workers outnumber warehouses (the latch-coupled engine's
-  // headline capability; the old engine clamped workers to warehouses).
-  static tpcc::TpccDb* db;
-  static std::vector<tpcc::TpccDb::Session>* sessions;
-  if (state.thread_index() == 0) {
-    tpcc::TpccConfig cfg;
-    cfg.warehouses = 2;
-    cfg.districts_per_warehouse = 4;
-    cfg.customers_per_district = 200;
-    cfg.items = 1000;
-    cfg.orders_per_district = 200;
-    cfg.buffer_pool_pages = 1024;
-    cfg.workers = static_cast<uint32_t>(state.threads());
-    db = new tpcc::TpccDb(cfg);
-    db->Populate();
-    sessions = new std::vector<tpcc::TpccDb::Session>();
-    for (uint32_t t = 0; t < db->workers(); ++t) {
-      sessions->push_back(db->MakeSession(t));
-    }
-  }
-  tpcc::TpccDb::Session& session = (*sessions)[state.thread_index()];
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(db->RunNextTransaction(session));
-  }
-  state.SetItemsProcessed(state.iterations());
-  if (state.thread_index() == 0) {
-    delete sessions;
-    delete db;
-  }
-}
-BENCHMARK(BM_TpccWorkersPerWarehouse)
-    ->Threads(1)
-    ->Threads(2)
-    ->Threads(4)
-    ->Threads(8)
-    ->UseRealTime();
 
 }  // namespace
 }  // namespace lss

@@ -17,12 +17,8 @@
 #             lock-free PageTable, the per-shard seal pipeline (its
 #             threaded executor's unit and sync/async op-sequence tests,
 #             SealPipeline* in tests/core/seal_pipeline_test.cc, and the
-#             AsyncSeal* cases in tests/core/sharded_store_test.cc), the
-#             latch-striped buffer pool (BufferPoolParallel*), the
-#             latch-coupled B+-tree (BTreeParallel*: N-writer/M-reader
-#             stress and delete-churn over one shared tree), the
-#             multi-worker TPC-C engine (TpccParallel*) and parallel
-#             trace replay (TraceReplayParallel*).
+#             AsyncSeal* cases in tests/core/sharded_store_test.cc) and
+#             parallel trace replay (TraceReplayParallel*).
 #   --asan:   rebuild with -fsanitize=address,undefined in ./build-asan
 #             (or the given build dir) and run the FULL test suite — the
 #             memory-safety gate for the raw-I/O backend (pwrite buffers,
@@ -75,15 +71,12 @@ if [[ $TSAN -eq 1 ]]; then
     -DLSS_BUILD_BENCHES=OFF -DLSS_BUILD_EXAMPLES=OFF
   cmake --build "$BUILD_DIR" -j "$JOBS"
   # TSAN_OPTIONS makes any reported race fail the run even if the test
-  # binary would otherwise exit 0. The suppression file silences only
-  # the false-positive potential-deadlock report on recycled buffer-pool
-  # frame latches (rationale in scripts/tsan.supp); races stay fatal.
-  # 'Parallel' already covers BTreeParallel/BufferPoolParallel/
-  # TpccParallel/TraceReplayParallel; they are named anyway so the
-  # gate's scope is explicit.
-  TSAN_OPTIONS="halt_on_error=1 suppressions=$PWD/scripts/tsan.supp" \
+  # binary would otherwise exit 0. 'Parallel' already covers
+  # TraceReplayParallel; it is named anyway so the gate's scope is
+  # explicit.
+  TSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
-      -R 'Sharded|PageTableConcurrency|Parallel|AsyncSeal|SealPipeline|BTreeParallel|BufferPoolParallel|TpccParallel|TraceReplayParallel'
+      -R 'Sharded|PageTableConcurrency|Parallel|AsyncSeal|SealPipeline|TraceReplayParallel'
   echo "check.sh: tsan green"
   exit 0
 fi
@@ -123,34 +116,31 @@ cmake --build "$BUILD_DIR/lssbench" -j "$JOBS"
 "$BUILD_DIR/lssbench/lssbench" --selftest
 echo "check.sh: lssbench selftest green"
 
-# Small-scale parallel TPC-C smoke: 2-worker trace generation, replay
-# through RunTrace over 2 shards, machine-readable output — the
-# end-to-end gate for the concurrent fig6 pipeline (seconds, not
-# minutes; the full bench is LSS_BENCH_SCALE/LSS_BENCH_THREADS).
+# Small-scale TPC-C smoke: one-writer trace generation, replay through
+# RunTrace over 2 shards, machine-readable output, then the same run
+# again from the trace cache (a scratch TMPDIR, so no cached trace from
+# elsewhere is read). The second run must load the cache and print the
+# same table as the first (seconds, not minutes; the full bench is
+# LSS_BENCH_SCALE/LSS_BENCH_THREADS).
 if [[ -x "$BUILD_DIR/bench/fig6_tpcc" ]]; then
-  LSS_BENCH_SMOKE=1 LSS_BENCH_THREADS=2 LSS_BENCH_NO_CACHE=1 \
+  FIG6_TMP="$(mktemp -d "$BUILD_DIR/fig6_cache.XXXXXX")"
+  TMPDIR="$FIG6_TMP" LSS_BENCH_SMOKE=1 LSS_BENCH_THREADS=2 \
     LSS_BENCH_JSON="$BUILD_DIR/fig6_smoke.json" \
-    "$BUILD_DIR/bench/fig6_tpcc"
+    "$BUILD_DIR/bench/fig6_tpcc" | tee "$FIG6_TMP/first.out"
   grep -q '"bench":"fig6_tpcc"' "$BUILD_DIR/fig6_smoke.json"
-  echo "check.sh: fig6 parallel smoke green"
-
-  # Workers-beyond-warehouses smoke: 4 worker sessions over the fixed
-  # 2 smoke warehouses — the end-to-end gate for the latch-coupled
-  # engine's headline capability (the old engine clamped workers to the
-  # warehouse count). The JSON must confirm the layout actually ran at
-  # 4 threads / 2 warehouses and produced a non-empty measured trace.
-  LSS_BENCH_SMOKE=1 LSS_BENCH_THREADS=4 LSS_BENCH_NO_CACHE=1 \
-    LSS_BENCH_JSON="$BUILD_DIR/fig6_smoke_4w.json" \
-    "$BUILD_DIR/bench/fig6_tpcc"
-  grep -q '"bench":"fig6_tpcc"' "$BUILD_DIR/fig6_smoke_4w.json"
-  grep -q '"row":"generation"' "$BUILD_DIR/fig6_smoke_4w.json"
-  grep -q '"threads":4' "$BUILD_DIR/fig6_smoke_4w.json"
-  grep -q '"warehouses":2' "$BUILD_DIR/fig6_smoke_4w.json"
-  if grep -q '"trace_records":0[,}]' "$BUILD_DIR/fig6_smoke_4w.json"; then
-    echo "check.sh: fig6 workers>warehouses smoke produced an empty trace" >&2
+  TMPDIR="$FIG6_TMP" LSS_BENCH_SMOKE=1 LSS_BENCH_THREADS=2 \
+    "$BUILD_DIR/bench/fig6_tpcc" | tee "$FIG6_TMP/second.out"
+  if ! grep -q '^trace (cached)' "$FIG6_TMP/second.out"; then
+    echo "check.sh: fig6 smoke rerun did not load the cached trace" >&2
     exit 1
   fi
-  echo "check.sh: fig6 workers>warehouses smoke green"
+  if ! diff <(grep -v '^trace' "$FIG6_TMP/first.out") \
+            <(grep -v '^trace' "$FIG6_TMP/second.out"); then
+    echo "check.sh: fig6 smoke from the cached trace printed another table" >&2
+    exit 1
+  fi
+  rm -rf "$FIG6_TMP"
+  echo "check.sh: fig6 smoke (generated and cached) green"
 fi
 
 # Recovery-scan smoke: one run of BM_RecoverScan, FileBackend::Scan over

@@ -1,9 +1,7 @@
 #ifndef LSS_BTREE_BTREE_H_
 #define LSS_BTREE_BTREE_H_
 
-#include <atomic>
 #include <cstdint>
-#include <shared_mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -20,14 +18,11 @@ namespace lss {
 /// range scans. This is the storage engine under the TPC-C workload whose
 /// page-write trace drives the paper's §6.3 experiment.
 ///
-/// Concurrency: safe for any mix of concurrent readers and writers on
-/// the same tree via latch coupling over the buffer pool's per-frame
-/// reader-writer page latches (docs/ARCHITECTURE.md, "Latch-coupled
-/// B+-tree"). Readers crab shared latches root->leaf; writers descend
-/// optimistically (shared latches, exclusive leaf) and restart with a
-/// full exclusive-path descent only when the leaf must split.
-/// CheckIntegrity quiesces the tree through a tree-wide latch. Moving a
-/// BTree is NOT thread-safe: both trees must be externally quiescent.
+/// Single-threaded (docs/ARCHITECTURE.md, "One-writer TPC-C engine").
+/// Descents pin root->leaf, pinning each child before unpinning its
+/// parent; a write first tries the leaf alone and re-descends holding
+/// the whole path only when the leaf must split. That pin/unpin order
+/// decides the buffer pool's LRU order and so the page-write trace.
 ///
 /// Scope notes (documented simplifications, see docs/ARCHITECTURE.md):
 /// deletes do not rebalance (underfull leaves persist, as in
@@ -43,8 +38,8 @@ class BTree {
   BTree(const BTree&) = delete;
   BTree& operator=(const BTree&) = delete;
   /// Moves transfer the tree; the moved-from tree keeps no pool pointer
-  /// and any further operation on it asserts. Requires both trees
-  /// quiescent (no concurrent operations, no live iterators).
+  /// and any further operation on it asserts. Requires no live
+  /// iterators on either tree.
   BTree(BTree&& o) noexcept;
   BTree& operator=(BTree&& o) noexcept;
 
@@ -62,24 +57,17 @@ class BTree {
   /// Removes a record. Returns false if absent.
   bool Delete(std::string_view key);
 
-  /// Records currently stored (exact when quiescent; a racing snapshot
-  /// while writers run).
-  uint64_t Size() const { return size_.load(std::memory_order_acquire); }
+  /// Records currently stored.
+  uint64_t Size() const { return size_; }
 
-  PageNo root() const {
-    return static_cast<PageNo>(root_word_.load(std::memory_order_acquire));
-  }
+  PageNo root() const { return root_; }
 
-  /// Forward iterator over records. Pins and shared-latches pages only
-  /// while reading; the current key/value are materialised copies. The
-  /// iterator is valid across unrelated tree reads AND writes: every
-  /// Load checks the tree's modification counter under the leaf latch
-  /// and, when any write has intervened, safely re-seeks to the first
-  /// key after the last one returned (so a stale position can never read
-  /// a recycled or reorganised leaf). Concurrent splits may move records
-  /// between leaves mid-scan; the iterator guarantees strictly
-  /// increasing key order and never fabricates records, and degenerates
-  /// to an exact scan whenever the tree is quiescent.
+  /// Forward iterator over records. Pins pages only while reading; the
+  /// current key/value are materialised copies. The iterator stays valid
+  /// across tree writes made between its steps: every Load checks the
+  /// tree's modification counter and, when any write has intervened,
+  /// re-seeks to the first key after the last one returned (so a stale
+  /// position can never read a reorganised leaf).
   class Iterator {
    public:
     bool Valid() const { return valid_; }
@@ -91,13 +79,12 @@ class BTree {
    private:
     friend class BTree;
     Iterator(const BTree* tree, PageNo leaf, uint16_t slot,
-             uint64_t mod_snapshot, std::string bound, bool bound_inclusive,
-             bool latched);
+             uint64_t mod_snapshot, std::string bound, bool bound_inclusive);
     // Loads key_/value_ from (leaf_, slot_), hopping over empty leaves;
     // falls back to Reposition() when the tree changed under us.
     void Load();
     // Re-derives the position by key: first record >= bound_ (or >
-    // bound_ when !bound_inclusive_). Latched mode only.
+    // bound_ when !bound_inclusive_).
     void Reposition();
 
     const BTree* tree_ = nullptr;
@@ -111,9 +98,6 @@ class BTree {
     uint64_t mod_snapshot_ = 0;
     std::string bound_;
     bool bound_inclusive_ = true;
-    // False only for CheckIntegrity's internal walk, which runs under
-    // the tree-wide quiescence latch and needs no page latches.
-    bool latched_ = true;
   };
 
   /// Iterator at the first record with key >= `key`.
@@ -122,54 +106,31 @@ class BTree {
   Iterator Begin() const;
 
   /// Full structural validation: node consistency, key ordering within
-  /// and across nodes, leaf chain coverage. O(tree). Takes the tree-wide
-  /// quiescence latch exclusively, so it can run while other threads
-  /// use the tree (they block for its duration).
+  /// and across nodes, leaf chain coverage. O(tree).
   Status CheckIntegrity() const;
 
   /// Height of the tree (1 = root is a leaf). For tests/diagnostics.
-  uint32_t Height() const {
-    return static_cast<uint32_t>(
-        root_word_.load(std::memory_order_acquire) >> 32);
-  }
+  uint32_t Height() const { return height_; }
 
  private:
-  // root_word_ packs (height << 32) | root page: a root's height never
-  // changes while it is the root (splits below it cannot move the leaf
-  // level; only a new root adds one), so one atomic word gives every
-  // descent a consistent (root, height) pair. Descents latch the root
-  // and re-validate the word; if it moved on (a root split), they
-  // restart. An old root is never re-used as root, so there is no ABA.
-  static uint64_t PackRoot(PageNo root, uint32_t height) {
-    return (static_cast<uint64_t>(height) << 32) | root;
-  }
-
   void AssertLive() const;
 
-  // Latched descents (crabbing: child latched before parent released).
-  // DescendShared returns the shared-latched leaf for `key`;
-  // DescendLeftmost the shared-latched first leaf; DescendForWrite the
-  // exclusive-latched leaf (shared latches on the way down);
-  // DescendExclusive fills `path` with exclusive-latched refs root->leaf
-  // for the split path.
-  PageRef DescendShared(std::string_view key) const;
-  PageRef DescendLeftmost() const;
-  PageRef DescendForWrite(std::string_view key);
-  void DescendExclusive(std::string_view key, std::vector<PageRef>* path);
+  // Returns the pinned leaf for `key` (the empty key routes to the first
+  // leaf). Crabbing order: each child is pinned before its parent is
+  // unpinned. Reads and the first write attempt both use it.
+  PageRef Descend(std::string_view key) const;
+  // Fills `path` with pinned refs root->leaf for the split path.
+  void DescendPath(std::string_view key, std::vector<PageRef>* path);
 
-  // Pessimistic write path: full exclusive descent, then insert or
-  // overwrite (`overwrite`), splitting as needed over the held refs.
-  Status WritePessimistic(std::string_view key, std::string_view value,
+  // Restart write path: a descent holding the whole path, then insert
+  // or overwrite (`overwrite`), splitting as needed over the held refs.
+  Status WriteHoldingPath(std::string_view key, std::string_view value,
                           bool overwrite);
-  // Inserts `key`/`value` into the latched leaf path->back() (known to
-  // need a split), then propagates separators up the held path.
+  // Inserts `key`/`value` into the leaf path->back() (known to need a
+  // split), then propagates separators up the held path.
   Status SplitAndInsert(std::vector<PageRef>* path, std::string_view key,
                         std::string_view value);
 
-  // Unlatched walk for quiescent validation (caller holds quiesce_
-  // exclusively or the tree single-threaded).
-  PageNo DescendToLeaf(std::string_view key,
-                       std::vector<PageNo>* path) const;
   // Routing decision within an internal node.
   static PageNo RouteChild(const NodeView& node, std::string_view key);
 
@@ -178,16 +139,12 @@ class BTree {
                       uint64_t* records) const;
 
   BufferPool* pool_;
-  std::atomic<uint64_t> root_word_{0};
-  std::atomic<uint64_t> size_{0};
-  // Bumped (under the exclusive leaf latch) by every successful
-  // mutation; iterators snapshot it to detect intervening writes.
-  std::atomic<uint64_t> mods_{0};
-  // Tree-wide quiescence latch: operations and iterator loads hold it
-  // shared, CheckIntegrity holds it exclusively. Ordered strictly before
-  // page latches (acquired first, released last) so the two layers
-  // cannot deadlock.
-  mutable std::shared_mutex quiesce_;
+  PageNo root_ = kInvalidPageNo;
+  uint32_t height_ = 1;
+  uint64_t size_ = 0;
+  // Bumped by every successful mutation; iterators snapshot it to detect
+  // intervening writes.
+  uint64_t mods_ = 0;
 };
 
 }  // namespace lss

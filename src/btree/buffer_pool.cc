@@ -1,5 +1,6 @@
 #include "btree/buffer_pool.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
@@ -8,14 +9,10 @@ namespace lss {
 
 namespace {
 
-// Auto-partitioning: scale stripes with capacity but keep >= 64 frames
-// per stripe — the worst case has every worker thread's transient pins
-// (a handful each) hashing into one stripe, and a stripe with zero
-// unpinned frames cannot evict. The floor means every capacity below 128
-// (in particular the asserted minimum 8 up to 127) runs as exactly one
-// partition — a single exact cache, the pre-striping behaviour.
-// Power-of-two counts keep the hash cheap to reason about; 64 stripes
-// are plenty for any thread count we run.
+// Stripes scale with capacity but keep >= 64 frames each, up to 64
+// stripes, so every capacity below 128 (in particular the asserted
+// minimum 8 up to 127) runs as exactly one stripe — a single exact LRU
+// cache. The committed Figure 6 traces were made with this rule.
 uint32_t AutoPartitions(size_t capacity_pages) {
   uint32_t parts = 1;
   while (parts < 64 && capacity_pages / (parts * 2) >= 64) parts *= 2;
@@ -25,29 +22,22 @@ uint32_t AutoPartitions(size_t capacity_pages) {
 }  // namespace
 
 BufferPool::BufferPool(Pager* pager, size_t capacity_pages,
-                       WriteObserver observer, uint32_t partitions)
+                       WriteObserver observer)
     : pager_(pager), capacity_(capacity_pages),
       observer_(std::move(observer)) {
   assert(pager != nullptr);
   assert(capacity_pages >= 8);
-  if (partitions == 0) partitions = AutoPartitions(capacity_pages);
-  // An explicit request is clamped to >= 8 frames per stripe (the
-  // B+-tree's transient pin budget).
-  if (partitions > capacity_pages / 8) {
-    partitions = static_cast<uint32_t>(capacity_pages / 8);
-  }
-  if (partitions == 0) partitions = 1;
-  parts_.reserve(partitions);
+  const uint32_t partitions = AutoPartitions(capacity_pages);
+  parts_ = std::vector<Partition>(partitions);
   for (uint32_t p = 0; p < partitions; ++p) {
-    auto part = std::make_unique<Partition>();
+    Partition& part = parts_[p];
     // Distribute capacity evenly; early stripes absorb the remainder.
     const size_t n = capacity_ / partitions +
                      (p < capacity_ % partitions ? 1 : 0);
-    part->frames = std::vector<Frame>(n);
-    for (Frame& f : part->frames) f.data.resize(kBtreePageSize);
-    part->free_frames.reserve(n);
-    for (size_t i = n; i > 0; --i) part->free_frames.push_back(i - 1);
-    parts_.push_back(std::move(part));
+    part.frames = std::vector<Frame>(n);
+    for (Frame& f : part.frames) f.data.resize(kBtreePageSize);
+    part.free_frames.reserve(n);
+    for (size_t i = n; i > 0; --i) part.free_frames.push_back(i - 1);
   }
 }
 
@@ -57,56 +47,35 @@ BufferPool::~BufferPool() {
 
 size_t BufferPool::PinnedFrames() const {
   size_t n = 0;
-  for (const auto& part : parts_) {
-    std::lock_guard<std::mutex> lock(part->mu);
-    for (const Frame& f : part->frames) {
-      n += f.pins != 0 ? 1 : 0;
-    }
+  for (const Partition& part : parts_) {
+    for (const Frame& f : part.frames) n += f.pins != 0 ? 1 : 0;
   }
   return n;
 }
 
 uint64_t BufferPool::hits() const {
   uint64_t n = 0;
-  for (const auto& part : parts_) {
-    n += part->hits.load(std::memory_order_relaxed);
-  }
+  for (const Partition& part : parts_) n += part.hits;
   return n;
 }
 
 uint64_t BufferPool::misses() const {
   uint64_t n = 0;
-  for (const auto& part : parts_) {
-    n += part->misses.load(std::memory_order_relaxed);
-  }
+  for (const Partition& part : parts_) n += part.misses;
   return n;
 }
 
 uint64_t BufferPool::evictions() const {
   uint64_t n = 0;
-  for (const auto& part : parts_) {
-    n += part->evictions.load(std::memory_order_relaxed);
-  }
+  for (const Partition& part : parts_) n += part.evictions;
   return n;
 }
 
 uint64_t BufferPool::write_backs() const {
   uint64_t n = 0;
-  for (const auto& part : parts_) {
-    n += part->write_backs.load(std::memory_order_relaxed);
-  }
+  for (const Partition& part : parts_) n += part.write_backs;
   return n;
 }
-
-uint64_t BufferPool::latch_acquisitions() const {
-  uint64_t n = 0;
-  for (const auto& part : parts_) {
-    n += part->latch_acquisitions.load(std::memory_order_relaxed);
-  }
-  return n;
-}
-
-// --- Everything below runs under part.mu ------------------------------
 
 void BufferPool::LruRemove(Partition& part, Frame& f) {
   if (f.in_lru) {
@@ -119,19 +88,17 @@ void BufferPool::WriteBack(Partition& part, Frame& f) {
   assert(f.dirty);
   pager_->Write(f.page, f.data.data());
   f.dirty = false;
-  part.write_backs.fetch_add(1, std::memory_order_relaxed);
+  ++part.write_backs;
   if (observer_) observer_(f.page);
 }
 
 size_t BufferPool::EvictOne(Partition& part) {
   if (part.lru.empty()) {
     // Exhaustion (every frame in the stripe pinned) cannot be satisfied;
-    // fail loudly rather than invoke UB in release builds. Auto-sizing
-    // keeps stripes >= 64 frames precisely so concurrent pins cannot get
-    // here.
+    // fail loudly rather than invoke UB in release builds.
     std::fprintf(stderr,
                  "lss: buffer pool stripe exhausted: all %zu frames "
-                 "pinned; use fewer partitions or a larger pool\n",
+                 "pinned; use a larger pool\n",
                  part.frames.size());
     std::abort();
   }
@@ -141,7 +108,7 @@ size_t BufferPool::EvictOne(Partition& part) {
   part.page_to_frame.erase(f.page);
   LruRemove(part, f);
   f.page = kInvalidPageNo;
-  part.evictions.fetch_add(1, std::memory_order_relaxed);
+  ++part.evictions;
   return idx;
 }
 
@@ -149,12 +116,12 @@ size_t BufferPool::FrameFor(Partition& part, PageNo page,
                             bool load_from_pager) {
   auto it = part.page_to_frame.find(page);
   if (it != part.page_to_frame.end()) {
-    part.hits.fetch_add(1, std::memory_order_relaxed);
+    ++part.hits;
     // About to be pinned: out of the LRU list until its last unpin.
     LruRemove(part, part.frames[it->second]);
     return it->second;
   }
-  part.misses.fetch_add(1, std::memory_order_relaxed);
+  ++part.misses;
   size_t idx;
   if (!part.free_frames.empty()) {
     idx = part.free_frames.back();
@@ -170,14 +137,13 @@ size_t BufferPool::FrameFor(Partition& part, PageNo page,
   return idx;
 }
 
-size_t BufferPool::PinLocked(Partition& part, PageNo page,
-                             bool load_from_pager) {
+size_t BufferPool::PinIn(Partition& part, PageNo page, bool load_from_pager) {
   const size_t idx = FrameFor(part, page, load_from_pager);
   ++part.frames[idx].pins;
   return idx;
 }
 
-void BufferPool::UnpinLocked(Partition& part, size_t idx, bool dirty) {
+void BufferPool::UnpinIn(Partition& part, size_t idx, bool dirty) {
   Frame& f = part.frames[idx];
   assert(f.pins > 0);
   if (dirty) f.dirty = true;
@@ -188,14 +154,9 @@ void BufferPool::UnpinLocked(Partition& part, size_t idx, bool dirty) {
   }
 }
 
-// --- Operation paths ----------------------------------------------------
-
 BufferPool::Frame& BufferPool::PinFrame(PageNo page) {
   Partition& part = PartitionFor(page);
-  std::lock_guard<std::mutex> lock(part.mu);
-  part.latch_acquisitions.fetch_add(1, std::memory_order_relaxed);
-  const size_t idx = PinLocked(part, page, /*load_from_pager=*/true);
-  return part.frames[idx];
+  return part.frames[PinIn(part, page, /*load_from_pager=*/true)];
 }
 
 uint8_t* BufferPool::Pin(PageNo page) {
@@ -204,27 +165,20 @@ uint8_t* BufferPool::Pin(PageNo page) {
 
 void BufferPool::UnpinFrame(Frame& f, PageNo page, bool dirty) {
   Partition& part = PartitionFor(page);
-  std::lock_guard<std::mutex> lock(part.mu);
-  part.latch_acquisitions.fetch_add(1, std::memory_order_relaxed);
-  UnpinLocked(part, static_cast<size_t>(&f - part.frames.data()), dirty);
+  UnpinIn(part, static_cast<size_t>(&f - part.frames.data()), dirty);
 }
 
 void BufferPool::Unpin(PageNo page, bool dirty) {
   Partition& part = PartitionFor(page);
-  std::lock_guard<std::mutex> lock(part.mu);
-  part.latch_acquisitions.fetch_add(1, std::memory_order_relaxed);
   auto it = part.page_to_frame.find(page);
   assert(it != part.page_to_frame.end() && "unpin of uncached page");
-  UnpinLocked(part, it->second, dirty);
+  UnpinIn(part, it->second, dirty);
 }
 
 PageNo BufferPool::AllocatePinned(uint8_t** data_out) {
   const PageNo page = pager_->Allocate();
   Partition& part = PartitionFor(page);
-  std::lock_guard<std::mutex> lock(part.mu);
-  part.latch_acquisitions.fetch_add(1, std::memory_order_relaxed);
-  const size_t idx = PinLocked(part, page, /*load_from_pager=*/false);
-  Frame& f = part.frames[idx];
+  Frame& f = part.frames[PinIn(part, page, /*load_from_pager=*/false)];
   std::fill(f.data.begin(), f.data.end(), 0);
   // A freshly allocated page must reach the pager eventually even if it
   // is never modified again.
@@ -234,13 +188,11 @@ PageNo BufferPool::AllocatePinned(uint8_t** data_out) {
 }
 
 void BufferPool::FlushAll() {
-  for (auto& part : parts_) {
-    std::lock_guard<std::mutex> lock(part->mu);
-    part->latch_acquisitions.fetch_add(1, std::memory_order_relaxed);
-    for (Frame& f : part->frames) {
+  for (Partition& part : parts_) {
+    for (Frame& f : part.frames) {
       // A pinned frame is skipped (see class comment).
       if (f.page == kInvalidPageNo || !f.dirty || f.pins != 0) continue;
-      WriteBack(*part, f);
+      WriteBack(part, f);
     }
   }
 }

@@ -1,11 +1,10 @@
 #ifndef LSS_BTREE_PAGER_H_
 #define LSS_BTREE_PAGER_H_
 
-#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <cstring>
-#include <mutex>
+#include <memory>
 #include <vector>
 
 #include "btree/page.h"
@@ -15,55 +14,29 @@ namespace lss {
 /// The engine's backing store — an in-memory stand-in for the disk under
 /// the buffer pool. Every write-back lands here; the page-write I/O trace
 /// is collected one level up (BufferPool) where eviction and checkpoint
-/// decisions are made.
-///
-/// Thread safety. Allocate() may be called concurrently from any thread
-/// (the page counter is atomic; chunk growth is double-checked under a
-/// mutex, and chunk pointers never move once published, so Read/Write of
-/// already-allocated pages need no lock). Concurrent Read/Write of the
-/// *same* page are the caller's problem: the buffer pool maps each page
-/// to exactly one partition and serialises its I/O under that partition's
-/// latch.
+/// decisions are made. Single-threaded, like the engine above it.
 class Pager {
  public:
-  /// Pages per storage chunk. Chunks are allocated on demand and pinned
-  /// in place for the pager's lifetime.
+  /// Pages per storage chunk. Chunks are allocated on demand and never
+  /// move, so growing the store copies no page bytes.
   static constexpr size_t kChunkPages = 1024;
-  /// Directory slots: kMaxChunks * kChunkPages * 4 KB = 256 GB ceiling,
-  /// far above anything the benches allocate.
-  static constexpr size_t kMaxChunks = 1 << 16;
 
-  Pager() : chunks_(kMaxChunks) {
-    for (auto& c : chunks_) c.store(nullptr, std::memory_order_relaxed);
-  }
-
+  Pager() = default;
   Pager(const Pager&) = delete;
   Pager& operator=(const Pager&) = delete;
 
-  ~Pager() {
-    for (auto& c : chunks_) delete[] c.load(std::memory_order_relaxed);
-  }
-
-  /// Allocates a zeroed page and returns its number. Thread-safe.
+  /// Allocates a zeroed page and returns its number.
   PageNo Allocate() {
-    const PageNo page = next_page_.fetch_add(1, std::memory_order_relaxed);
-    const size_t chunk = page / kChunkPages;
-    assert(chunk < kMaxChunks && "pager capacity exhausted");
-    if (chunks_[chunk].load(std::memory_order_acquire) == nullptr) {
-      std::lock_guard<std::mutex> lock(grow_mu_);
-      if (chunks_[chunk].load(std::memory_order_relaxed) == nullptr) {
-        // Value-initialisation zeroes the chunk's page bytes.
-        chunks_[chunk].store(new PageBuf[kChunkPages](),
-                             std::memory_order_release);
-      }
+    const PageNo page = next_page_++;
+    if (page / kChunkPages == chunks_.size()) {
+      // Value-initialisation zeroes the chunk's page bytes.
+      chunks_.push_back(std::make_unique<PageBuf[]>(kChunkPages));
     }
     return page;
   }
 
   /// Number of pages ever allocated (the database footprint).
-  PageNo PageCount() const {
-    return next_page_.load(std::memory_order_relaxed);
-  }
+  PageNo PageCount() const { return next_page_; }
 
   /// Copies a page's bytes out of the backing store.
   void Read(PageNo page, uint8_t* out) const {
@@ -84,17 +57,12 @@ class Pager {
   };
 
   uint8_t* PageData(PageNo page) const {
-    PageBuf* chunk = chunks_[page / kChunkPages].load(std::memory_order_acquire);
-    assert(chunk != nullptr && "read/write of unallocated page");
-    return chunk[page % kChunkPages].data;
+    assert(page < next_page_ && "read/write of unallocated page");
+    return chunks_[page / kChunkPages][page % kChunkPages].data;
   }
 
-  // Two-level directory: a fixed-size vector of atomic chunk pointers.
-  // The vector itself never grows, so readers index it without locks;
-  // only chunk creation synchronises (grow_mu_ + release store).
-  std::vector<std::atomic<PageBuf*>> chunks_;
-  std::atomic<PageNo> next_page_{0};
-  std::mutex grow_mu_;
+  std::vector<std::unique_ptr<PageBuf[]>> chunks_;
+  PageNo next_page_ = 0;
 };
 
 }  // namespace lss

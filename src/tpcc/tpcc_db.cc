@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <set>
-#include <thread>
 #include <vector>
 
 #include "tpcc/keys.h"
-#include "util/rng.h"
 
 namespace lss::tpcc {
 
@@ -18,98 +16,33 @@ BufferPool::WriteObserver MakeTraceObserver(Trace* trace) {
   return [trace](PageNo p) { trace->AppendWrite(p); };
 }
 
-// Row-identity hashes for the striped row-lock table. The tag keeps
-// stock and customer rows from systematically sharing stripes.
-uint64_t StockRowHash(uint32_t w, uint32_t i_id) {
-  return SplitMix64((1ull << 40) ^ (static_cast<uint64_t>(w) << 20) ^ i_id);
-}
-
-uint64_t CustomerRowHash(uint32_t w, uint32_t d, uint32_t c) {
-  return SplitMix64((2ull << 40) ^ (static_cast<uint64_t>(w) << 24) ^
-                    (static_cast<uint64_t>(d) << 16) ^ c);
-}
-
 }  // namespace
 
 TpccDb::TpccDb(const TpccConfig& config, Trace* trace)
-    : TpccDb(config, MakeTraceObserver(trace)) {
-  // A single Trace is not thread-safe; remember to keep Populate on this
-  // thread.
-  single_threaded_observer_ = trace != nullptr;
-}
-
-TpccDb::TpccDb(const TpccConfig& config, BufferPool::WriteObserver observer)
     : config_(config),
       rnd_(config.seed),
-      pool_(&pager_, config.buffer_pool_pages, std::move(observer)),
-      session0_(config.seed, 0) {
-  InitPartitions();
-}
+      txn_rnd_(config.seed),
+      pool_(&pager_, config.buffer_pool_pages, MakeTraceObserver(trace)),
+      warehouse_(&pool_),
+      district_(&pool_),
+      customer_(&pool_),
+      history_(&pool_),
+      new_order_(&pool_),
+      order_(&pool_),
+      order_line_(&pool_),
+      stock_(&pool_),
+      customer_name_idx_(&pool_),
+      order_customer_idx_(&pool_),
+      item_(&pool_),
+      history_seq_(config.warehouses, 0) {}
 
-void TpccDb::InitPartitions() {
-  const uint32_t groups = config_.PartitionGroups();
-  parts_.reserve(groups);
-  for (uint32_t p = 0; p < groups; ++p) {
-    auto part = std::make_unique<Partition>();
-    part->warehouse = std::make_unique<BTree>(&pool_);
-    part->district = std::make_unique<BTree>(&pool_);
-    part->customer = std::make_unique<BTree>(&pool_);
-    part->history = std::make_unique<BTree>(&pool_);
-    part->new_order = std::make_unique<BTree>(&pool_);
-    part->order = std::make_unique<BTree>(&pool_);
-    part->order_line = std::make_unique<BTree>(&pool_);
-    part->stock = std::make_unique<BTree>(&pool_);
-    part->customer_name_idx = std::make_unique<BTree>(&pool_);
-    part->order_customer_idx = std::make_unique<BTree>(&pool_);
-    parts_.push_back(std::move(part));
-  }
-  item_ = std::make_unique<BTree>(&pool_);
-
-  wstate_.reserve(config_.warehouses);
-  for (uint32_t w = 0; w < config_.warehouses; ++w) {
-    auto ws = std::make_unique<WarehouseState>();
-    ws->district_mu =
-        std::make_unique<std::mutex[]>(config_.districts_per_warehouse);
-    wstate_.push_back(std::move(ws));
-  }
-  row_locks_ = std::make_unique<std::mutex[]>(kRowLockStripes);
-}
-
-TpccDb::Session TpccDb::MakeSession(uint32_t worker) const {
-  assert(worker < workers());
-  // Worker 0 reproduces the built-in session's stream; other workers get
-  // decorrelated streams off the same seed.
-  return Session(config_.seed + worker * 0x9E3779B97F4A7C15ull, worker);
-}
-
-uint32_t TpccDb::HomeWarehouse(Session& s) {
-  const uint32_t groups = static_cast<uint32_t>(parts_.size());
-  const uint32_t g = s.worker_ % groups;
-  const uint32_t count = HomeWarehouseCount(s.worker_);
-  const uint32_t idx = static_cast<uint32_t>(s.rnd_.Uniform(1, count));
-  return g + 1 + (idx - 1) * groups;
+uint32_t TpccDb::HomeWarehouse() {
+  return static_cast<uint32_t>(txn_rnd_.Uniform(1, config_.warehouses));
 }
 
 // --- Population ----------------------------------------------------------
 
 void TpccDb::Populate() {
-  PopulateItems();
-  const uint32_t groups = partition_groups();
-  if (groups > 1 && !single_threaded_observer_) {
-    // Each thread populates only its own partition group, so the groups
-    // are independent up to the (thread-safe) buffer pool and pager.
-    std::vector<std::thread> threads;
-    threads.reserve(groups);
-    for (uint32_t t = 0; t < groups; ++t) {
-      threads.emplace_back([this, t] { PopulateWorker(t); });
-    }
-    for (std::thread& th : threads) th.join();
-  } else {
-    for (uint32_t t = 0; t < groups; ++t) PopulateWorker(t);
-  }
-}
-
-void TpccDb::PopulateItems() {
   // Items (shared across warehouses; read-only once loaded).
   for (uint32_t i = 1; i <= config_.items; ++i) {
     ItemRow row{};
@@ -118,24 +51,14 @@ void TpccDb::PopulateItems() {
     SetField(row.i_name, rnd_.AString(14, 24));
     row.i_price = 1.0 + rnd_.UniformDouble() * 99.0;
     SetField(row.i_data, rnd_.AString(26, 40));
-    item_->Insert(ItemKey(i), RowView(row));
+    item_.Insert(ItemKey(i), RowView(row));
   }
-}
-
-void TpccDb::PopulateWorker(uint32_t group) {
-  const uint32_t groups = static_cast<uint32_t>(parts_.size());
-  assert(group < groups);
-  for (uint32_t w = group + 1; w <= config_.warehouses; w += groups) {
-    PopulateWarehouse(w);
-  }
+  for (uint32_t w = 1; w <= config_.warehouses; ++w) PopulateWarehouse(w);
 }
 
 void TpccDb::PopulateWarehouse(uint32_t w) {
-  // A per-warehouse RNG stream keeps population deterministic no matter
-  // how warehouses are spread over threads.
+  // Each warehouse has its own RNG stream, seeded from its number.
   TpccRandom wrnd(config_.seed * 0x9E3779B97F4A7C15ull + w);
-  Partition& part = Part(w);
-  WarehouseState& ws = WState(w);
 
   WarehouseRow wr{};
   wr.w_id = static_cast<int32_t>(w);
@@ -147,7 +70,7 @@ void TpccDb::PopulateWarehouse(uint32_t w) {
   SetField(wr.w_zip, wrnd.NString(9, 9));
   wr.w_tax = wrnd.UniformDouble() * 0.2;
   wr.w_ytd = 300000.0;
-  part.warehouse->Insert(WarehouseKey(w), RowView(wr));
+  warehouse_.Insert(WarehouseKey(w), RowView(wr));
 
   // Stock.
   for (uint32_t i = 1; i <= config_.items; ++i) {
@@ -160,7 +83,7 @@ void TpccDb::PopulateWarehouse(uint32_t w) {
     sr.s_order_cnt = 0;
     sr.s_remote_cnt = 0;
     SetField(sr.s_data, wrnd.AString(26, 40));
-    part.stock->Insert(StockKey(w, i), RowView(sr));
+    stock_.Insert(StockKey(w, i), RowView(sr));
   }
 
   for (uint32_t d = 1; d <= config_.districts_per_warehouse; ++d) {
@@ -176,7 +99,7 @@ void TpccDb::PopulateWarehouse(uint32_t w) {
     dr.d_tax = wrnd.UniformDouble() * 0.2;
     dr.d_ytd = 30000.0;
     dr.d_next_o_id = static_cast<int32_t>(config_.orders_per_district + 1);
-    part.district->Insert(DistrictKey(w, d), RowView(dr));
+    district_.Insert(DistrictKey(w, d), RowView(dr));
 
     // Customers (+1 history row each).
     for (uint32_t c = 1; c <= config_.customers_per_district; ++c) {
@@ -206,8 +129,8 @@ void TpccDb::PopulateWarehouse(uint32_t w) {
       cr.c_payment_cnt = 1;
       cr.c_delivery_cnt = 0;
       SetField(cr.c_data, wrnd.AString(200, 300));
-      part.customer->Insert(CustomerKey(w, d, c), RowView(cr));
-      part.customer_name_idx->Insert(CustomerNameKey(w, d, last, c),
+      customer_.Insert(CustomerKey(w, d, c), RowView(cr));
+      customer_name_idx_.Insert(CustomerNameKey(w, d, last, c),
                                      std::string_view());
 
       HistoryRow hr{};
@@ -219,10 +142,7 @@ void TpccDb::PopulateWarehouse(uint32_t w) {
       hr.h_date = Now();
       hr.h_amount = 10.0;
       SetField(hr.h_data, wrnd.AString(12, 24));
-      part.history->Insert(
-          HistoryKey(w, d,
-                     ws.history_seq.fetch_add(1, std::memory_order_relaxed)),
-          RowView(hr));
+      history_.Insert(HistoryKey(w, d, history_seq_[w - 1]++), RowView(hr));
     }
 
     // Orders: one per customer, customer ids permuted; the oldest ~70%
@@ -247,8 +167,8 @@ void TpccDb::PopulateWarehouse(uint32_t w) {
           o <= delivered_upto ? static_cast<int32_t>(wrnd.Uniform(1, 10))
                               : 0;
       orow.o_all_local = 1;
-      part.order->Insert(OrderKey(w, d, o), RowView(orow));
-      part.order_customer_idx->Insert(OrderCustomerKey(w, d, c, o),
+      order_.Insert(OrderKey(w, d, o), RowView(orow));
+      order_customer_idx_.Insert(OrderCustomerKey(w, d, c, o),
                                       std::string_view());
       for (int32_t l = 1; l <= orow.o_ol_cnt; ++l) {
         OrderLineRow ol{};
@@ -263,7 +183,7 @@ void TpccDb::PopulateWarehouse(uint32_t w) {
         ol.ol_amount =
             o <= delivered_upto ? 0.0 : wrnd.UniformDouble() * 9999.99;
         SetField(ol.ol_dist_info, wrnd.AString(24, 24));
-        part.order_line->Insert(
+        order_line_.Insert(
             OrderLineKey(w, d, o, static_cast<uint32_t>(l)), RowView(ol));
       }
       if (o > delivered_upto) {
@@ -271,7 +191,7 @@ void TpccDb::PopulateWarehouse(uint32_t w) {
         no.no_o_id = orow.o_id;
         no.no_d_id = orow.o_d_id;
         no.no_w_id = orow.o_w_id;
-        part.new_order->Insert(NewOrderKey(w, d, o), RowView(no));
+        new_order_.Insert(NewOrderKey(w, d, o), RowView(no));
       }
     }
   }
@@ -279,81 +199,74 @@ void TpccDb::PopulateWarehouse(uint32_t w) {
 
 // --- Transactions ---------------------------------------------------------
 
-TpccDb::TxnType TpccDb::RunNextTransaction(Session& s) {
-  const int64_t r = s.rnd_.Uniform(1, 100);
+TpccDb::TxnType TpccDb::RunNextTransaction() {
+  const int64_t r = txn_rnd_.Uniform(1, 100);
   TxnType t;
   if (r <= 45) {
     t = TxnType::kNewOrder;
-    NewOrder(s);
+    NewOrder();
   } else if (r <= 88) {
     t = TxnType::kPayment;
-    Payment(s);
+    Payment();
   } else if (r <= 92) {
     t = TxnType::kOrderStatus;
-    OrderStatus(s);
+    OrderStatus();
   } else if (r <= 96) {
     t = TxnType::kDelivery;
-    Delivery(s);
+    Delivery();
   } else {
     t = TxnType::kStockLevel;
-    StockLevel(s);
+    StockLevel();
   }
-  txn_counts_[static_cast<int>(t)].fetch_add(1, std::memory_order_relaxed);
+  ++txn_counts_[static_cast<int>(t)];
   return t;
 }
 
-bool TpccDb::NewOrder(Session& s) {
-  const uint32_t w = HomeWarehouse(s);
+bool TpccDb::NewOrder() {
+  const uint32_t w = HomeWarehouse();
   const uint32_t d = static_cast<uint32_t>(
-      s.rnd_.Uniform(1, config_.districts_per_warehouse));
+      txn_rnd_.Uniform(1, config_.districts_per_warehouse));
   const uint32_t c = static_cast<uint32_t>(
-      s.rnd_.NURand(1023, 1, config_.customers_per_district));
-  const int ol_cnt = static_cast<int>(s.rnd_.Uniform(5, 15));
+      txn_rnd_.NURand(1023, 1, config_.customers_per_district));
+  const int ol_cnt = static_cast<int>(txn_rnd_.Uniform(5, 15));
   // 1% of New-Order transactions use an invalid item and roll back
   // (clause 2.4.1.4). Without undo we emulate the effect: reads happen,
   // writes do not.
-  const bool rollback = s.rnd_.Uniform(1, 100) == 1;
-
-  Partition& home = Part(w);
+  const bool rollback = txn_rnd_.Uniform(1, 100) == 1;
 
   std::string buf;
   WarehouseRow wr;
-  if (!home.warehouse->Get(WarehouseKey(w), &buf) || !RowFrom(buf, &wr)) {
+  if (!warehouse_.Get(WarehouseKey(w), &buf) || !RowFrom(buf, &wr)) {
     return false;
   }
   DistrictRow dr;
-  if (!home.district->Get(DistrictKey(w, d), &buf) || !RowFrom(buf, &dr)) {
+  if (!district_.Get(DistrictKey(w, d), &buf) || !RowFrom(buf, &dr)) {
     return false;
   }
   CustomerRow cr;
-  if (!home.customer->Get(CustomerKey(w, d, c), &buf) || !RowFrom(buf, &cr)) {
+  if (!customer_.Get(CustomerKey(w, d, c), &buf) || !RowFrom(buf, &cr)) {
     return false;
   }
 
   if (rollback) {
-    // Read the items that would have been ordered, then abort. ITEM is
-    // shared and read-only, so no latch is needed for it.
+    // Read the items that would have been ordered, then abort.
     for (int l = 0; l < ol_cnt; ++l) {
       const uint32_t i =
-          static_cast<uint32_t>(s.rnd_.NURand(8191, 1, config_.items));
-      item_->Get(ItemKey(i), &buf);
+          static_cast<uint32_t>(txn_rnd_.NURand(8191, 1, config_.items));
+      item_.Get(ItemKey(i), &buf);
     }
     return false;
   }
 
-  // o_id allocation: the district row's only RMW in this transaction,
-  // re-read and bumped under the district mutex. Ownership of the fresh
-  // o_id makes every insert below contention-free.
-  uint32_t o_id;
-  {
-    std::lock_guard<std::mutex> dl(DistrictMutex(w, d));
-    if (!home.district->Get(DistrictKey(w, d), &buf) || !RowFrom(buf, &dr)) {
-      return false;
-    }
-    o_id = static_cast<uint32_t>(dr.d_next_o_id);
-    dr.d_next_o_id += 1;
-    home.district->Put(DistrictKey(w, d), RowView(dr));
+  // o_id allocation: the district row is read a second time, then
+  // bumped. The second read is redundant but part of the page-access
+  // sequence the committed traces were made with.
+  if (!district_.Get(DistrictKey(w, d), &buf) || !RowFrom(buf, &dr)) {
+    return false;
   }
+  const uint32_t o_id = static_cast<uint32_t>(dr.d_next_o_id);
+  dr.d_next_o_id += 1;
+  district_.Put(DistrictKey(w, d), RowView(dr));
 
   OrderRow orow{};
   orow.o_id = static_cast<int32_t>(o_id);
@@ -368,40 +281,32 @@ bool TpccDb::NewOrder(Session& s) {
   double total = 0.0;
   for (int l = 1; l <= ol_cnt; ++l) {
     const uint32_t i_id =
-        static_cast<uint32_t>(s.rnd_.NURand(8191, 1, config_.items));
+        static_cast<uint32_t>(txn_rnd_.NURand(8191, 1, config_.items));
     // 1% remote supply warehouse when there is more than one.
     uint32_t supply_w = w;
-    if (config_.warehouses > 1 && s.rnd_.Uniform(1, 100) == 1) {
+    if (config_.warehouses > 1 && txn_rnd_.Uniform(1, 100) == 1) {
       do {
         supply_w =
-            static_cast<uint32_t>(s.rnd_.Uniform(1, config_.warehouses));
+            static_cast<uint32_t>(txn_rnd_.Uniform(1, config_.warehouses));
       } while (supply_w == w);
       orow.o_all_local = 0;
     }
-    const int32_t qty = static_cast<int32_t>(s.rnd_.Uniform(1, 10));
+    const int32_t qty = static_cast<int32_t>(txn_rnd_.Uniform(1, 10));
 
     ItemRow ir;
-    if (!item_->Get(ItemKey(i_id), &buf) || !RowFrom(buf, &ir)) return false;
+    if (!item_.Get(ItemKey(i_id), &buf) || !RowFrom(buf, &ir)) return false;
 
-    // Stock read-modify-write under the row's striped lock — the same
-    // path whether the supplying warehouse is local or remote, since the
-    // lock names the row, not a partition.
+    // Stock read-modify-write, local or remote supplying warehouse.
     StockRow sr;
-    Partition& sp = Part(supply_w);
-    {
-      std::lock_guard<std::mutex> rl(
-          RowLockFor(StockRowHash(supply_w, i_id)));
-      if (!sp.stock->Get(StockKey(supply_w, i_id), &buf) ||
-          !RowFrom(buf, &sr)) {
-        return false;
-      }
-      sr.s_quantity = sr.s_quantity >= qty + 10 ? sr.s_quantity - qty
-                                                : sr.s_quantity - qty + 91;
-      sr.s_ytd += qty;
-      sr.s_order_cnt += 1;
-      if (supply_w != w) sr.s_remote_cnt += 1;
-      sp.stock->Put(StockKey(supply_w, i_id), RowView(sr));
+    if (!stock_.Get(StockKey(supply_w, i_id), &buf) || !RowFrom(buf, &sr)) {
+      return false;
     }
+    sr.s_quantity = sr.s_quantity >= qty + 10 ? sr.s_quantity - qty
+                                              : sr.s_quantity - qty + 91;
+    sr.s_ytd += qty;
+    sr.s_order_cnt += 1;
+    if (supply_w != w) sr.s_remote_cnt += 1;
+    stock_.Put(StockKey(supply_w, i_id), RowView(sr));
 
     OrderLineRow ol{};
     ol.ol_o_id = static_cast<int32_t>(o_id);
@@ -414,31 +319,26 @@ bool TpccDb::NewOrder(Session& s) {
     ol.ol_quantity = qty;
     ol.ol_amount = qty * ir.i_price;
     std::memcpy(ol.ol_dist_info, sr.s_dist[d - 1], sizeof(ol.ol_dist_info));
-    home.order_line->Insert(
+    order_line_.Insert(
         OrderLineKey(w, d, o_id, static_cast<uint32_t>(l)), RowView(ol));
     total += ol.ol_amount;
   }
   (void)total;
 
-  // ORDER before NEW_ORDER: consistency condition 4 (every NEW_ORDER
-  // row references an existing undelivered order) then holds even for
-  // an observer racing this commit, not just at quiescent points.
-  home.order->Insert(OrderKey(w, d, o_id), RowView(orow));
-  home.order_customer_idx->Insert(OrderCustomerKey(w, d, c, o_id),
-                                  std::string_view());
+  order_.Insert(OrderKey(w, d, o_id), RowView(orow));
+  order_customer_idx_.Insert(OrderCustomerKey(w, d, c, o_id),
+                             std::string_view());
   NewOrderRow no{};
   no.no_o_id = static_cast<int32_t>(o_id);
   no.no_d_id = static_cast<int32_t>(d);
   no.no_w_id = static_cast<int32_t>(w);
-  home.new_order->Insert(NewOrderKey(w, d, o_id), RowView(no));
+  new_order_.Insert(NewOrderKey(w, d, o_id), RowView(no));
   return true;
 }
 
-bool TpccDb::PickCustomer(Session& s, uint32_t w, uint32_t d,
-                          CustomerRow* row) {
-  Partition& part = Part(w);
+bool TpccDb::PickCustomer(uint32_t w, uint32_t d, CustomerRow* row) {
   std::string buf;
-  if (s.rnd_.Uniform(1, 100) <= 60) {
+  if (txn_rnd_.Uniform(1, 100) <= 60) {
     // By last name: collect matches, take the middle one (clause 2.5.2.2).
     // Scaled-down databases seed fewer than the standard's 1000 names
     // (population gives customer c <= 1000 name (c-1) % 1000), so the
@@ -446,92 +346,76 @@ bool TpccDb::PickCustomer(Session& s, uint32_t w, uint32_t d,
     const int name_space = static_cast<int>(
         std::min<uint32_t>(1000, config_.customers_per_district));
     const int name_num =
-        static_cast<int>(s.rnd_.NURand(255, 0, 999)) % name_space;
+        static_cast<int>(txn_rnd_.NURand(255, 0, 999)) % name_space;
     const std::string last = TpccRandom::LastName(name_num);
     const std::string prefix = CustomerNamePrefix(w, d, last);
     std::vector<uint32_t> ids;
-    for (auto it = part.customer_name_idx->Seek(prefix);
+    for (auto it = customer_name_idx_.Seek(prefix);
          it.Valid() && HasPrefix(it.key(), prefix); it.Next()) {
       ids.push_back(ReadU32(it.key(), 24));
     }
     if (ids.empty()) return false;
     const uint32_t c = ids[ids.size() / 2];
-    return part.customer->Get(CustomerKey(w, d, c), &buf) &&
-           RowFrom(buf, row);
+    return customer_.Get(CustomerKey(w, d, c), &buf) && RowFrom(buf, row);
   }
   const uint32_t c = static_cast<uint32_t>(
-      s.rnd_.NURand(1023, 1, config_.customers_per_district));
-  return part.customer->Get(CustomerKey(w, d, c), &buf) && RowFrom(buf, row);
+      txn_rnd_.NURand(1023, 1, config_.customers_per_district));
+  return customer_.Get(CustomerKey(w, d, c), &buf) && RowFrom(buf, row);
 }
 
-bool TpccDb::Payment(Session& s) {
-  const uint32_t w = HomeWarehouse(s);
+bool TpccDb::Payment() {
+  const uint32_t w = HomeWarehouse();
   const uint32_t d = static_cast<uint32_t>(
-      s.rnd_.Uniform(1, config_.districts_per_warehouse));
+      txn_rnd_.Uniform(1, config_.districts_per_warehouse));
   // 85% local customer; 15% from a remote warehouse when there is one.
   uint32_t c_w = w;
   uint32_t c_d = d;
-  if (config_.warehouses > 1 && s.rnd_.Uniform(1, 100) > 85) {
+  if (config_.warehouses > 1 && txn_rnd_.Uniform(1, 100) > 85) {
     do {
-      c_w = static_cast<uint32_t>(s.rnd_.Uniform(1, config_.warehouses));
+      c_w = static_cast<uint32_t>(txn_rnd_.Uniform(1, config_.warehouses));
     } while (c_w == w);
     c_d = static_cast<uint32_t>(
-        s.rnd_.Uniform(1, config_.districts_per_warehouse));
+        txn_rnd_.Uniform(1, config_.districts_per_warehouse));
   }
-  const double amount = 1.0 + s.rnd_.UniformDouble() * 4999.0;
+  const double amount = 1.0 + txn_rnd_.UniformDouble() * 4999.0;
 
-  Partition& home = Part(w);
-
-  // W_YTD read-modify-write under the warehouse mutex.
+  // W_YTD read-modify-write.
   std::string buf;
   WarehouseRow wr;
-  {
-    std::lock_guard<std::mutex> wl(WState(w).mu);
-    if (!home.warehouse->Get(WarehouseKey(w), &buf) || !RowFrom(buf, &wr)) {
-      return false;
-    }
-    wr.w_ytd += amount;
-    home.warehouse->Put(WarehouseKey(w), RowView(wr));
+  if (!warehouse_.Get(WarehouseKey(w), &buf) || !RowFrom(buf, &wr)) {
+    return false;
   }
+  wr.w_ytd += amount;
+  warehouse_.Put(WarehouseKey(w), RowView(wr));
 
-  // D_YTD read-modify-write under the district mutex. Both YTD bumps
-  // commit before the transaction can block on any other lock, so the
-  // condition-1 sum invariant holds at every quiescent point.
+  // D_YTD read-modify-write.
   DistrictRow dr;
-  {
-    std::lock_guard<std::mutex> dl(DistrictMutex(w, d));
-    if (!home.district->Get(DistrictKey(w, d), &buf) || !RowFrom(buf, &dr)) {
-      return false;
-    }
-    dr.d_ytd += amount;
-    home.district->Put(DistrictKey(w, d), RowView(dr));
+  if (!district_.Get(DistrictKey(w, d), &buf) || !RowFrom(buf, &dr)) {
+    return false;
   }
+  dr.d_ytd += amount;
+  district_.Put(DistrictKey(w, d), RowView(dr));
 
-  // Customer selection is a lock-free scan; PickCustomer's snapshot may
-  // be stale by the time we get the row lock, so the RMW re-reads the
-  // chosen row under it.
+  // The chosen customer row is read a second time before its update;
+  // like NewOrder's district re-read, this keeps the page-access
+  // sequence the committed traces were made with.
   CustomerRow cr;
-  if (!PickCustomer(s, c_w, c_d, &cr)) return false;
-  Partition& cp = Part(c_w);
-  const uint32_t c_id = static_cast<uint32_t>(cr.c_id);
-  const std::string ckey = CustomerKey(c_w, c_d, c_id);
-  {
-    std::lock_guard<std::mutex> rl(
-        RowLockFor(CustomerRowHash(c_w, c_d, c_id)));
-    if (!cp.customer->Get(ckey, &buf) || !RowFrom(buf, &cr)) return false;
-    cr.c_balance -= amount;
-    cr.c_ytd_payment += amount;
-    cr.c_payment_cnt += 1;
-    if (GetField(cr.c_credit) == "BC") {
-      // Bad credit: prepend payment info to c_data (clause 2.5.2.2).
-      char info[64];
-      std::snprintf(info, sizeof(info), "%d %d %d %d %d %.2f|", cr.c_id,
-                    cr.c_d_id, cr.c_w_id, d, w, amount);
-      std::string data = info + GetField(cr.c_data);
-      SetField(cr.c_data, data);
-    }
-    cp.customer->Put(ckey, RowView(cr));
+  if (!PickCustomer(c_w, c_d, &cr)) return false;
+  const std::string ckey =
+      CustomerKey(c_w, c_d, static_cast<uint32_t>(cr.c_id));
+  if (!customer_.Get(ckey, &buf) || !RowFrom(buf, &cr)) return false;
+  cr.c_balance -= amount;
+  cr.c_ytd_payment += amount;
+  cr.c_payment_cnt += 1;
+  if (GetField(cr.c_credit) == "BC") {
+    // Bad credit: prepend payment info to c_data (clause 2.5.2.2).
+    char info[64];
+    std::snprintf(info, sizeof(info), "%d %d %d %d %d %.2f|", cr.c_id,
+                  cr.c_d_id, cr.c_w_id, d, w, amount);
+    std::string data = info + GetField(cr.c_data);
+    SetField(cr.c_data, data);
   }
+  customer_.Put(ckey, RowView(cr));
 
   HistoryRow hr{};
   hr.h_c_id = cr.c_id;
@@ -542,79 +426,56 @@ bool TpccDb::Payment(Session& s) {
   hr.h_date = Now();
   hr.h_amount = amount;
   SetField(hr.h_data, GetField(wr.w_name) + "    " + GetField(dr.d_name));
-  // History keys embed a per-warehouse atomic sequence, so the insert
-  // needs no lock: the key is unique to this transaction.
-  home.history->Insert(
-      HistoryKey(w, d,
-                 WState(w).history_seq.fetch_add(1,
-                                                 std::memory_order_relaxed)),
-      RowView(hr));
+  history_.Insert(HistoryKey(w, d, history_seq_[w - 1]++), RowView(hr));
   return true;
 }
 
-bool TpccDb::OrderStatus(Session& s) {
-  const uint32_t w = HomeWarehouse(s);
+bool TpccDb::OrderStatus() {
+  const uint32_t w = HomeWarehouse();
   const uint32_t d = static_cast<uint32_t>(
-      s.rnd_.Uniform(1, config_.districts_per_warehouse));
-  // Read-only: every step is a single (internally latched) tree read,
-  // so no locks are taken.
-  Partition& home = Part(w);
-
+      txn_rnd_.Uniform(1, config_.districts_per_warehouse));
   CustomerRow cr;
-  if (!PickCustomer(s, w, d, &cr)) return false;
+  if (!PickCustomer(w, d, &cr)) return false;
 
   // Most recent order via the complement-keyed index.
   const std::string prefix =
       OrderCustomerKey(w, d, static_cast<uint32_t>(cr.c_id), ~0u)
           .substr(0, 12);
-  auto it = home.order_customer_idx->Seek(prefix);
+  auto it = order_customer_idx_.Seek(prefix);
   if (!it.Valid() || !HasPrefix(it.key(), prefix)) return false;
   const uint32_t o_id = ~ReadU32(it.key(), 12);
 
   std::string buf;
   OrderRow orow;
-  if (!home.order->Get(OrderKey(w, d, o_id), &buf) || !RowFrom(buf, &orow)) {
+  if (!order_.Get(OrderKey(w, d, o_id), &buf) || !RowFrom(buf, &orow)) {
     return false;
   }
   for (int32_t l = 1; l <= orow.o_ol_cnt; ++l) {
-    home.order_line->Get(OrderLineKey(w, d, o_id, static_cast<uint32_t>(l)),
-                         &buf);
+    order_line_.Get(OrderLineKey(w, d, o_id, static_cast<uint32_t>(l)), &buf);
   }
   return true;
 }
 
-bool TpccDb::Delivery(Session& s) {
-  const uint32_t w = HomeWarehouse(s);
-  const int32_t carrier = static_cast<int32_t>(s.rnd_.Uniform(1, 10));
+bool TpccDb::Delivery() {
+  const uint32_t w = HomeWarehouse();
+  const int32_t carrier = static_cast<int32_t>(txn_rnd_.Uniform(1, 10));
   bool delivered_any = false;
   std::string buf;
 
-  Partition& home = Part(w);
-
   for (uint32_t d = 1; d <= config_.districts_per_warehouse; ++d) {
-    // Dequeue the oldest undelivered order atomically under the district
-    // mutex. A successful delete confers exclusive ownership of o_id, so
-    // the order / order-line updates below need no further locking.
-    uint32_t o_id = 0;
-    bool claimed = false;
-    {
-      std::lock_guard<std::mutex> dl(DistrictMutex(w, d));
-      const std::string prefix = NewOrderKey(w, d, 0).substr(0, 8);
-      auto it = home.new_order->Seek(prefix);
-      if (it.Valid() && HasPrefix(it.key(), prefix)) {
-        o_id = ReadU32(it.key(), 8);
-        claimed = home.new_order->Delete(NewOrderKey(w, d, o_id));
-      }
-    }
-    if (!claimed) continue;
+    // Dequeue the oldest undelivered order.
+    const std::string prefix = NewOrderKey(w, d, 0).substr(0, 8);
+    auto it = new_order_.Seek(prefix);
+    if (!it.Valid() || !HasPrefix(it.key(), prefix)) continue;
+    const uint32_t o_id = ReadU32(it.key(), 8);
+    if (!new_order_.Delete(NewOrderKey(w, d, o_id))) continue;
 
     OrderRow orow;
-    if (!home.order->Get(OrderKey(w, d, o_id), &buf) ||
-        !RowFrom(buf, &orow)) {
+    if (!order_.Get(OrderKey(w, d, o_id), &buf) || !RowFrom(buf, &orow)) {
       continue;
     }
     orow.o_carrier_id = carrier;
-    home.order->Put(OrderKey(w, d, o_id), RowView(orow));
+    order_.Put(OrderKey(w, d, o_id), RowView(orow));
 
     double total = 0.0;
     const int64_t now = Now();
@@ -622,44 +483,35 @@ bool TpccDb::Delivery(Session& s) {
       OrderLineRow ol;
       const std::string key =
           OrderLineKey(w, d, o_id, static_cast<uint32_t>(l));
-      if (!home.order_line->Get(key, &buf) || !RowFrom(buf, &ol)) continue;
+      if (!order_line_.Get(key, &buf) || !RowFrom(buf, &ol)) continue;
       ol.ol_delivery_d = now;
       total += ol.ol_amount;
-      home.order_line->Put(key, RowView(ol));
+      order_line_.Put(key, RowView(ol));
     }
 
-    // Customer balance RMW shares the striped row locks with Payment.
+    // Customer balance read-modify-write.
     CustomerRow cr;
-    const uint32_t c_id = static_cast<uint32_t>(orow.o_c_id);
-    const std::string ckey = CustomerKey(w, d, c_id);
-    {
-      std::lock_guard<std::mutex> rl(
-          RowLockFor(CustomerRowHash(w, d, c_id)));
-      if (home.customer->Get(ckey, &buf) && RowFrom(buf, &cr)) {
-        cr.c_balance += total;
-        cr.c_delivery_cnt += 1;
-        home.customer->Put(ckey, RowView(cr));
-      }
+    const std::string ckey =
+        CustomerKey(w, d, static_cast<uint32_t>(orow.o_c_id));
+    if (customer_.Get(ckey, &buf) && RowFrom(buf, &cr)) {
+      cr.c_balance += total;
+      cr.c_delivery_cnt += 1;
+      customer_.Put(ckey, RowView(cr));
     }
     delivered_any = true;
   }
   return delivered_any;
 }
 
-bool TpccDb::StockLevel(Session& s) {
-  const uint32_t w = HomeWarehouse(s);
+bool TpccDb::StockLevel() {
+  const uint32_t w = HomeWarehouse();
   const uint32_t d = static_cast<uint32_t>(
-      s.rnd_.Uniform(1, config_.districts_per_warehouse));
-  const int32_t threshold = static_cast<int32_t>(s.rnd_.Uniform(10, 20));
-
-  // Read-only: the district fetch and each stock probe are single tree
-  // reads, so no locks are taken (the scan sees some consistent-enough
-  // recent window, which is all clause 2.8 needs).
-  Partition& home = Part(w);
+      txn_rnd_.Uniform(1, config_.districts_per_warehouse));
+  const int32_t threshold = static_cast<int32_t>(txn_rnd_.Uniform(10, 20));
 
   std::string buf;
   DistrictRow dr;
-  if (!home.district->Get(DistrictKey(w, d), &buf) || !RowFrom(buf, &dr)) {
+  if (!district_.Get(DistrictKey(w, d), &buf) || !RowFrom(buf, &dr)) {
     return false;
   }
   const uint32_t next = static_cast<uint32_t>(dr.d_next_o_id);
@@ -669,13 +521,12 @@ bool TpccDb::StockLevel(Session& s) {
   std::set<int32_t> low;
   const std::string begin = OrderLineKey(w, d, lo, 0);
   const std::string end = OrderLineKey(w, d, next, 0);
-  for (auto it = home.order_line->Seek(begin); it.Valid() && it.key() < end;
+  for (auto it = order_line_.Seek(begin); it.Valid() && it.key() < end;
        it.Next()) {
     OrderLineRow ol;
     if (!RowFrom(it.value(), &ol)) continue;
     StockRow sr;
-    if (home.stock->Get(StockKey(w, static_cast<uint32_t>(ol.ol_i_id)),
-                        &buf) &&
+    if (stock_.Get(StockKey(w, static_cast<uint32_t>(ol.ol_i_id)), &buf) &&
         RowFrom(buf, &sr) && sr.s_quantity < threshold) {
       low.insert(ol.ol_i_id);
     }
@@ -686,53 +537,44 @@ bool TpccDb::StockLevel(Session& s) {
 // --- Consistency -----------------------------------------------------------
 
 Status TpccDb::CheckConsistency() {
-  {
-    Status s = item_->CheckIntegrity();
+  for (const BTree* t :
+       {&item_, &warehouse_, &district_, &customer_, &history_, &new_order_,
+        &order_, &order_line_, &stock_, &customer_name_idx_,
+        &order_customer_idx_}) {
+    Status s = t->CheckIntegrity();
     if (!s.ok()) return s;
-  }
-  for (const auto& part : parts_) {
-    for (BTree* t :
-         {part->warehouse.get(), part->district.get(), part->customer.get(),
-          part->history.get(), part->new_order.get(), part->order.get(),
-          part->order_line.get(), part->stock.get(),
-          part->customer_name_idx.get(), part->order_customer_idx.get()}) {
-      Status s = t->CheckIntegrity();
-      if (!s.ok()) return s;
-    }
   }
 
   std::string buf;
   for (uint32_t w = 1; w <= config_.warehouses; ++w) {
-    Partition& part = Part(w);
     WarehouseRow wr;
-    if (!part.warehouse->Get(WarehouseKey(w), &buf) || !RowFrom(buf, &wr)) {
+    if (!warehouse_.Get(WarehouseKey(w), &buf) || !RowFrom(buf, &wr)) {
       return Status::Corruption("warehouse row missing");
     }
     double district_ytd = 0.0;
     for (uint32_t d = 1; d <= config_.districts_per_warehouse; ++d) {
       DistrictRow dr;
-      if (!part.district->Get(DistrictKey(w, d), &buf) ||
-          !RowFrom(buf, &dr)) {
+      if (!district_.Get(DistrictKey(w, d), &buf) || !RowFrom(buf, &dr)) {
         return Status::Corruption("district row missing");
       }
       district_ytd += dr.d_ytd - 30000.0;
 
       // Condition 2: D_NEXT_O_ID - 1 == max order id in district.
       const uint32_t expect_max = static_cast<uint32_t>(dr.d_next_o_id) - 1;
-      if (!part.order->Get(OrderKey(w, d, expect_max), &buf)) {
+      if (!order_.Get(OrderKey(w, d, expect_max), &buf)) {
         return Status::Corruption("max order id != d_next_o_id - 1");
       }
-      if (part.order->Get(OrderKey(w, d, expect_max + 1), nullptr)) {
+      if (order_.Get(OrderKey(w, d, expect_max + 1), nullptr)) {
         return Status::Corruption("order beyond d_next_o_id");
       }
 
       // Condition 4: every NEW_ORDER row has an undelivered order.
       const std::string prefix = NewOrderKey(w, d, 0).substr(0, 8);
-      for (auto it = part.new_order->Seek(prefix);
+      for (auto it = new_order_.Seek(prefix);
            it.Valid() && HasPrefix(it.key(), prefix); it.Next()) {
         const uint32_t o_id = ReadU32(it.key(), 8);
         OrderRow orow;
-        if (!part.order->Get(OrderKey(w, d, o_id), &buf) ||
+        if (!order_.Get(OrderKey(w, d, o_id), &buf) ||
             !RowFrom(buf, &orow)) {
           return Status::Corruption("new_order without order");
         }
@@ -749,19 +591,18 @@ Status TpccDb::CheckConsistency() {
 
   // Condition 3 (sampled over the first warehouse/district to bound
   // cost): every order has exactly o_ol_cnt lines.
-  Partition& p1 = Part(1);
   for (uint32_t o = 1;; ++o) {
     OrderRow orow;
-    if (!p1.order->Get(OrderKey(1, 1, o), &buf) || !RowFrom(buf, &orow)) {
+    if (!order_.Get(OrderKey(1, 1, o), &buf) || !RowFrom(buf, &orow)) {
       break;
     }
     for (int32_t l = 1; l <= orow.o_ol_cnt; ++l) {
-      if (!p1.order_line->Get(
+      if (!order_line_.Get(
               OrderLineKey(1, 1, o, static_cast<uint32_t>(l)), nullptr)) {
         return Status::Corruption("missing order line");
       }
     }
-    if (p1.order_line->Get(
+    if (order_line_.Get(
             OrderLineKey(1, 1, o, static_cast<uint32_t>(orow.o_ol_cnt) + 1),
             nullptr)) {
       return Status::Corruption("extra order line");

@@ -1,47 +1,14 @@
 #include "tpcc/trace_gen.h"
 
-#include <atomic>
 #include <chrono>
-#include <thread>
-#include <vector>
 
 namespace lss::tpcc {
 
-namespace {
-
-/// Buffer the current thread's write-backs land in (parallel
-/// generation). Null outside a generation run; the observer then falls
-/// back to the coordinator buffer, which is only correct because every
-/// thread that can trigger a write-back registers itself first.
-thread_local Trace* tls_trace = nullptr;
-
-void CapturePoolCounters(const TpccDb& db, TpccTraceResult* result) {
-  const BufferPool& pool = db.pool();
-  result->pool_hits = pool.hits();
-  result->pool_misses = pool.misses();
-  result->pool_evictions = pool.evictions();
-  result->pool_write_backs = pool.write_backs();
-  result->pool_latch_acquisitions = pool.latch_acquisitions();
-}
-
-/// Stable merge: record i of every buffer, buffers in worker order, for
-/// i = 0, 1, ... — a deterministic function of the buffer contents that
-/// approximates the temporal interleaving of threads progressing at
-/// similar rates. Clears the buffers.
-void MergeRoundRobin(std::vector<Trace>* bufs, Trace* out) {
-  size_t longest = 0;
-  for (const Trace& b : *bufs) longest = std::max(longest, b.Size());
-  for (size_t i = 0; i < longest; ++i) {
-    for (const Trace& b : *bufs) {
-      if (i < b.Size()) out->Append(b.records()[i]);
-    }
-  }
-  for (Trace& b : *bufs) b.Clear();
-}
-
-TpccTraceResult GenerateSerial(const TpccConfig& config, uint64_t warm_txns,
-                               uint64_t measure_txns,
-                               uint64_t checkpoint_every) {
+TpccTraceResult GenerateTpccTrace(const TpccConfig& config,
+                                  uint64_t warm_txns, uint64_t measure_txns,
+                                  uint64_t checkpoint_every,
+                                  uint32_t presplit_shards) {
+  const auto t0 = std::chrono::steady_clock::now();
   TpccTraceResult result;
   TpccDb db(config, &result.trace);
   db.Populate();
@@ -52,127 +19,28 @@ TpccTraceResult GenerateSerial(const TpccConfig& config, uint64_t warm_txns,
   result.pages_after_load = db.PageCount();
 
   uint64_t since_checkpoint = 0;
-  for (uint64_t i = 0; i < warm_txns; ++i) {
-    db.RunNextTransaction();
-    if (checkpoint_every > 0 && ++since_checkpoint >= checkpoint_every) {
-      db.Checkpoint();
-      since_checkpoint = 0;
+  auto run = [&](uint64_t txns) {
+    for (uint64_t i = 0; i < txns; ++i) {
+      db.RunNextTransaction();
+      if (checkpoint_every > 0 && ++since_checkpoint >= checkpoint_every) {
+        db.Checkpoint();
+        since_checkpoint = 0;
+      }
     }
-  }
-  result.measure_from = result.trace.Size();
-  for (uint64_t i = 0; i < measure_txns; ++i) {
-    db.RunNextTransaction();
-    if (checkpoint_every > 0 && ++since_checkpoint >= checkpoint_every) {
-      db.Checkpoint();
-      since_checkpoint = 0;
-    }
-  }
-  db.Checkpoint();
-  result.pages_final = db.PageCount();
-  result.transactions = warm_txns + measure_txns;
-  CapturePoolCounters(db, &result);
-  return result;
-}
-
-TpccTraceResult GenerateParallel(const TpccConfig& config,
-                                 uint64_t warm_txns, uint64_t measure_txns,
-                                 uint64_t checkpoint_every) {
-  TpccTraceResult result;
-  // One buffer per worker session plus one for the coordinator (boundary
-  // checkpoints). A write-back is recorded by whichever thread triggered
-  // the eviction/flush, into that thread's own buffer — the observer
-  // itself needs no lock. The count MUST match the engine's session
-  // count: worker t writes bufs[t] for every t the db will hand out
-  // (population threads, one per partition group, reuse the low bufs).
-  const uint32_t workers = config.workers < 1 ? 1 : config.workers;
-  std::vector<Trace> bufs(workers + 1);
-  TpccDb db(config, BufferPool::WriteObserver([&bufs, workers](PageNo p) {
-              Trace* t = tls_trace;
-              (t != nullptr ? t : &bufs[workers])->AppendWrite(p);
-            }));
-  result.workers = db.workers();
-
-  std::vector<TpccDb::Session> sessions;
-  sessions.reserve(db.workers());
-  for (uint32_t t = 0; t < db.workers(); ++t) {
-    sessions.push_back(db.MakeSession(t));
-  }
-
-  tls_trace = &bufs[workers];
-
-  // Population: items on the coordinator, each partition group's
-  // warehouses on its own thread (groups, not sessions, partition the
-  // load — extra sessions would have nothing to populate).
-  db.PopulateItems();
-  {
-    std::vector<std::thread> threads;
-    threads.reserve(db.partition_groups());
-    for (uint32_t t = 0; t < db.partition_groups(); ++t) {
-      threads.emplace_back([&db, &bufs, t] {
-        tls_trace = &bufs[t];
-        db.PopulateWorker(t);
-      });
-    }
-    for (std::thread& th : threads) th.join();
-  }
-  db.Checkpoint();
-  result.pages_after_load = db.PageCount();
-
-  // Checkpoint cadence is global: the thread whose transaction crosses a
-  // multiple of checkpoint_every runs the (fuzzy, pin-skipping) flush.
-  std::atomic<uint64_t> txn_clock{0};
-  auto run_phase = [&](uint64_t total) {
-    std::vector<std::thread> threads;
-    threads.reserve(db.workers());
-    for (uint32_t t = 0; t < db.workers(); ++t) {
-      threads.emplace_back([&, t] {
-        tls_trace = &bufs[t];
-        const uint64_t begin = total * t / db.workers();
-        const uint64_t end = total * (t + 1) / db.workers();
-        for (uint64_t i = begin; i < end; ++i) {
-          db.RunNextTransaction(sessions[t]);
-          if (checkpoint_every > 0) {
-            const uint64_t n =
-                txn_clock.fetch_add(1, std::memory_order_relaxed) + 1;
-            if (n % checkpoint_every == 0) db.Checkpoint();
-          }
-        }
-      });
-    }
-    for (std::thread& th : threads) th.join();
   };
-
-  run_phase(warm_txns);
-  // Phase boundary: all workers have joined, so merging here puts every
-  // populate + warm-up record ahead of measure_from.
-  MergeRoundRobin(&bufs, &result.trace);
+  run(warm_txns);
   result.measure_from = result.trace.Size();
-
-  run_phase(measure_txns);
+  run(measure_txns);
   db.Checkpoint();
-  MergeRoundRobin(&bufs, &result.trace);
-
-  tls_trace = nullptr;
   result.pages_final = db.PageCount();
   result.transactions = warm_txns + measure_txns;
-  CapturePoolCounters(db, &result);
-  return result;
-}
 
-}  // namespace
+  const BufferPool& pool = db.pool();
+  result.pool_hits = pool.hits();
+  result.pool_misses = pool.misses();
+  result.pool_evictions = pool.evictions();
+  result.pool_write_backs = pool.write_backs();
 
-TpccTraceResult GenerateTpccTrace(const TpccConfig& config,
-                                  uint64_t warm_txns, uint64_t measure_txns,
-                                  uint64_t checkpoint_every,
-                                  uint32_t presplit_shards) {
-  const auto t0 = std::chrono::steady_clock::now();
-  // Workers beyond the warehouse count no longer force a serial run: the
-  // latch-coupled trees let sessions share partition groups.
-  TpccTraceResult result =
-      config.workers <= 1
-          ? GenerateSerial(config, warm_txns, measure_txns, checkpoint_every)
-          : GenerateParallel(config, warm_txns, measure_txns,
-                             checkpoint_every);
   if (presplit_shards > 0) {
     result.presplit =
         SplitTrace(result.trace, result.measure_from, presplit_shards);

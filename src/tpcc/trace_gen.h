@@ -10,7 +10,7 @@ namespace lss::tpcc {
 
 /// Version of the trace *generator* (engine layout + collection
 /// pipeline), bumped whenever a change alters the traces it emits —
-/// partitioned tables, merge order, format changes, and so on. Cache
+/// table layout, buffer-pool replacement, format changes, and so on. Cache
 /// keys (bench/fig6_tpcc.cc's $TMPDIR trace cache) must mix this in so
 /// stale cached traces regenerate instead of silently replaying old
 /// data.
@@ -32,9 +32,6 @@ struct TpccTraceResult {
   uint64_t pages_final = 0;
   /// Transactions executed in warm-up + measurement.
   uint64_t transactions = 0;
-  /// Worker threads that generated the trace (config.workers; the
-  /// latch-coupled engine lets workers exceed warehouses).
-  uint32_t workers = 1;
   /// Wall-clock seconds spent generating (populate + all transactions).
   double generation_seconds = 0.0;
 
@@ -45,7 +42,6 @@ struct TpccTraceResult {
   uint64_t pool_misses = 0;
   uint64_t pool_evictions = 0;
   uint64_t pool_write_backs = 0;
-  uint64_t pool_latch_acquisitions = 0;
 
   /// Pre-split replay feeds (empty unless requested): sub-trace per
   /// replay shard, computed once here so every replay of a cached trace
@@ -58,20 +54,8 @@ struct TpccTraceResult {
 /// write-back. `checkpoint_every` > 0 additionally flushes all dirty
 /// pages every that-many transactions (a fuzzy checkpoint), which is how
 /// cold dirty pages reach storage in engines whose cache would otherwise
-/// absorb them. A final checkpoint closes the trace.
-///
-/// config.workers > 1 generates in parallel: population and the
-/// transaction phases fan out over that many threads (per-warehouse
-/// affinity, see TpccDb), each thread records the write-backs *it*
-/// triggers into its own buffer, and the buffers are merged with a
-/// stable round-robin order at each phase boundary (approximating the
-/// temporal interleaving of the streams without cross-thread
-/// synchronisation on the trace itself). Checkpoints are driven off a
-/// global transaction counter so their cadence matches the serial run.
-/// Which thread evicts which page depends on scheduling, so parallel
-/// generation is *not* bit-reproducible run to run — downstream replay
-/// is a pure function of the trace, which is why benches cache the
-/// generated trace on disk.
+/// absorb them. A final checkpoint closes the trace. The trace is a pure
+/// function of the arguments (pinned by SerialTraceMatchesGolden).
 ///
 /// `presplit_shards` > 0 additionally splits the finished trace into
 /// that many per-shard sub-traces (SplitTrace), stored in

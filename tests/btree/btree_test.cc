@@ -1,9 +1,7 @@
 #include "btree/btree.h"
 
-#include <atomic>
 #include <map>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -303,143 +301,6 @@ TEST_F(BTreeFixture, IteratorSurvivesSplitsMidScan) {
   // Every pre-existing (even) key after the bound must be seen.
   EXPECT_EQ(seen_even, 100);
   ASSERT_TRUE(tree.CheckIntegrity().ok());
-}
-
-// --- Concurrency (runs under TSan via check.sh --tsan) -------------------
-
-TEST(BTreeParallelTest, DeleteChurnWithConcurrentReaders) {
-  // Delete-heavy churn leaves underfull (even empty) leaves behind;
-  // concurrent readers must hop them without tripping on the writers.
-  Pager pager;
-  BufferPool pool(&pager, 128);
-  BTree tree(&pool);
-  constexpr int kKeys = 2000;
-  for (int i = 0; i < kKeys; ++i) {
-    ASSERT_TRUE(tree.Insert(Key(i), std::string(80, 'v')).ok());
-  }
-
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> readers;
-  for (int r = 0; r < 4; ++r) {
-    readers.emplace_back([&tree, &stop, r] {
-      Rng rng(100 + r);
-      std::string v;
-      while (!stop.load(std::memory_order_acquire)) {
-        const int k = static_cast<int>(rng.NextBounded(kKeys));
-        tree.Get(Key(k), &v);
-        // Short ordered scan across whatever leaves exist right now.
-        std::string prev;
-        auto it = tree.Seek(Key(k));
-        for (int n = 0; n < 20 && it.Valid(); ++n, it.Next()) {
-          if (!prev.empty()) {
-            EXPECT_LT(prev, it.key());
-          }
-          prev = it.key();
-        }
-      }
-    });
-  }
-
-  // Writer: wave-delete whole ranges (emptying leaves), then reinsert.
-  Rng rng(7);
-  for (int round = 0; round < 25; ++round) {
-    const int base = static_cast<int>(rng.NextBounded(kKeys - 200));
-    for (int i = base; i < base + 200; ++i) tree.Delete(Key(i));
-    for (int i = base; i < base + 200; ++i) {
-      ASSERT_TRUE(tree.Put(Key(i), std::string(1 + i % 120, 'r')).ok());
-    }
-  }
-  stop.store(true, std::memory_order_release);
-  for (std::thread& th : readers) th.join();
-
-  ASSERT_TRUE(tree.CheckIntegrity().ok());
-  EXPECT_EQ(tree.Size(), static_cast<uint64_t>(kKeys));
-}
-
-TEST(BTreeParallelTest, WritersAndReadersStress) {
-  // The tentpole invariant: one tree, 4 writers + 4 readers, fully
-  // concurrent, structurally sound at every quiescent phase boundary.
-  // Writers own disjoint key spaces with deterministic op streams, so
-  // the final contents must match a serial replay exactly.
-  Pager pager;
-  BufferPool pool(&pager, 256);
-  BTree tree(&pool);
-  constexpr int kWriters = 4;
-  constexpr int kReaders = 4;
-  constexpr int kOpsPerWriter = 2500;
-  constexpr int kPhases = 3;
-
-  std::map<std::string, std::string> model;
-  auto writer_ops = [&](int phase, int wtr, auto&& put, auto&& del) {
-    Rng rng(1000 * phase + wtr);
-    for (int i = 0; i < kOpsPerWriter; ++i) {
-      const int k = wtr * 100000 + static_cast<int>(rng.NextBounded(1500));
-      const double dice = rng.NextDouble();
-      if (dice < 0.65) {
-        put(Key(k), std::string(1 + k % 90, static_cast<char>('a' + wtr)));
-      } else if (dice < 0.9) {
-        del(Key(k));
-      }
-    }
-  };
-
-  for (int phase = 0; phase < kPhases; ++phase) {
-    std::atomic<bool> stop{false};
-    std::vector<std::thread> threads;
-    for (int wtr = 0; wtr < kWriters; ++wtr) {
-      threads.emplace_back([&, wtr] {
-        writer_ops(
-            phase, wtr,
-            [&](const std::string& k, const std::string& v) {
-              ASSERT_TRUE(tree.Put(k, v).ok());
-            },
-            [&](const std::string& k) { tree.Delete(k); });
-      });
-    }
-    for (int r = 0; r < kReaders; ++r) {
-      threads.emplace_back([&, r] {
-        Rng rng(9000 + r);
-        std::string v;
-        while (!stop.load(std::memory_order_acquire)) {
-          const int k = static_cast<int>(rng.NextBounded(kWriters)) * 100000 +
-                        static_cast<int>(rng.NextBounded(1500));
-          tree.Get(Key(k), &v);
-          std::string prev;
-          auto it = tree.Seek(Key(k));
-          for (int n = 0; n < 10 && it.Valid(); ++n, it.Next()) {
-            if (!prev.empty()) {
-            EXPECT_LT(prev, it.key());
-          }
-            prev = it.key();
-          }
-        }
-      });
-    }
-    for (int wtr = 0; wtr < kWriters; ++wtr) threads[wtr].join();
-    stop.store(true, std::memory_order_release);
-    for (int r = 0; r < kReaders; ++r) threads[kWriters + r].join();
-
-    // Quiescent: full structural validation between phases.
-    ASSERT_TRUE(tree.CheckIntegrity().ok()) << "phase " << phase;
-
-    // Serial replay of the same deterministic streams into the model.
-    for (int wtr = 0; wtr < kWriters; ++wtr) {
-      writer_ops(
-          phase, wtr,
-          [&](const std::string& k, const std::string& v) { model[k] = v; },
-          [&](const std::string& k) { model.erase(k); });
-    }
-  }
-
-  ASSERT_EQ(tree.Size(), model.size());
-  auto it = tree.Begin();
-  for (const auto& [k, v] : model) {
-    ASSERT_TRUE(it.Valid());
-    EXPECT_EQ(it.key(), k);
-    EXPECT_EQ(it.value(), v);
-    it.Next();
-  }
-  EXPECT_FALSE(it.Valid());
 }
 
 }  // namespace
