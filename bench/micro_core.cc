@@ -2,13 +2,15 @@
 // throughput per cleaning policy, sharded writes from 1-4 client threads,
 // page-table lookups, victim-selection cost vs device size, the
 // metadata-log replay a recovering Open pays, the flush's hottest-first
-// ordering of a full write buffer, and Zipfian sampling. Not
+// ordering of a full write buffer, one flush with its inline cleaning,
+// and Zipfian sampling. Not
 // from the paper — these quantify simulator overheads so the
 // table/figure benches' runtimes are explainable.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <memory>
 #include <string>
@@ -386,6 +388,71 @@ void BM_FlushOrder(benchmark::State& state) {
                           static_cast<int64_t>(batch.size()));
 }
 BENCHMARK(BM_FlushOrder)->Arg(0)->Arg(1);
+
+// One user-buffer flush with the cleaning it triggers, in zipf80-1t's
+// shape on a smaller device: one MDC shard of 256 x 512 KiB segments,
+// 4 KiB pages, a 16-segment write buffer, clean batch 16, trigger 4, and
+// 80-20 Zipfian updates (factor 0.99) at fill 0.8, warmed up by four
+// update passes. The buffer is emptied before timing, so each iteration's
+// 2,048 writes fill it exactly once and the last one flushes it. Page ids
+// are drawn outside the timed region. Counters: ns per flush cycle (the
+// 2,048 writes and the flush) and pages the cleaner moved per flush.
+void BM_FlushCycle(benchmark::State& state) {
+  StoreConfig cfg;
+  cfg.page_bytes = 4096;
+  cfg.segment_bytes = 128 * 4096;
+  cfg.num_segments = 256;
+  cfg.clean_trigger_segments = 4;
+  cfg.clean_batch_segments = 16;
+  cfg.write_buffer_segments = 16;
+  ApplyVariantConfig(Variant::kMdc, &cfg);
+  auto store =
+      ShardedStore::Create(cfg, 1, [] { return MakePolicy(Variant::kMdc); });
+  const uint64_t user_pages = bench::UserPagesFor(cfg, 0.8);
+  const ZipfianWorkload zipf(user_pages, 0.99);
+  Rng rng(1);
+  for (PageId p = 0; p < user_pages; ++p) {
+    benchmark::DoNotOptimize(store->Write(p));
+  }
+  for (uint64_t i = 0; i < 4 * user_pages; ++i) {
+    benchmark::DoNotOptimize(store->Write(zipf.NextPage(rng)));
+  }
+  if (!store->Flush().ok()) {
+    state.SkipWithError("warm-up flush failed");
+    return;
+  }
+  const size_t per_flush = static_cast<size_t>(cfg.write_buffer_segments) *
+                           cfg.PagesPerSegment();
+  std::vector<PageId> pages(per_flush);
+  const uint64_t moved_before = store->AggregatedStats().gc_pages_written;
+  double ns = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    for (PageId& p : pages) p = zipf.NextPage(rng);
+    const auto start = std::chrono::steady_clock::now();
+    state.ResumeTiming();
+    for (PageId p : pages) {
+      if (!store->Write(p).ok()) {
+        state.SkipWithError("write failed");
+        return;
+      }
+    }
+    state.PauseTiming();
+    ns += std::chrono::duration<double, std::nano>(
+              std::chrono::steady_clock::now() - start)
+              .count();
+    state.ResumeTiming();
+  }
+  const double flushes = static_cast<double>(state.iterations());
+  state.counters["ns_per_flush"] = ns / flushes;
+  state.counters["pages_moved_per_flush"] =
+      static_cast<double>(store->AggregatedStats().gc_pages_written -
+                          moved_before) /
+      flushes;
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(per_flush));
+}
+BENCHMARK(BM_FlushCycle)->Unit(benchmark::kMicrosecond);
 
 void BM_ZipfSample(benchmark::State& state) {
   ZipfGenerator z(1u << 20, 0.99);

@@ -175,6 +175,20 @@ if [[ -x "$BUILD_DIR/bench/micro_core" ]]; then
     exit 1
   fi
   echo "check.sh: flush-order smoke green"
+
+  # Flush-cycle smoke: one run of BM_FlushCycle (one MDC shard in
+  # zipf80-1t's shape on a 128 MiB device; each iteration is one
+  # 2,048-page buffer flush with its inline cleaning). The name must be
+  # in the output and no error reported.
+  "$BUILD_DIR/bench/micro_core" --benchmark_filter='^BM_FlushCycle$' \
+    --benchmark_out="$BUILD_DIR/flush_cycle_smoke.json" \
+    --benchmark_out_format=json
+  grep -q '"name": "BM_FlushCycle"' "$BUILD_DIR/flush_cycle_smoke.json"
+  if grep -q '"error_occurred": true' "$BUILD_DIR/flush_cycle_smoke.json"; then
+    echo "check.sh: BM_FlushCycle reported an error" >&2
+    exit 1
+  fi
+  echo "check.sh: flush-cycle smoke green"
 fi
 
 # Delta-checkpoint smoke: the io_backend checkpoint sweep on a small

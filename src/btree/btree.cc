@@ -12,28 +12,6 @@ BTree::BTree(BufferPool* pool) : pool_(pool) {
   pool_->Unpin(root_, /*dirty=*/true);
 }
 
-BTree::BTree(BTree&& o) noexcept
-    : pool_(std::exchange(o.pool_, nullptr)),
-      root_(o.root_),
-      height_(o.height_),
-      size_(o.size_),
-      mods_(o.mods_) {}
-
-BTree& BTree::operator=(BTree&& o) noexcept {
-  if (this != &o) {
-    pool_ = std::exchange(o.pool_, nullptr);
-    root_ = o.root_;
-    height_ = o.height_;
-    size_ = o.size_;
-    mods_ = o.mods_;
-  }
-  return *this;
-}
-
-void BTree::AssertLive() const {
-  assert(pool_ != nullptr && "operation on a moved-from BTree");
-}
-
 PageNo BTree::RouteChild(const NodeView& node, std::string_view key) {
   const uint16_t n = node.count();
   assert(n > 0);
@@ -74,7 +52,6 @@ void BTree::DescendPath(std::string_view key, std::vector<PageRef>* path) {
 // --- Writes -------------------------------------------------------------
 
 Status BTree::Insert(std::string_view key, std::string_view value) {
-  AssertLive();
   if (key.size() + value.size() > NodeView::kMaxPayload || key.empty()) {
     return Status::InvalidArgument("key/value payload out of bounds");
   }
@@ -100,7 +77,6 @@ Status BTree::Insert(std::string_view key, std::string_view value) {
 }
 
 Status BTree::Put(std::string_view key, std::string_view value) {
-  AssertLive();
   if (key.size() + value.size() > NodeView::kMaxPayload || key.empty()) {
     return Status::InvalidArgument("key/value payload out of bounds");
   }
@@ -232,7 +208,6 @@ Status BTree::SplitAndInsert(std::vector<PageRef>* path, std::string_view key,
 // --- Reads --------------------------------------------------------------
 
 bool BTree::Get(std::string_view key, std::string* value) const {
-  AssertLive();
   PageRef ref = Descend(key);
   NodeView leaf(ref.data());
   uint16_t slot;
@@ -242,7 +217,6 @@ bool BTree::Get(std::string_view key, std::string* value) const {
 }
 
 bool BTree::Delete(std::string_view key) {
-  AssertLive();
   PageRef ref = Descend(key);
   NodeView leaf(ref.data());
   uint16_t slot;
@@ -332,7 +306,6 @@ void BTree::Iterator::Next() {
 }
 
 BTree::Iterator BTree::Seek(std::string_view key) const {
-  AssertLive();
   PageNo leaf_no;
   uint16_t slot;
   {
@@ -347,7 +320,6 @@ BTree::Iterator BTree::Seek(std::string_view key) const {
 }
 
 BTree::Iterator BTree::Begin() const {
-  AssertLive();
   const PageNo leaf_no = Descend({}).page();
   return Iterator(this, leaf_no, 0, mods_, std::string(),
                   /*bound_inclusive=*/true);
@@ -395,7 +367,6 @@ Status BTree::CheckSubtree(PageNo page, std::string_view lo,
 }
 
 Status BTree::CheckIntegrity() const {
-  AssertLive();
   uint32_t leaf_depth = 0;
   uint64_t records = 0;
   Status s = CheckSubtree(root(), {}, {}, 1, &leaf_depth, &records);

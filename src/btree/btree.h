@@ -37,11 +37,6 @@ class BTree {
 
   BTree(const BTree&) = delete;
   BTree& operator=(const BTree&) = delete;
-  /// Moves transfer the tree; the moved-from tree keeps no pool pointer
-  /// and any further operation on it asserts. Requires no live
-  /// iterators on either tree.
-  BTree(BTree&& o) noexcept;
-  BTree& operator=(BTree&& o) noexcept;
 
   /// Inserts a new record; kInvalidArgument if the key already exists or
   /// the payload exceeds kMaxPayload.
@@ -113,8 +108,6 @@ class BTree {
   uint32_t Height() const { return height_; }
 
  private:
-  void AssertLive() const;
-
   // Returns the pinned leaf for `key` (the empty key routes to the first
   // leaf). Crabbing order: each child is pinned before its parent is
   // unpinned. Reads and the first write attempt both use it.

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "core/types.h"
+#include "util/prefetch.h"
 
 namespace lss {
 
@@ -85,6 +86,15 @@ class PageTable {
     const auto [c, index] = Locate(page);
     const PageMeta* chunk = chunks_[c].load(std::memory_order_acquire);
     return chunk != nullptr ? chunk[index] : kAbsent;
+  }
+
+  /// Prefetches `page`'s metadata slot for a coming Ensure; does nothing
+  /// for an id beyond the table or a chunk not yet published.
+  void Prefetch(PageId page) const {
+    if (page >= kMaxPages) return;
+    const auto [c, index] = Locate(page);
+    const PageMeta* chunk = chunks_[c].load(std::memory_order_acquire);
+    if (chunk != nullptr) PrefetchForWrite(&chunk[index]);
   }
 
   /// True if `page` has ever been written and is currently present.

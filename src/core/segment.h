@@ -27,12 +27,13 @@ enum class SegmentSource : uint8_t { kNone, kUser, kGc };
 /// and the exact-frequency sum of live pages (for the *-opt variants).
 class Segment {
  public:
-  /// One page version stored in the segment. `page == kInvalidPage` marks
-  /// a dead (overwritten) entry. Beyond the identity the cleaner needs,
-  /// each entry carries the metadata a persistence backend records so a
-  /// segment can be reconstructed after restart (core/io_backend.h):
-  /// the shard-wide append sequence, the page's up1 at append time, and
-  /// the placement estimates.
+  /// One page version in the form seal, checkpoint and re-homing records
+  /// carry it (core/io_backend.h): identity and size, the shard-wide
+  /// append sequence, the page's up1 at append time, the placement
+  /// estimates and the payload offset. The segment itself stores entries
+  /// split into a hot and a cold column (see Slot and Cold below) and
+  /// builds this form on demand (RecordEntry, AppendRecordEntries).
+  /// `page == kInvalidPage` marks an entry recorded dead.
   struct Entry {
     PageId page = kInvalidPage;
     uint32_t bytes = 0;
@@ -43,22 +44,15 @@ class Segment {
     /// Byte offset of this version inside the segment payload (the sum
     /// of the preceding entries' sizes); fixed at append time.
     uint64_t offset = 0;
-    /// The page this entry was appended for, preserved across Kill (in
-    /// memory only, never serialised directly). Two crash-safety roles:
-    /// a backend that rewrites a slot in place — open-segment
-    /// checkpoints, reseals of the same segment — uses it to regenerate
-    /// byte-identical content for dead regions, so a torn rewrite can
-    /// never corrupt payload that an earlier durable record for the slot
-    /// still references; and StoreShard::MakeSealRecord uses it to
-    /// record in-place-killed entries as *live* with their original
-    /// identity, so recovery can resurrect the old version when the
-    /// successor's record was lost to the crash (newest-wins by seq
-    /// picks the successor whenever it did survive).
+    /// The page this entry was appended for, also when it is recorded
+    /// dead (kInvalidPage only for an entry recovered dead). A backend
+    /// that rewrites a slot in place — open-segment checkpoints, reseals
+    /// of the same segment — uses it to regenerate byte-identical content
+    /// for dead regions, so a torn rewrite can never corrupt payload that
+    /// an earlier durable record for the slot still references.
     PageId orig_page = kInvalidPage;
     /// Dead on arrival: a superseded buffered duplicate killed at append
-    /// time. Unlike in-place kills its append-sequence order relative to
-    /// the successor is not meaningful (the flush sorts the batch), so
-    /// it must never be resurrected and is always recorded dead.
+    /// time (see Kill).
     bool doa = false;
   };
 
@@ -80,7 +74,8 @@ class Segment {
     return used_bytes_ + bytes <= capacity_;
   }
 
-  /// Appends a live page version. `up2` is the page's carried
+  /// Appends a live page version of `page` (< PageTable::kMaxPages, so
+  /// it fits the hot column's 32 bits). `up2` is the page's carried
   /// penultimate-update estimate (averaged into the segment's up2 at seal,
   /// §5.2.2); `exact_upf` is the oracle frequency or 0. `seq` and
   /// `last_update` are recorded for the persistence backend (0 when no
@@ -98,7 +93,7 @@ class Segment {
   /// Mirrors §5.2.1: subtracts the page size from the live bytes and
   /// decrements C. `dead_on_arrival` marks a superseded buffered
   /// duplicate, which durable records must never resurrect (see
-  /// Entry::doa).
+  /// RecordEntry).
   void Kill(uint32_t idx, double exact_upf, bool dead_on_arrival = false);
 
   /// Transitions kOpen -> kSealed. The segment's up2 becomes the mean of
@@ -153,8 +148,8 @@ class Segment {
   /// pages appended so far while the segment is still open.
   double Up2Estimate() const {
     if (state_ == SegmentState::kSealed) return up2_;
-    return entries_.empty() ? 0.0
-                            : up2_accum_ / static_cast<double>(entries_.size());
+    return slots_.empty() ? 0.0
+                          : up2_accum_ / static_cast<double>(slots_.size());
   }
   /// Update-count clock value when the segment was sealed.
   UpdateCount seal_time() const { return seal_time_; }
@@ -165,7 +160,35 @@ class Segment {
   /// use). Mean live-page frequency is exact_upf_sum()/live_count().
   double exact_upf_sum() const { return exact_upf_sum_; }
 
-  const std::vector<Entry>& entries() const { return entries_; }
+  // --- Entries --------------------------------------------------------
+
+  /// Number of entries appended in the current fill, dead ones included.
+  uint32_t entry_count() const { return static_cast<uint32_t>(slots_.size()); }
+  /// The page entry `i` holds, or kInvalidPage once it is dead.
+  PageId live_page(uint32_t i) const {
+    const Slot& s = slots_[i];
+    return s.state == SlotState::kLive ? s.page : kInvalidPage;
+  }
+  uint32_t entry_bytes(uint32_t i) const { return slots_[i].bytes; }
+  uint64_t entry_offset(uint32_t i) const { return slots_[i].offset; }
+  UpdateCount entry_last_update(uint32_t i) const {
+    return cold_[i].last_update;
+  }
+
+  /// Entry `i` in record form. In-place-killed entries are recorded
+  /// *live* under their own id: their successor always carries a larger
+  /// append sequence, so replay's newest-wins picks the successor
+  /// whenever its record survived, and legitimately resurrects this
+  /// version when the crash took the successor's record with it. Without
+  /// this, re-recording a segment (a later checkpoint, or the seal after
+  /// one) would erase the only durable copy of a page whose newest
+  /// version never reached the device. Dead-on-arrival duplicates and
+  /// entries recovered dead are recorded dead: the flush sort makes a
+  /// duplicate's seq order against its successor meaningless, and a
+  /// recovered-dead entry's page is no longer known.
+  Entry RecordEntry(uint32_t i) const;
+  /// Appends every entry's record form to `out`, in append order.
+  void AppendRecordEntries(std::vector<Entry>* out) const;
 
   /// Test hook: recomputes live_bytes/live_count from the entries and
   /// checks them against the maintained counters.
@@ -177,7 +200,38 @@ class Segment {
   SegmentSource source_ = SegmentSource::kNone;
   uint32_t log_ = 0;
 
-  std::vector<Entry> entries_;
+  /// Entries are stored as two parallel columns (PAX-style): the hot
+  /// column holds what Kill, the cleaner's harvest and reads touch, the
+  /// cold column what only records read. A segment stores no orig_page or
+  /// doa: the hot page id survives a kill, and the state says how the
+  /// entry died.
+  enum class SlotState : uint8_t {
+    kLive,
+    kKilled,          // overwritten or deleted in place
+    kDeadOnArrival,   // superseded buffered duplicate
+    kRecoveredDead,   // AppendDead: already dead when recorded
+  };
+  struct Slot {
+    uint32_t page;    // the appended page's id, kept across Kill
+    uint32_t bytes;
+    uint32_t offset;  // < capacity, which is a uint32_t
+    SlotState state;
+  };
+  struct Cold {
+    uint64_t seq;
+    UpdateCount last_update;
+    double up2;
+    double exact_upf;
+  };
+  static_assert(sizeof(Slot) == 16, "hot entry column must stay 16 bytes");
+  static_assert(sizeof(Cold) == 32, "cold entry column must stay 32 bytes");
+
+  /// Writes the record form of the entry held by `s` and `c` (see
+  /// RecordEntry).
+  static void FillRecord(const Slot& s, const Cold& c, Entry* e);
+
+  std::vector<Slot> slots_;
+  std::vector<Cold> cold_;
   uint32_t used_bytes_ = 0;   // appended bytes including dead entries
   uint32_t live_bytes_ = 0;   // B - A
   uint32_t live_count_ = 0;   // C

@@ -8,6 +8,15 @@
 
 namespace lss {
 
+namespace {
+
+// The flush's and the cleaner's placement loops prefetch the page-table
+// slot of the page this many positions ahead, so its miss overlaps the
+// placements in between instead of stalling the one that remaps it.
+constexpr size_t kPrefetchDistance = 16;
+
+}  // namespace
+
 StoreShard::StoreShard(const StoreConfig& config,
                        std::unique_ptr<CleaningPolicy> policy,
                        PageTable* table, uint32_t shard_id,
@@ -277,7 +286,7 @@ Status StoreShard::ReadPage(PageId page, std::vector<uint8_t>* out) const {
     if (!s.ok()) return s;
   }
   return backend_->ReadPagePayload(m.loc.segment,
-                                   seg.entries()[m.loc.index].offset, page,
+                                   seg.entry_offset(m.loc.index), page,
                                    m.bytes, out);
 }
 
@@ -315,6 +324,10 @@ Status StoreShard::FlushUserBuffer() {
   }
 
   for (size_t k = 0; k < batch.size(); ++k) {
+    if (k + kPrefetchDistance < batch.size()) {
+      const size_t ahead = k + kPrefetchDistance;
+      table_.Prefetch(batch[order != nullptr ? order[ahead] : ahead].page);
+    }
     const BufferedWrite& w = batch[order != nullptr ? order[k] : k];
     if (w.page == kInvalidPage) continue;  // deleted while buffered
     double est = w.exact_upf;
@@ -441,21 +454,9 @@ BackendSegmentRecord StoreShard::MakeSealRecord(SegmentId id,
   rec.unow = unow_;
   rec.checkpoint = checkpoint;
   rec.generation = slot_generation_[id];
-  rec.entries = seg.entries();
-  // In-place-killed entries are recorded *live* under their original
-  // identity: their successor always carries a larger append sequence,
-  // so replay's newest-wins picks the successor whenever its record
-  // survived — and legitimately resurrects this version when the crash
-  // took the successor's record with it. Without this, re-recording a
-  // segment (a later checkpoint, or the seal after one) would erase the
-  // only durable copy of a page whose newest version never reached the
-  // device. Dead-on-arrival duplicates stay dead: the flush sort makes
-  // their seq order against the successor meaningless.
-  for (Segment::Entry& e : rec.entries) {
-    if (e.page == kInvalidPage && !e.doa && e.orig_page != kInvalidPage) {
-      e.page = e.orig_page;
-    }
-  }
+  // In-place-killed entries are recorded live under their own id (see
+  // Segment::RecordEntry for why).
+  seg.AppendRecordEntries(&rec.entries);
   return rec;
 }
 
@@ -480,7 +481,7 @@ Status StoreShard::EmitSeal(SegmentId id, const Segment& seg) {
 Status StoreShard::EmitCheckpoint(SegmentId id, const Segment& seg,
                                   bool delta) {
   const uint64_t gen = slot_generation_[id];
-  const uint64_t entries = seg.entries().size();
+  const uint64_t entries = seg.entry_count();
   const uint64_t bytes = seg.used_bytes();
   SealPipeline::Op op;
   op.kind = delta ? SealPipeline::Op::Kind::kCheckpointDelta
@@ -490,7 +491,7 @@ Status StoreShard::EmitCheckpoint(SegmentId id, const Segment& seg,
     // Only the suffix past the durable watermark travels; the base chain
     // already covers the prefix byte-for-byte (in-place kills never
     // change recorded content — see the resurrection rule in
-    // MakeSealRecord).
+    // Segment::RecordEntry).
     const uint32_t wm_entries = seg.checkpoint_entries();
     const uint64_t wm_bytes = seg.checkpoint_bytes();
     assert(wm_entries <= entries && wm_bytes <= bytes);
@@ -522,7 +523,7 @@ Status StoreShard::EmitOpenSegmentCheckpoint(SegmentId id,
     // record starts the chain over.
     return EmitCheckpoint(id, seg, /*delta=*/false);
   }
-  if (chain.emitted_entries == seg.entries().size() &&
+  if (chain.emitted_entries == seg.entry_count() &&
       chain.emitted_bytes == seg.used_bytes()) {
     // The emitted chain already covers every entry (in-place kills since
     // then re-record identically, so there is nothing new to persist).
@@ -588,7 +589,7 @@ Status StoreShard::CheckpointGcDirtyOpen(SegmentId skip) {
   for (SegmentId id : gc_dirty_open_) {
     if (id == skip) continue;
     const Segment& seg = segments_[id];
-    if (seg.state() != SegmentState::kOpen || seg.entries().empty()) continue;
+    if (seg.state() != SegmentState::kOpen || seg.entry_count() == 0) continue;
     // Skip-when-covered is safe here too: an already-emitted chain
     // precedes the forced free record in queue = log order.
     Status s = EmitOpenSegmentCheckpoint(id, seg);
@@ -603,7 +604,7 @@ Status StoreShard::CheckpointOpenSegments() {
   // durable watermark instead of re-sending already-synced suffixes.
   CommitDurableWatermarks();
   for (const SegmentId id : open_segments_) {
-    if (id == kInvalidSegment || segments_[id].entries().empty()) continue;
+    if (id == kInvalidSegment || segments_[id].entry_count() == 0) continue;
     Status s = EmitOpenSegmentCheckpoint(id, segments_[id]);
     if (!s.ok()) return s;
   }
@@ -805,7 +806,8 @@ SegmentId StoreShard::AllocateSegment(uint32_t log) {
 }
 
 uint64_t StoreShard::HarvestVictims(const std::vector<SegmentId>& victims,
-                                    std::vector<MovedPage>* moved) {
+                                    std::vector<MovedPage>* moved,
+                                    std::vector<MovedRun>* runs) {
   uint64_t reclaimed = 0;
   for (SegmentId id : victims) {
     Segment& seg = segments_[id];
@@ -814,44 +816,50 @@ uint64_t StoreShard::HarvestVictims(const std::vector<SegmentId>& victims,
     ++stats_.segments_cleaned;
     reclaimed += seg.available_bytes();
     const double seg_up2 = seg.up2();
+    const size_t run_begin = moved->size();
     // Capture, before the Reset below, every entry the victim's durable
     // seal record still lists live that a recovery might need — the
     // slot's free record (and any reuse of the slot) must wait for them:
     //   - live entries: harvested now but not yet placed; until the
     //     copy lands the victim's record is the only durable home;
     //   - in-place-killed entries (recorded live under their original
-    //     identity, see MakeSealRecord) whose superseding version is
-    //     not yet recorded (write buffer / mid-placement).
-    // The captured values mirror the seal record exactly: Kill leaves
-    // every field but `page`/`doa` untouched, so page = orig_page
-    // reproduces what MakeSealRecord serialised.
+    //     identity, see Segment::RecordEntry) whose superseding version
+    //     is not yet recorded (write buffer / mid-placement).
+    // The captured values are the seal record's: both come from
+    // Segment::RecordEntry.
+    const bool checkpointing = CheckpointingEnabled();
     std::vector<Segment::Entry> needed;
-    for (const Segment::Entry& e : seg.entries()) {
-      if (e.page == kInvalidPage) {
-        if (CheckpointingEnabled() && !e.doa &&
-            e.orig_page != kInvalidPage && !SuccessorRecorded(e.orig_page)) {
-          Segment::Entry n = e;
-          n.page = e.orig_page;
-          needed.push_back(n);
+    for (uint32_t i = 0; i < seg.entry_count(); ++i) {
+      const PageId page = seg.live_page(i);
+      if (page == kInvalidPage) {
+        if (checkpointing) {
+          const Segment::Entry rec = seg.RecordEntry(i);
+          if (rec.page != kInvalidPage && !SuccessorRecorded(rec.page)) {
+            needed.push_back(rec);
+          }
         }
         continue;
       }
-      if (CheckpointingEnabled()) needed.push_back(e);
+      if (checkpointing) needed.push_back(seg.RecordEntry(i));
       MovedPage mp;
-      mp.page = e.page;
-      mp.bytes = e.bytes;
+      mp.page = page;
+      mp.bytes = seg.entry_bytes(i);
       mp.up2 = seg_up2;
-      mp.exact_upf = oracle_ ? oracle_(e.page) : 0.0;
+      mp.exact_upf = oracle_ ? oracle_(page) : 0.0;
       // A live entry's last_update is its page's (CheckInvariants, 4).
-      assert(e.last_update == table_.Get(e.page).last_update);
+      assert(seg.entry_last_update(i) == table_.Get(page).last_update);
       if (oracle_) {
         mp.est_upf = mp.exact_upf;
       } else {
-        mp.est_upf = unow_ > e.last_update
-                         ? 1.0 / static_cast<double>(unow_ - e.last_update)
+        const UpdateCount last_update = seg.entry_last_update(i);
+        mp.est_upf = unow_ > last_update
+                         ? 1.0 / static_cast<double>(unow_ - last_update)
                          : 0.0;
       }
       moved->push_back(mp);
+    }
+    if (runs != nullptr && moved->size() > run_begin) {
+      runs->push_back(MovedRun{run_begin, moved->size(), seg_up2});
     }
     seg.Reset();
     InvalidateCheckpointChain(id);
@@ -878,8 +886,8 @@ bool StoreShard::SuccessorRecorded(PageId page) const {
   if (m.loc.segment >= segments_.size()) return false;
   const Segment& s = segments_[m.loc.segment];
   if (s.state() == SegmentState::kFree) return false;
-  if (m.loc.index >= s.entries().size()) return false;
-  return s.entries()[m.loc.index].page == page;
+  if (m.loc.index >= s.entry_count()) return false;
+  return s.live_page(m.loc.index) == page;
 }
 
 bool StoreShard::SuccessorEmitted(PageId page) const {
@@ -895,8 +903,8 @@ bool StoreShard::SuccessorEmitted(PageId page) const {
   if (m.loc.segment >= segments_.size()) return false;
   const Segment& s = segments_[m.loc.segment];
   if (s.state() != SegmentState::kSealed) return false;
-  if (m.loc.index >= s.entries().size()) return false;
-  return s.entries()[m.loc.index].page == page;
+  if (m.loc.index >= s.entry_count()) return false;
+  return s.live_page(m.loc.index) == page;
 }
 
 Status StoreShard::EmitRehome(SegmentId victim,
@@ -1011,8 +1019,10 @@ Status StoreShard::Clean(uint32_t triggering_log) {
     // the victims. GC'd pages carry their segment's up2 (§5.2.2 "Garbage
     // Collection Writes").
     std::vector<MovedPage>& moved = clean_moved_;
+    std::vector<MovedRun>& runs = clean_runs_;
     moved.clear();
-    uint64_t reclaimed = HarvestVictims(victims, &moved);
+    runs.clear();
+    uint64_t reclaimed = HarvestVictims(victims, &moved, &runs);
     ++stats_.cleanings;
 
     if (config_.separate_gc_writes) {
@@ -1022,10 +1032,20 @@ Status StoreShard::Clean(uint32_t triggering_log) {
                            return a.exact_upf > b.exact_upf;
                          });
       } else {
-        std::stable_sort(moved.begin(), moved.end(),
-                         [](const MovedPage& a, const MovedPage& b) {
+        // Hottest first by up2. Every page of a victim carries that
+        // victim's up2, so the stable sort of the pages is the stable
+        // sort of the victims' runs, concatenated.
+        std::stable_sort(runs.begin(), runs.end(),
+                         [](const MovedRun& a, const MovedRun& b) {
                            return a.up2 > b.up2;
                          });
+        std::vector<MovedPage>& sorted = clean_sorted_;
+        sorted.clear();
+        for (const MovedRun& r : runs) {
+          sorted.insert(sorted.end(), moved.begin() + r.begin,
+                        moved.begin() + r.end);
+        }
+        moved.swap(sorted);
       }
     }
 
@@ -1038,6 +1058,9 @@ Status StoreShard::Clean(uint32_t triggering_log) {
     bool place_failed = false;
     int emergencies = 0;
     for (size_t i = 0; i < moved.size();) {
+      if (i + kPrefetchDistance < moved.size()) {
+        table_.Prefetch(moved[i + kPrefetchDistance].page);
+      }
       const MovedPage& mp = moved[i];
       Status s = PlacePage(mp.page, table_.Ensure(mp.page), mp.bytes, mp.up2,
                            mp.exact_upf, mp.est_upf, /*is_gc=*/true);
@@ -1058,7 +1081,8 @@ Status StoreShard::Clean(uint32_t triggering_log) {
         break;
       }
       ++emergencies;
-      reclaimed += HarvestVictims(extra, &moved);  // then retry moved[i]
+      // Appended after the ordered runs; then retry moved[i].
+      reclaimed += HarvestVictims(extra, &moved, /*runs=*/nullptr);
     }
     if (place_failed) break;
 
@@ -1186,6 +1210,9 @@ Status StoreShard::Recover() {
         seg.AppendDead(e.bytes, e.up2);
         continue;
       }
+      if (e.page >= PageTable::kMaxPages) {
+        return Status::Corruption("recovery: page id beyond the page table");
+      }
       if (!OwnsPage(e.page)) {
         return Status::Corruption(
             "recovery: segment holds a page this shard does not own "
@@ -1209,6 +1236,9 @@ Status StoreShard::Recover() {
   for (const BackendSegmentRecord& rec : log.rehomed) {
     for (const Segment::Entry& e : rec.entries) {
       if (e.page == kInvalidPage) continue;
+      if (e.page >= PageTable::kMaxPages) {
+        return Status::Corruption("recovery: page id beyond the page table");
+      }
       if (!OwnsPage(e.page)) {
         return Status::Corruption(
             "recovery: re-homing record holds a page this shard does "
@@ -1234,9 +1264,6 @@ Status StoreShard::Recover() {
   std::unordered_map<PageId, const Placed*> winner;
   winner.reserve(placed.size());
   for (const Placed& p : placed) {
-    if (p.page >= PageTable::kMaxPages) {
-      return Status::Corruption("recovery: page id beyond the page table");
-    }
     auto it = latest_delete.find(p.page);
     if (it != latest_delete.end() && it->second > p.seq) continue;
     const Placed*& w = winner[p.page];
@@ -1404,13 +1431,16 @@ Status StoreShard::CheckInvariants() const {
     if (s.state() == SegmentState::kFree) {
       return Status::Corruption("page points at free segment");
     }
-    if (m.loc.index >= s.entries().size()) {
+    if (m.loc.index >= s.entry_count()) {
       return Status::Corruption("page entry index out of range");
     }
-    const Segment::Entry& e = s.entries()[m.loc.index];
-    if (e.page != p) return Status::Corruption("entry does not hold page");
-    if (e.bytes != m.bytes) return Status::Corruption("entry size mismatch");
-    if (e.last_update != m.last_update) {
+    if (s.live_page(m.loc.index) != p) {
+      return Status::Corruption("entry does not hold page");
+    }
+    if (s.entry_bytes(m.loc.index) != m.bytes) {
+      return Status::Corruption("entry size mismatch");
+    }
+    if (s.entry_last_update(m.loc.index) != m.last_update) {
       return Status::Corruption("entry last_update mismatch");
     }
   }

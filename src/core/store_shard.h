@@ -201,6 +201,12 @@ class StoreShard {
     double exact_upf;  // oracle value or 0
     double est_upf;    // placement estimate at clean time
   };
+  // One victim's harvested pages, moved[begin, end), all carrying its up2.
+  struct MovedRun {
+    size_t begin;
+    size_t end;
+    double up2;
+  };
 
   // Streams keep user data and cleaner output in different open segments.
   static constexpr uint32_t kUserStream = 0;
@@ -238,12 +244,14 @@ class StoreShard {
   SegmentId AllocateSegment(uint32_t log);
 
   // Reads the live pages of `victims` into `moved` (recording clean-time
-  // emptiness), then resets the victims and returns them to the free
-  // pool, queueing their backend reclaim for a crash-safe release point
-  // (see reclaim_queue_). Returns the reclaimed (dead) bytes across the
+  // emptiness), and each victim's span of them into `runs` unless null,
+  // then resets the victims and returns them to the free pool, queueing
+  // their backend reclaim for a crash-safe release point (see
+  // reclaim_queue_). Returns the reclaimed (dead) bytes across the
   // victims.
   uint64_t HarvestVictims(const std::vector<SegmentId>& victims,
-                          std::vector<MovedPage>* moved);
+                          std::vector<MovedPage>* moved,
+                          std::vector<MovedRun>* runs);
 
   // One cleaning invocation: repeatedly selects a victim batch, relocates
   // live pages, and frees the victims, until the free pool is above the
@@ -415,7 +423,8 @@ class StoreShard {
     /// (the table dangles at the victim mid-clean), and in-place-killed
     /// entries whose superseding version was not yet recorded at harvest
     /// time (write buffer or mid-placement) — exactly the entries the
-    /// seal record keeps live under their original page (MakeSealRecord).
+    /// seal record keeps live under their original page
+    /// (Segment::RecordEntry).
     /// While any remain unsettled the victim's durable record may be the
     /// only durable copy, so in checkpoint mode its free record is
     /// withheld (ReleaseSafeReclaims) and a reuse of the slot must first
@@ -478,9 +487,12 @@ class StoreShard {
   /// and must touch neither.
   std::vector<BufferedWrite> flush_batch_;
   RadixOrder flush_order_;
-  /// Clean's victim batch and relocation list, reused across cycles.
+  /// Clean's victim batch, relocation list, its victims' runs and the
+  /// list reordered by run, reused across cycles.
   std::vector<SegmentId> clean_victims_;
   std::vector<MovedPage> clean_moved_;
+  std::vector<MovedRun> clean_runs_;
+  std::vector<MovedPage> clean_sorted_;
   StoreStats stats_;
 
   uint32_t shard_id_;

@@ -258,12 +258,6 @@ bool TpccDb::NewOrder() {
     return false;
   }
 
-  // o_id allocation: the district row is read a second time, then
-  // bumped. The second read is redundant but part of the page-access
-  // sequence the committed traces were made with.
-  if (!district_.Get(DistrictKey(w, d), &buf) || !RowFrom(buf, &dr)) {
-    return false;
-  }
   const uint32_t o_id = static_cast<uint32_t>(dr.d_next_o_id);
   dr.d_next_o_id += 1;
   district_.Put(DistrictKey(w, d), RowView(dr));
@@ -396,14 +390,10 @@ bool TpccDb::Payment() {
   dr.d_ytd += amount;
   district_.Put(DistrictKey(w, d), RowView(dr));
 
-  // The chosen customer row is read a second time before its update;
-  // like NewOrder's district re-read, this keeps the page-access
-  // sequence the committed traces were made with.
   CustomerRow cr;
   if (!PickCustomer(c_w, c_d, &cr)) return false;
   const std::string ckey =
       CustomerKey(c_w, c_d, static_cast<uint32_t>(cr.c_id));
-  if (!customer_.Get(ckey, &buf) || !RowFrom(buf, &cr)) return false;
   cr.c_balance -= amount;
   cr.c_ytd_payment += amount;
   cr.c_payment_cnt += 1;

@@ -206,42 +206,6 @@ TEST_F(BTreeFixture, MatchesReferenceModelUnderChurn) {
   EXPECT_FALSE(it.Valid());
 }
 
-TEST(BTreeMoveTest, MoveTransfersTreeAndNullsSource) {
-  // Regression: the defaulted move constructor used to copy the pool
-  // pointer into the destination while leaving it in the source, so the
-  // moved-from tree silently kept mutating shared pages.
-  Pager pager;
-  BufferPool pool(&pager, 64);
-  BTree a(&pool);
-  for (int i = 0; i < 500; ++i) {
-    ASSERT_TRUE(a.Insert(Key(i), Key(i)).ok());
-  }
-  const PageNo root = a.root();
-  const uint32_t height = a.Height();
-
-  BTree b(std::move(a));
-  EXPECT_EQ(b.root(), root);
-  EXPECT_EQ(b.Height(), height);
-  EXPECT_EQ(b.Size(), 500u);
-  std::string v;
-  ASSERT_TRUE(b.Get(Key(123), &v));
-  EXPECT_EQ(v, Key(123));
-  ASSERT_TRUE(b.CheckIntegrity().ok());
-
-  BTree c(&pool);
-  ASSERT_TRUE(c.Insert("zzz", "1").ok());
-  c = std::move(b);
-  EXPECT_EQ(c.Size(), 500u);
-  EXPECT_FALSE(c.Get("zzz", nullptr));
-  ASSERT_TRUE(c.CheckIntegrity().ok());
-
-#ifndef NDEBUG
-  // Debug builds assert on any use of a moved-from tree.
-  EXPECT_DEATH(a.Get(Key(1), nullptr), "moved-from");
-  EXPECT_DEATH(b.Insert("x", "y").ok(), "moved-from");
-#endif
-}
-
 TEST_F(BTreeFixture, IteratorSurvivesWritesByReseeking) {
   // Regression: iterators used to cache a (leaf, slot) position with no
   // invalidation check, so a write that split or reorganised the leaf
