@@ -268,10 +268,18 @@ struct RecoverScanLog {
   }
 };
 
-// FileBackend::Scan over that log: the per-shard replay cost of a
-// recovering Open, reported in log bytes per second.
-void BM_RecoverScan(benchmark::State& state) {
+// The log above, built on first use and shared by the recovery benches.
+const RecoverScanLog& SharedScanLog() {
   static RecoverScanLog log;
+  return log;
+}
+
+// FileBackend::Scan over that log, then ResolveRecovery on the result
+// when `resolve`: the per-shard replay cost of a recovering Open without
+// and with its chain fold and newest-wins resolution, reported in log
+// bytes per second.
+void RecoverBench(benchmark::State& state, bool resolve) {
+  const RecoverScanLog& log = SharedScanLog();
   if (!log.error.empty()) {
     state.SkipWithError(log.error.c_str());
     return;
@@ -284,7 +292,12 @@ void BM_RecoverScan(benchmark::State& state) {
   }
   for (auto _ : state) {
     BackendRecovery rec;
-    const Status s = backend.Scan(&rec);
+    Status s = backend.Scan(&rec);
+    if (s.ok() && resolve) {
+      ResolvedRecovery resolved;
+      s = ResolveRecovery(std::move(rec), log.cfg.num_segments, &resolved);
+      benchmark::DoNotOptimize(resolved.slots.data());
+    }
     if (!s.ok()) {
       state.SkipWithError(s.ToString().c_str());
       break;
@@ -294,7 +307,10 @@ void BM_RecoverScan(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations() * log.bytes));
   (void)backend.Close();
 }
+void BM_RecoverScan(benchmark::State& state) { RecoverBench(state, false); }
+void BM_RecoverResolve(benchmark::State& state) { RecoverBench(state, true); }
 BENCHMARK(BM_RecoverScan)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RecoverResolve)->Unit(benchmark::kMillisecond);
 #endif
 
 // One full write buffer as an MDC flush sees it: 2,048 entries of an

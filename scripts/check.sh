@@ -143,18 +143,22 @@ if [[ -x "$BUILD_DIR/bench/fig6_tpcc" ]]; then
   echo "check.sh: fig6 smoke (generated and cached) green"
 fi
 
-# Recovery-scan smoke: one run of BM_RecoverScan, FileBackend::Scan over
-# an ~8 MiB metadata log — the gate that the framed, lane-verified replay
-# still scans a real churn log end to end (a Scan error skips the
-# benchmark with an error, which fails the grep below).
+# Recovery-scan smoke: one run each of BM_RecoverScan (FileBackend::Scan
+# over an ~8 MiB metadata log) and BM_RecoverResolve (the same Scan, then
+# ResolveRecovery's chain fold and newest-wins pass) — the gate that the
+# framed, lane-verified replay and the resolver still handle a real
+# churn log end to end (a Scan or resolve error skips the benchmark with
+# an error, which fails the grep below).
 if [[ -x "$BUILD_DIR/bench/micro_core" ]]; then
-  "$BUILD_DIR/bench/micro_core" --benchmark_filter='^BM_RecoverScan$' \
+  "$BUILD_DIR/bench/micro_core" \
+    --benchmark_filter='^BM_Recover(Scan|Resolve)$' \
     --benchmark_out="$BUILD_DIR/recover_scan_smoke.json" \
     --benchmark_out_format=json
   grep -q '"name": "BM_RecoverScan"' "$BUILD_DIR/recover_scan_smoke.json"
+  grep -q '"name": "BM_RecoverResolve"' "$BUILD_DIR/recover_scan_smoke.json"
   grep -q '"bytes_per_second"' "$BUILD_DIR/recover_scan_smoke.json"
   if grep -q '"error_occurred": true' "$BUILD_DIR/recover_scan_smoke.json"; then
-    echo "check.sh: BM_RecoverScan reported an error" >&2
+    echo "check.sh: BM_RecoverScan or BM_RecoverResolve reported an error" >&2
     exit 1
   fi
   echo "check.sh: recovery-scan smoke green"

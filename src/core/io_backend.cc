@@ -8,7 +8,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 #include <unordered_map>
 
 #ifndef _WIN32
@@ -66,6 +65,129 @@ Status ValidateReopenConfig(const StoreConfig& config) {
     return Status::InvalidArgument(
         "reopen requires a durable backend (the null backend persists "
         "nothing)");
+  }
+  return Status::OK();
+}
+
+Status ResolveRecovery(BackendRecovery log, uint32_t num_segments,
+                       ResolvedRecovery* out) {
+  *out = ResolvedRecovery{};
+  out->max_seq = log.max_seq;
+  out->unow = log.unow;
+
+  // Delta records by slot, in replay (ordinal) order. A delta orphaned by
+  // a later full checkpoint, seal or free of its slot never matches a
+  // chain tip and is skipped.
+  std::vector<std::vector<const BackendSegmentRecord*>> deltas_by_slot(
+      num_segments);
+  for (const BackendSegmentRecord& d : log.deltas) {
+    if (d.id >= num_segments) {
+      return Status::Corruption("recovery: delta segment id out of range");
+    }
+    deltas_by_slot[d.id].push_back(&d);
+  }
+
+  // Fold each slot's chain: every link replaces the entries past its
+  // recorded prefix. Each entry keeps the ordinal of the record that
+  // contributed it, so equal-seq ties break toward the later record
+  // exactly as with full checkpoints.
+  std::vector<std::vector<uint64_t>> ordinals;
+  ordinals.reserve(log.segments.size());
+  out->slots.reserve(log.segments.size());
+  size_t versions = 0;
+  for (BackendSegmentRecord& base : log.segments) {
+    if (base.id >= num_segments) {
+      return Status::Corruption("recovery: segment id out of range");
+    }
+    ResolvedRecovery::Slot& slot = out->slots.emplace_back();
+    slot.record = std::move(base);
+    slot.tip_ordinal = slot.record.ordinal;
+    std::vector<Segment::Entry>& entries = slot.record.entries;
+    std::vector<uint64_t>& ord =
+        ordinals.emplace_back(entries.size(), slot.record.ordinal);
+    if (slot.record.checkpoint) {
+      for (const BackendSegmentRecord* d : deltas_by_slot[slot.record.id]) {
+        if (d->base_ordinal != slot.tip_ordinal) continue;
+        if (d->prefix_entries > entries.size()) {
+          return Status::Corruption(
+              "recovery: delta prefix exceeds its chain's entries");
+        }
+        uint64_t prefix_bytes = 0;
+        for (uint64_t i = 0; i < d->prefix_entries; ++i) {
+          prefix_bytes += entries[i].bytes;
+        }
+        if (prefix_bytes != d->suffix_offset) {
+          return Status::Corruption(
+              "recovery: delta suffix offset does not match its chain");
+        }
+        entries.resize(d->prefix_entries);
+        entries.insert(entries.end(), d->entries.begin(), d->entries.end());
+        ord.resize(d->prefix_entries);
+        ord.resize(entries.size(), d->ordinal);
+        slot.record.seal_time = d->seal_time;
+        slot.record.unow = d->unow;
+        slot.tip_ordinal = d->ordinal;
+      }
+    }
+    slot.wins.assign(entries.size(), 0);
+    versions += entries.size();
+  }
+  out->rehomed.reserve(log.rehomed.size());
+  for (BackendSegmentRecord& rec : log.rehomed) {
+    versions += rec.entries.size();
+    std::vector<uint8_t> wins(rec.entries.size(), 0);
+    out->rehomed.push_back({std::move(rec), std::move(wins)});
+  }
+
+  // Per page the newest tombstone; a version older than it is dead.
+  out->deletes = std::move(log.deletes);
+  const std::vector<std::pair<PageId, uint64_t>>& deletes = out->deletes;
+  std::unordered_map<PageId, size_t> newest;  // into deletes
+  newest.reserve(deletes.size());
+  for (size_t i = 0; i < deletes.size(); ++i) {
+    auto [it, fresh] = newest.emplace(deletes[i].first, i);
+    if (!fresh && deletes[i].second > deletes[it->second].second) {
+      it->second = i;
+    }
+  }
+  for (size_t i = 0; i < deletes.size(); ++i) {
+    if (newest[deletes[i].first] == i) out->newest_deletes.push_back(i);
+  }
+
+  // Newest wins: the higher seq, then the later record.
+  struct Winner {
+    uint64_t seq;
+    uint64_t ordinal;
+    uint8_t* wins;
+  };
+  std::unordered_map<PageId, Winner> winner;
+  winner.reserve(versions);
+  auto weigh = [&](const Segment::Entry& e, uint64_t ordinal, uint8_t* wins) {
+    if (e.page == kInvalidPage) return;
+    auto t = newest.find(e.page);
+    if (t != newest.end() && deletes[t->second].second > e.seq) return;
+    auto [it, fresh] = winner.try_emplace(e.page, Winner{e.seq, ordinal, wins});
+    Winner& w = it->second;
+    if (!fresh) {
+      if (e.seq < w.seq || (e.seq == w.seq && ordinal <= w.ordinal)) return;
+      *w.wins = 0;
+      w = Winner{e.seq, ordinal, wins};
+    }
+    *wins = 1;
+  };
+  for (size_t k = 0; k < out->slots.size(); ++k) {
+    ResolvedRecovery::Slot& slot = out->slots[k];
+    for (size_t i = 0; i < slot.record.entries.size(); ++i) {
+      weigh(slot.record.entries[i], ordinals[k][i], &slot.wins[i]);
+    }
+  }
+  // Re-homed entries compete on equal footing: a version's only durable
+  // copy may be its re-homing record (the victim slot was reused, and a
+  // crashing rewrite may have torn its payload).
+  for (ResolvedRecovery::Rehomed& r : out->rehomed) {
+    for (size_t i = 0; i < r.record.entries.size(); ++i) {
+      weigh(r.record.entries[i], r.record.ordinal, &r.wins[i]);
+    }
   }
   return Status::OK();
 }
@@ -500,13 +622,11 @@ BackendSegmentRecord DecodeSealRecord(const MetaHeader& hdr,
   return rec;
 }
 
-// A replayed log image before any seal-layout record is decoded: its
-// framed records, how many of them replay, and per slot the ordinal of
-// its latest seal or checkpoint record (-1: none, or freed).
+// Where a replayed log image's records lie: its framed records and how
+// many of them replay.
 struct LogReplay {
   std::vector<FramedRecord> frames;
   uint64_t replayed = 0;
-  std::vector<int64_t> latest_seal;
   // Ordinal of each tombstone of BackendRecovery::deletes, in order.
   std::vector<uint64_t> delete_ordinals;
 
@@ -520,8 +640,7 @@ struct LogReplay {
 
 // Replays `log[0, log_size)` for a store of geometry `want` (its format
 // field is ignored): checks the geometry record, then frames, verifies
-// and walks the records. Fills `out` with everything but the seal-layout
-// survivors, which `replay->latest_seal` names.
+// and walks the records into `out`.
 Status ReplayLog(const uint8_t* log, size_t log_size, const GeometryBody& want,
                  BackendRecovery* out, LogReplay* replay) {
   *out = BackendRecovery{};
@@ -582,8 +701,7 @@ Status ReplayLog(const uint8_t* log, size_t log_size, const GeometryBody& want,
   // Seal and checkpoint records are last-record-per-slot resolved, so
   // replay keeps only each slot's latest ordinal (-1: none, or freed) and
   // decodes the survivors' entries afterwards.
-  std::vector<int64_t>& latest_seal = replay->latest_seal;
-  latest_seal.assign(want.num_segments, -1);
+  std::vector<int64_t> latest_seal(want.num_segments, -1);
   replay->delete_ordinals.clear();
   uint64_t ordinal = 0;
   for (; ordinal < verified; ++ordinal) {
@@ -682,6 +800,12 @@ Status ReplayLog(const uint8_t* log, size_t log_size, const GeometryBody& want,
     }
   }
   replay->replayed = ordinal;
+  for (size_t id = 0; id < latest_seal.size(); ++id) {
+    if (latest_seal[id] < 0) continue;
+    const FramedRecord& f = frames[static_cast<size_t>(latest_seal[id])];
+    out->segments.push_back(DecodeSealRecord(
+        f.hdr, f.body(log), static_cast<uint64_t>(latest_seal[id])));
+  }
   return Status::OK();
 }
 
@@ -1217,13 +1341,6 @@ Status FileBackend::Scan(BackendRecovery* out) {
   s = ReplayLog(log, log_size, StoreGeometry(config_, shard_id_, num_shards_),
                 out, &replay);
   if (!s.ok()) return s;
-  for (SegmentId id = 0; id < config_.num_segments; ++id) {
-    const int64_t latest = replay.latest_seal[id];
-    if (latest < 0) continue;
-    const FramedRecord& f = replay.frames[static_cast<size_t>(latest)];
-    out->segments.push_back(
-        DecodeSealRecord(f.hdr, f.body(log), static_cast<uint64_t>(latest)));
-  }
   // Future appends continue after the last whole record, numbered where
   // the replay left off; every checkpoint chain is closed (the recovered
   // segments are rebuilt as sealed, so the first checkpoint of any slot
@@ -1243,7 +1360,7 @@ Status FileBackend::Scan(BackendRecovery* out) {
 }
 
 // Rewrites the log as described in the header. The survivors keep their
-// replay order, so every equal-seq tie StoreShard::Recover breaks by
+// replay order, so every equal-seq tie ResolveRecovery breaks by
 // ordinal breaks the same way; a folded chain moves to its tip's
 // position, later than any record its entries were copied from.
 Status FileBackend::CompactMeta() {
@@ -1256,15 +1373,18 @@ Status FileBackend::CompactMeta() {
   Status s = PreadAll(meta_fd_, image.get(), log_size, 0);
   if (!s.ok()) return s;
   const uint8_t* log = image.get();
-  BackendRecovery rec;
+  BackendRecovery scanned;
   LogReplay replay;
   s = ReplayLog(log, log_size, StoreGeometry(config_, shard_id_, num_shards_),
-                &rec, &replay);
+                &scanned, &replay);
   if (!s.ok()) return s;
   if (replay.valid_end() != meta_offset_) {
     return Status::Corruption(
         "compaction: metadata log does not replay to its end");
   }
+  ResolvedRecovery rec;
+  s = ResolveRecovery(std::move(scanned), config_.num_segments, &rec);
+  if (!s.ok()) return s;
 
   // One record of the compacted log: its replay position in the old log
   // and its bytes, either the old record's or rebuilt ones. `slot` names
@@ -1289,130 +1409,39 @@ Status FileBackend::CompactMeta() {
                         BuildRecord(type, body.data(), body.size())});
   };
 
-  // Every page version replay would weigh, in the order Recover meets
-  // them: slot entries by slot, then re-homed entries by record.
-  // `rehome` indexes rec.rehomed (kNotRehomed for slot entries).
-  constexpr size_t kNotRehomed = std::numeric_limits<size_t>::max();
-  struct Version {
-    PageId page;
-    uint64_t seq;
-    uint64_t ordinal;
-    size_t rehome;
+  // Each occupied slot's latest record, a delta chain folded into one
+  // full checkpoint record at the tip's position. Every version in a
+  // slot, and every winning re-homed entry, notes its page's newest seq
+  // for the tombstone rule below.
+  std::unordered_map<PageId, uint64_t> newest_version;
+  auto note_version = [&newest_version](const Segment::Entry& e) {
+    uint64_t& n = newest_version[e.page];
+    n = std::max(n, e.seq);
   };
-  std::vector<Version> versions;
-
-  // Each occupied slot's latest record, its delta chain folded in exactly
-  // as Recover assembles it.
-  std::vector<std::vector<const BackendSegmentRecord*>> deltas_by_slot(
-      config_.num_segments);
-  for (const BackendSegmentRecord& d : rec.deltas) {
-    deltas_by_slot[d.id].push_back(&d);
-  }
-  for (SegmentId id = 0; id < config_.num_segments; ++id) {
-    const int64_t latest = replay.latest_seal[id];
-    if (latest < 0) continue;
-    const FramedRecord& f = replay.frames[static_cast<size_t>(latest)];
-    BackendSegmentRecord slot =
-        DecodeSealRecord(f.hdr, f.body(log), static_cast<uint64_t>(latest));
-    std::vector<uint64_t> ordinals(slot.entries.size(), slot.ordinal);
-    uint64_t tip = slot.ordinal;
-    for (const BackendSegmentRecord* d : deltas_by_slot[id]) {
-      if (!slot.checkpoint || d->base_ordinal != tip) continue;
-      if (d->prefix_entries > slot.entries.size()) {
-        return Status::Corruption(
-            "compaction: delta prefix exceeds its chain's entries");
-      }
-      uint64_t prefix_bytes = 0;
-      for (uint64_t i = 0; i < d->prefix_entries; ++i) {
-        prefix_bytes += slot.entries[i].bytes;
-      }
-      if (prefix_bytes != d->suffix_offset) {
-        return Status::Corruption(
-            "compaction: delta suffix offset does not match its chain");
-      }
-      slot.entries.resize(d->prefix_entries);
-      slot.entries.insert(slot.entries.end(), d->entries.begin(),
-                          d->entries.end());
-      ordinals.resize(d->prefix_entries);
-      ordinals.resize(slot.entries.size(), d->ordinal);
-      slot.seal_time = d->seal_time;
-      slot.unow = d->unow;
-      tip = d->ordinal;
-    }
-    if (tip == slot.ordinal) {
-      keep_old(tip, id);
+  for (const ResolvedRecovery::Slot& slot : rec.slots) {
+    const int64_t id = slot.record.id;
+    if (slot.tip_ordinal == slot.record.ordinal) {
+      keep_old(slot.tip_ordinal, id);
     } else {
-      keep_rebuilt(tip, id, kMetaCheckpoint, slot);
+      keep_rebuilt(slot.tip_ordinal, id, kMetaCheckpoint, slot.record);
     }
-    for (size_t i = 0; i < slot.entries.size(); ++i) {
-      const Segment::Entry& e = slot.entries[i];
-      if (e.page != kInvalidPage) {
-        versions.push_back(Version{e.page, e.seq, ordinals[i], kNotRehomed});
-      }
-    }
-  }
-  for (size_t r = 0; r < rec.rehomed.size(); ++r) {
-    for (const Segment::Entry& e : rec.rehomed[r].entries) {
-      if (e.page != kInvalidPage) {
-        versions.push_back(Version{e.page, e.seq, rec.rehomed[r].ordinal, r});
-      }
-    }
-  }
-
-  // Newest wins, as in Recover: a version older than its page's newest
-  // tombstone is dead, then the highest seq wins, then the later record.
-  std::unordered_map<PageId, size_t> newest_delete;  // into rec.deletes
-  newest_delete.reserve(rec.deletes.size());
-  for (size_t i = 0; i < rec.deletes.size(); ++i) {
-    auto [it, fresh] = newest_delete.emplace(rec.deletes[i].first, i);
-    if (!fresh && rec.deletes[i].second > rec.deletes[it->second].second) {
-      it->second = i;
-    }
-  }
-  std::unordered_map<PageId, const Version*> winner;
-  winner.reserve(versions.size());
-  for (const Version& v : versions) {
-    auto it = newest_delete.find(v.page);
-    if (it != newest_delete.end() && rec.deletes[it->second].second > v.seq) {
-      continue;
-    }
-    const Version*& w = winner[v.page];
-    if (w == nullptr || v.seq > w->seq ||
-        (v.seq == w->seq && v.ordinal > w->ordinal)) {
-      w = &v;
+    for (const Segment::Entry& e : slot.record.entries) {
+      if (e.page != kInvalidPage) note_version(e);
     }
   }
 
   // A re-homed entry survives only while it wins: anything that beats it
-  // now keeps a version at least as new in the log for good. Pages with
-  // a surviving version are noted with their newest seq for the
-  // tombstone rule below.
-  std::unordered_map<PageId, uint64_t> newest_version;
-  newest_version.reserve(winner.size());
-  for (const Version& v : versions) {
-    if (v.rehome != kNotRehomed) continue;
-    uint64_t& n = newest_version[v.page];
-    n = std::max(n, v.seq);
-  }
-  size_t next_version = 0;
-  while (next_version < versions.size() &&
-         versions[next_version].rehome == kNotRehomed) {
-    ++next_version;
-  }
-  for (size_t r = 0; r < rec.rehomed.size(); ++r) {
-    BackendSegmentRecord won = rec.rehomed[r];
+  // now keeps a version at least as new in the log for good.
+  for (const ResolvedRecovery::Rehomed& r : rec.rehomed) {
+    BackendSegmentRecord won = r.record;
     won.entries.clear();
-    for (const Segment::Entry& e : rec.rehomed[r].entries) {
-      if (e.page == kInvalidPage) continue;
-      const Version& v = versions[next_version++];
-      auto w = winner.find(v.page);
-      if (w == winner.end() || w->second != &v) continue;
-      won.entries.push_back(e);
-      uint64_t& n = newest_version[v.page];
-      n = std::max(n, v.seq);
+    for (size_t i = 0; i < r.record.entries.size(); ++i) {
+      if (!r.wins[i]) continue;
+      won.entries.push_back(r.record.entries[i]);
+      note_version(r.record.entries[i]);
     }
     if (won.entries.empty()) continue;
-    if (won.entries.size() == rec.rehomed[r].entries.size()) {
+    if (won.entries.size() == r.record.entries.size()) {
       keep_old(won.ordinal, -1);
     } else {
       keep_rebuilt(won.ordinal, -1, kMetaRehome, won);
@@ -1424,10 +1453,11 @@ Status FileBackend::CompactMeta() {
   // tombstone whose page has no surviving version stays too: the
   // shard may still hold an unrecorded version of the page in an open
   // segment, which its seal would record live under the page's identity.
-  for (const auto& [page, index] : newest_delete) {
+  for (const size_t i : rec.newest_deletes) {
+    const auto& [page, seq] = rec.deletes[i];
     auto it = newest_version.find(page);
-    if (it == newest_version.end() || it->second < rec.deletes[index].second) {
-      keep_old(replay.delete_ordinals[index], -1);
+    if (it == newest_version.end() || it->second < seq) {
+      keep_old(replay.delete_ordinals[i], -1);
     }
   }
   std::sort(kept.begin(), kept.end(), [](const Kept& a, const Kept& b) {

@@ -85,11 +85,8 @@ struct BackendRecovery {
   /// recovery materialises the winners into fresh segments.
   std::vector<BackendSegmentRecord> rehomed;
   /// Delta checkpoint records in replay order (`delta` true). Unlike
-  /// `segments` these are NOT last-record-per-slot resolved: recovery
-  /// walks each slot's chain from its surviving full checkpoint record,
-  /// applying every delta whose base_ordinal matches the chain tip;
-  /// deltas orphaned by a later seal, free or full checkpoint of the
-  /// slot simply never match and are ignored.
+  /// `segments` these are NOT last-record-per-slot resolved:
+  /// ResolveRecovery folds them into their slots' chains.
   std::vector<BackendSegmentRecord> deltas;
   /// (page, seq) delete tombstones; a tombstone newer than every surviving
   /// entry of a page means the page is absent.
@@ -97,6 +94,42 @@ struct BackendRecovery {
   uint64_t max_seq = 0;
   UpdateCount unow = 0;
 };
+
+/// A scanned log as recovery reads it (see ResolveRecovery).
+struct ResolvedRecovery {
+  struct Slot {
+    /// The slot's surviving seal or checkpoint record, with the chain's
+    /// assembled entries and the tip's seal_time and unow; every other
+    /// field, `ordinal` included, is the base record's.
+    BackendSegmentRecord record;
+    uint64_t tip_ordinal = 0;  // record.ordinal when no delta applied
+    std::vector<uint8_t> wins;  // per entry: 1 for its page's winner
+  };
+  struct Rehomed {
+    BackendSegmentRecord record;
+    std::vector<uint8_t> wins;  // per entry, as in Slot
+  };
+  std::vector<Slot> slots;        // in BackendRecovery::segments order
+  std::vector<Rehomed> rehomed;   // in BackendRecovery::rehomed order
+  /// The scanned tombstones, and per page with any the index of its
+  /// newest there (the first of equal-seq ones).
+  std::vector<std::pair<PageId, uint64_t>> deletes;
+  std::vector<size_t> newest_deletes;
+  uint64_t max_seq = 0;
+  UpdateCount unow = 0;
+};
+
+/// The one reading of a scanned log, shared by recovery and log
+/// compaction. Folds each checkpoint's delta chain (a delta applies when
+/// its base_ordinal names the chain tip; it keeps prefix_entries entries
+/// and appends its own), then picks each page's winner among slot and
+/// re-homed entries: a version older than the page's newest tombstone
+/// loses, then the higher seq wins, then the later record, then the
+/// version met first (slots in order, then re-homing records). A slot id
+/// at or beyond `num_segments` or a delta that does not tile its chain is
+/// Corruption. `log` is taken by value so its entries move, not copy.
+Status ResolveRecovery(BackendRecovery log, uint32_t num_segments,
+                       ResolvedRecovery* out);
 
 /// Per-shard persistence backend behind StoreShard. The simulator's
 /// bookkeeping (segments, page table, cleaning) stays in memory and is

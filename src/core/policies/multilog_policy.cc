@@ -40,9 +40,9 @@ uint32_t MultiLogPolicy::PlacementLog(const StoreShard& shard,
   } else {
     // No history: assume the page is of average heat — its expected
     // update period (in this shard's clock ticks) equals the number of
-    // user pages *this shard manages*. The table is shared across
-    // shards, so divide its global size by the shard count.
-    const double shard_pages = static_cast<double>(shard.page_table().Size()) /
+    // user pages *this shard manages*: the page-id range it has seen,
+    // divided by the shard count (routing spreads ids evenly).
+    const double shard_pages = static_cast<double>(shard.page_id_limit()) /
                                static_cast<double>(shard.num_shards());
     period = std::max<double>(1.0, shard_pages);
   }

@@ -4,7 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-#include <unordered_map>
+#include <string>
 
 namespace lss {
 
@@ -157,7 +157,7 @@ Status StoreShard::Write(PageId page, uint32_t bytes) {
   ++unow_;
   ++stats_.user_updates;
 
-  PageMeta& m = table_.Ensure(page);
+  PageMeta& m = EnsurePage(page);
   const double exact = oracle_ ? oracle_(page) : 0.0;
   const bool first = !m.loc.Present();
 
@@ -220,7 +220,7 @@ Status StoreShard::Delete(PageId page) {
     return Status::NotFound("page not present");
   }
   assert(OwnsPage(page));
-  PageMeta& m = table_.Ensure(page);
+  PageMeta& m = EnsurePage(page);
   if (m.loc.InBuffer()) {
     BufferedWrite& w = buffer_.GetMutable(m.loc.index);
     // Tombstone the buffer slot; flush skips it. The buffered bytes stay
@@ -336,7 +336,7 @@ Status StoreShard::FlushUserBuffer() {
       const double interval = static_cast<double>(unow_) - w.up2;
       est = interval > 0 ? 2.0 / interval : 2.0;
     }
-    Status s = PlacePage(w.page, table_.Ensure(w.page), w.bytes, w.up2,
+    Status s = PlacePage(w.page, EnsurePage(w.page), w.bytes, w.up2,
                          w.exact_upf, est, /*is_gc=*/false,
                          /*dead_on_arrival=*/w.superseded);
     if (!s.ok()) return s;
@@ -1062,7 +1062,7 @@ Status StoreShard::Clean(uint32_t triggering_log) {
         table_.Prefetch(moved[i + kPrefetchDistance].page);
       }
       const MovedPage& mp = moved[i];
-      Status s = PlacePage(mp.page, table_.Ensure(mp.page), mp.bytes, mp.up2,
+      Status s = PlacePage(mp.page, EnsurePage(mp.page), mp.bytes, mp.up2,
                            mp.exact_upf, mp.est_upf, /*is_gc=*/true);
       if (s.ok()) {
         // The copy is placed: the page's table location now points at
@@ -1121,88 +1121,32 @@ Status StoreShard::Recover() {
   BackendRecovery log;
   Status s = backend_->Scan(&log);
   if (!s.ok()) return s;
+  ResolvedRecovery resolved;
+  s = ResolveRecovery(std::move(log), config_.num_segments, &resolved);
+  if (!s.ok()) return s;
 
-  // Location of one recovered entry, for newest-wins resolution below.
-  struct Placed {
-    PageId page;
-    SegmentId segment;  // kInvalidSegment for a re-homed entry
-    uint32_t index;
-    uint64_t seq;
-    uint32_t bytes;
-    UpdateCount last_update;
-    double up2;
-    double exact_upf;
-    /// Log position of the containing record, breaking equal-seq ties:
-    /// a re-homing record must beat the victim slot's original seal
-    /// (whose payload may be torn by the reusing occupant's crashing
-    /// write), and a materialised slot's own later seal must beat the
-    /// re-homing record that seeded it.
-    uint64_t ordinal;
-    bool rehomed;
-  };
-  std::vector<Placed> placed;
-
-  // Delta records grouped by slot, already in replay (ordinal) order.
-  // They are applied below by walking each surviving base record's
-  // chain; a delta orphaned by a later full checkpoint, seal or free of
-  // its slot never matches any chain tip and is silently skipped.
-  std::unordered_map<SegmentId, std::vector<const BackendSegmentRecord*>>
-      deltas_by_slot;
-  for (const BackendSegmentRecord& d : log.deltas) {
-    if (d.id >= segments_.size()) {
-      return Status::Corruption("recovery: delta segment id out of range");
+  auto check_page = [this](PageId page, const char* holder) {
+    if (page >= PageTable::kMaxPages) {
+      return Status::Corruption("recovery: page id beyond the page table");
     }
-    deltas_by_slot[d.id].push_back(&d);
-  }
+    if (!OwnsPage(page)) {
+      return Status::Corruption(
+          std::string("recovery: ") + holder +
+          " holds a page this shard does not own (was the store created "
+          "with a different shard count?)");
+    }
+    return Status::OK();
+  };
 
   // Rebuild each sealed segment exactly as the original run filled it:
   // same entry order, same up2 accumulation, so the seal-time up2 the
   // cleaning policies rank by comes back bit-for-bit.
   std::vector<uint8_t> is_sealed(segments_.size(), 0);
-  for (const BackendSegmentRecord& rec : log.segments) {
-    if (rec.id >= segments_.size()) {
-      return Status::Corruption("recovery: segment id out of range");
-    }
-    // Assemble the slot's effective entry list: start from the base
-    // record, then let each chain link replace everything past its
-    // recorded prefix. Entries keep the ordinal of the record that
-    // contributed them, so equal-seq ties still break toward the later
-    // record exactly as with full checkpoints.
-    std::vector<Segment::Entry> entries = rec.entries;
-    std::vector<uint64_t> ordinals(entries.size(), rec.ordinal);
-    UpdateCount seal_time = rec.seal_time;
-    if (rec.checkpoint) {
-      auto dit = deltas_by_slot.find(rec.id);
-      if (dit != deltas_by_slot.end()) {
-        uint64_t tip = rec.ordinal;
-        for (const BackendSegmentRecord* d : dit->second) {
-          if (d->base_ordinal != tip) continue;  // not a link of this chain
-          if (d->prefix_entries > entries.size()) {
-            return Status::Corruption(
-                "recovery: delta prefix exceeds its chain's entries");
-          }
-          uint64_t prefix_bytes = 0;
-          for (uint64_t i = 0; i < d->prefix_entries; ++i) {
-            prefix_bytes += entries[i].bytes;
-          }
-          if (prefix_bytes != d->suffix_offset) {
-            return Status::Corruption(
-                "recovery: delta suffix offset does not match its chain");
-          }
-          entries.resize(d->prefix_entries);
-          ordinals.resize(d->prefix_entries);
-          entries.insert(entries.end(), d->entries.begin(),
-                         d->entries.end());
-          ordinals.resize(entries.size(), d->ordinal);
-          seal_time = d->seal_time;
-          tip = d->ordinal;
-        }
-      }
-    }
+  for (const ResolvedRecovery::Slot& slot : resolved.slots) {
+    const BackendSegmentRecord& rec = slot.record;
     Segment& seg = segments_[rec.id];
     seg.Open(rec.log, rec.source, rec.open_time);
-    for (size_t i = 0; i < entries.size(); ++i) {
-      const Segment::Entry& e = entries[i];
+    for (const Segment::Entry& e : rec.entries) {
       if (!seg.HasRoomFor(e.bytes)) {
         return Status::Corruption("recovery: entries overflow segment");
       }
@@ -1210,84 +1154,37 @@ Status StoreShard::Recover() {
         seg.AppendDead(e.bytes, e.up2);
         continue;
       }
-      if (e.page >= PageTable::kMaxPages) {
-        return Status::Corruption("recovery: page id beyond the page table");
-      }
-      if (!OwnsPage(e.page)) {
-        return Status::Corruption(
-            "recovery: segment holds a page this shard does not own "
-            "(was the store created with a different shard count?)");
-      }
-      const uint32_t idx =
-          seg.Append(e.page, e.bytes, e.up2, e.exact_upf, e.seq,
-                     e.last_update);
-      placed.push_back(
-          Placed{e.page, rec.id, idx, e.seq, e.bytes, e.last_update,
-                 e.up2, e.exact_upf, ordinals[i], false});
+      if (s = check_page(e.page, "segment"); !s.ok()) return s;
+      seg.Append(e.page, e.bytes, e.up2, e.exact_upf, e.seq, e.last_update);
     }
-    seg.Seal(seal_time);
+    seg.Seal(rec.seal_time);
     is_sealed[rec.id] = 1;
   }
+  size_t unplaced = 0;  // re-homed winners still without a slot
+  for (const ResolvedRecovery::Rehomed& r : resolved.rehomed) {
+    for (size_t i = 0; i < r.record.entries.size(); ++i) {
+      const PageId page = r.record.entries[i].page;
+      if (page == kInvalidPage) continue;
+      if (s = check_page(page, "re-homing record"); !s.ok()) return s;
+      unplaced += r.wins[i];
+    }
+  }
 
-  // Re-homed entries compete on equal footing: they name page versions
-  // whose only durable copy may be the re-homing record (the victim
-  // slot that held them was reused, and a crashing rewrite may have
-  // torn its payload).
-  for (const BackendSegmentRecord& rec : log.rehomed) {
-    for (const Segment::Entry& e : rec.entries) {
+  // Winners in slots enter the page table; every other version in a
+  // slot is dead.
+  for (const ResolvedRecovery::Slot& slot : resolved.slots) {
+    const BackendSegmentRecord& rec = slot.record;
+    for (uint32_t i = 0; i < rec.entries.size(); ++i) {
+      const Segment::Entry& e = rec.entries[i];
       if (e.page == kInvalidPage) continue;
-      if (e.page >= PageTable::kMaxPages) {
-        return Status::Corruption("recovery: page id beyond the page table");
+      if (slot.wins[i]) {
+        PageMeta& m = EnsurePage(e.page);
+        m.loc = PageLocation{rec.id, i};
+        m.bytes = e.bytes;
+        m.last_update = e.last_update;
+      } else {
+        segments_[rec.id].Kill(i, e.exact_upf);
       }
-      if (!OwnsPage(e.page)) {
-        return Status::Corruption(
-            "recovery: re-homing record holds a page this shard does "
-            "not own (was the store created with a different shard "
-            "count?)");
-      }
-      placed.push_back(
-          Placed{e.page, kInvalidSegment, 0, e.seq, e.bytes, e.last_update,
-                 e.up2, e.exact_upf, rec.ordinal, true});
-    }
-  }
-
-  // Newest version wins, by append sequence, then by log position for
-  // equal sequences (see Placed::ordinal); a newer delete tombstone
-  // means the page is dead everywhere. Both maps are reserved for the
-  // number of recovered tombstones and versions, so they never rehash.
-  std::unordered_map<PageId, uint64_t> latest_delete;
-  latest_delete.reserve(log.deletes.size());
-  for (const auto& [page, seq] : log.deletes) {
-    uint64_t& cur = latest_delete[page];
-    cur = std::max(cur, seq);
-  }
-  std::unordered_map<PageId, const Placed*> winner;
-  winner.reserve(placed.size());
-  for (const Placed& p : placed) {
-    auto it = latest_delete.find(p.page);
-    if (it != latest_delete.end() && it->second > p.seq) continue;
-    const Placed*& w = winner[p.page];
-    if (w == nullptr || p.seq > w->seq ||
-        (p.seq == w->seq && p.ordinal > w->ordinal)) {
-      w = &p;
-    }
-  }
-  std::vector<const Placed*> materialize;
-  for (const Placed& p : placed) {
-    auto it = winner.find(p.page);
-    if (it != winner.end() && it->second == &p) {
-      if (p.rehomed) {
-        // No surviving slot holds this version; give it one below, once
-        // the free list is known.
-        materialize.push_back(&p);
-        continue;
-      }
-      PageMeta& m = table_.Ensure(p.page);
-      m.loc = PageLocation{p.segment, p.index};
-      m.bytes = p.bytes;
-      m.last_update = p.last_update;
-    } else if (!p.rehomed) {
-      segments_[p.segment].Kill(p.index, p.exact_upf);
     }
   }
 
@@ -1298,26 +1195,28 @@ Status StoreShard::Recover() {
     if (!is_sealed[i - 1]) free_list_.push_back(i - 1);
   }
 
-  unow_ = std::max(unow_, log.unow);
-  write_seq_ = std::max(write_seq_, log.max_seq);
+  unow_ = std::max(unow_, resolved.unow);
+  write_seq_ = std::max(write_seq_, resolved.max_seq);
 
-  // Materialise surviving re-homed entries into fresh GC segments and
+  // Materialise winning re-homed entries into fresh GC segments and
   // re-emit them under real seal records, so the next recovery resolves
   // the same versions from ordinary slots (the new seal outranks the
   // re-homing record by log position — repeated crash/recover cycles
   // stay idempotent). Packed in log order, lowest free slot first.
-  auto take_slot = [this](SegmentId* out) -> Status {
+  auto take_slot = [this, &unplaced](SegmentId* out) -> Status {
     if (!free_list_.empty()) {
       *out = free_list_.back();
       free_list_.pop_back();
       return Status::OK();
     }
-    // Every slot is durably recorded. The reuse that forced the
-    // re-homing leaves the old victim slot fully dead after resolution
-    // (each of its entries lost to the re-homing record or to an
-    // earlier superseding record), so free one such slot: its free
-    // record erases nothing live and precedes the new seal in the log,
-    // mirroring the runtime reuse order.
+    // Every slot is durably recorded. This assumes the reuse that forced
+    // the re-homing left the old victim slot fully dead after resolution
+    // (each of its entries lost to the re-homing record or to an earlier
+    // superseding record), and frees one such slot: its free record
+    // erases nothing live and precedes the new seal in the log, mirroring
+    // the runtime reuse order. Crash images taken under the async seal
+    // pipeline can break the assumption (ROADMAP, "Find the re-homing
+    // recovery bug by sweeping every crash point"); Open then fails here.
     for (SegmentId id = 0; id < segments_.size(); ++id) {
       Segment& seg = segments_[id];
       if (seg.state() != SegmentState::kSealed || seg.live_count() != 0) {
@@ -1330,27 +1229,33 @@ Status StoreShard::Recover() {
       return Status::OK();
     }
     return Status::Corruption(
-        "recovery: no slot available to materialise re-homed entries");
+        "recovery: no slot available to materialise re-homed entries (" +
+        std::to_string(unplaced) + " still unplaced)");
   };
   SegmentId cur = kInvalidSegment;
-  for (const Placed* p : materialize) {
-    if (cur == kInvalidSegment || !segments_[cur].HasRoomFor(p->bytes)) {
-      if (cur != kInvalidSegment) {
-        segments_[cur].Seal(unow_);
-        Status es = EmitSeal(cur, segments_[cur]);
-        if (!es.ok()) return es;
+  for (const ResolvedRecovery::Rehomed& r : resolved.rehomed) {
+    for (size_t i = 0; i < r.record.entries.size(); ++i) {
+      if (!r.wins[i]) continue;
+      const Segment::Entry& e = r.record.entries[i];
+      if (cur == kInvalidSegment || !segments_[cur].HasRoomFor(e.bytes)) {
+        if (cur != kInvalidSegment) {
+          segments_[cur].Seal(unow_);
+          Status es = EmitSeal(cur, segments_[cur]);
+          if (!es.ok()) return es;
+        }
+        Status as = take_slot(&cur);
+        if (!as.ok()) return as;
+        segments_[cur].Open(/*log=*/0, SegmentSource::kGc, unow_);
       }
-      Status as = take_slot(&cur);
-      if (!as.ok()) return as;
-      segments_[cur].Open(/*log=*/0, SegmentSource::kGc, unow_);
+      const uint32_t idx = segments_[cur].Append(
+          e.page, e.bytes, e.up2, e.exact_upf, e.seq, e.last_update);
+      PageMeta& m = EnsurePage(e.page);
+      m.loc = PageLocation{cur, idx};
+      m.bytes = e.bytes;
+      m.last_update = e.last_update;
+      ++stats_.rehome_entries_recovered;
+      --unplaced;
     }
-    const uint32_t idx = segments_[cur].Append(
-        p->page, p->bytes, p->up2, p->exact_upf, p->seq, p->last_update);
-    PageMeta& m = table_.Ensure(p->page);
-    m.loc = PageLocation{cur, idx};
-    m.bytes = p->bytes;
-    m.last_update = p->last_update;
-    ++stats_.rehome_entries_recovered;
   }
   if (cur != kInvalidSegment) {
     segments_[cur].Seal(unow_);

@@ -1,6 +1,7 @@
 #ifndef LSS_CORE_STORE_SHARD_H_
 #define LSS_CORE_STORE_SHARD_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -173,7 +174,11 @@ class StoreShard {
   /// and diagnostics.
   size_t LivePageCount() const;
 
-  const PageTable& page_table() const { return table_; }
+  /// One past the highest page id this shard has materialised in the
+  /// page table. Unlike the shared table's Size(), no other shard moves
+  /// it, so policies reading it stay deterministic when shards run on
+  /// threads; at one shard the two are equal.
+  size_t page_id_limit() const { return page_id_limit_; }
 
   /// Whether an exact-frequency oracle is installed.
   bool HasOracle() const { return static_cast<bool>(oracle_); }
@@ -221,6 +226,12 @@ class StoreShard {
   void KillOldVersion(PageId page, const PageLocation& loc);
 
   Status FlushUserBuffer();
+
+  // table_.Ensure(page), noting the page in page_id_limit_.
+  PageMeta& EnsurePage(PageId page) {
+    page_id_limit_ = std::max<size_t>(page_id_limit_, page + 1);
+    return table_.Ensure(page);
+  }
 
   // Appends one page version to the open segment of the policy-chosen
   // log. `meta` is `page`'s table slot, which is remapped to the new
@@ -480,6 +491,7 @@ class StoreShard {
   std::vector<PendingWatermark> pending_watermarks_;
 
   PageTable& table_;
+  size_t page_id_limit_ = 0;
   WriteBuffer buffer_;
   /// FlushUserBuffer's batch and its placement order, reused across
   /// flushes: the batch trades storage with buffer_ (DrainInto), so

@@ -1529,6 +1529,90 @@ void ExpectScanMatchesReference(const StoreConfig& cfg,
   EXPECT_EQ(ReadAllBytes(meta).size(), want.valid_end);
 }
 
+// Appends one framed record of `type` to `log`: `fixed` (a Ref*Body),
+// then the entry array.
+template <typename Body>
+void AppendRefRecord(std::vector<uint8_t>* log, RefType type,
+                     const Body& fixed,
+                     const std::vector<RefEntryRec>& entries = {}) {
+  std::vector<uint8_t> body(sizeof(fixed) +
+                            entries.size() * sizeof(RefEntryRec));
+  std::memcpy(body.data(), &fixed, sizeof(fixed));
+  if (!entries.empty()) {
+    std::memcpy(body.data() + sizeof(fixed), entries.data(),
+                entries.size() * sizeof(RefEntryRec));
+  }
+  const RefHeader hdr{kRefMagic, type, 0, body.size(),
+                      RefChecksum(type, body.data(), body.size())};
+  const uint8_t* h = reinterpret_cast<const uint8_t*>(&hdr);
+  log->insert(log->end(), h, h + sizeof(hdr));
+  log->insert(log->end(), body.begin(), body.end());
+}
+
+// A delta must tile the chain it extends. A log whose delta keeps more
+// entries than its chain holds, or whose suffix does not start where the
+// kept entries end, is Corruption on Open; the same log with a tiling
+// delta opens.
+TEST_F(IoBackendTest, DeltaThatDoesNotTileItsChainIsCorruption) {
+  const StoreConfig cfg = FileConfig();
+  const uint32_t page = cfg.page_bytes;
+  struct Case {
+    const char* what;
+    uint64_t prefix_entries;
+    uint64_t suffix_offset;
+    Status::Code want;
+  };
+  const Case cases[] = {
+      {"tiling delta", 2, 2 * page, Status::Code::kOk},
+      {"prefix beyond the chain", 3, page, Status::Code::kCorruption},
+      {"suffix offset off the prefix", 1, 2 * page,
+       Status::Code::kCorruption},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    {
+      FileBackend fresh;  // creates both files
+      StoreStats stats;
+      ASSERT_TRUE(fresh.Open(cfg, 0, 1, &stats, /*recover=*/false).ok());
+      ASSERT_TRUE(fresh.Close().ok());
+    }
+    // Geometry (ordinal 0), a full checkpoint of pages 0 and 1 in slot 0
+    // (ordinal 1), then a delta on it adding page 2.
+    std::vector<uint8_t> log;
+    const RefGeometryBody geometry{0, 1, cfg.num_segments, cfg.segment_bytes,
+                                   page, 4};
+    AppendRefRecord(&log, kRefGeometry, geometry);
+    const RefSealBody base{0, 0, 1, 1, 2, 2, 2};
+    AppendRefRecord(&log, kRefCheckpoint, base,
+                    {RefEntryRec{0, page, 0, 1, 1, 0.0, 0.0},
+                     RefEntryRec{1, page, 0, 2, 2, 0.0, 0.0}});
+    const RefDeltaBody delta{0, 0, 1, 1, 3, 3, 1, 1,
+                             /*base_ordinal=*/1, c.prefix_entries,
+                             c.suffix_offset, page};
+    AppendRefRecord(&log, kRefDelta, delta,
+                    {RefEntryRec{2, page, 0, 3, 3, 0.0, 0.0}});
+    std::FILE* f =
+        std::fopen(FileBackend::MetaPath(dir_, 0).c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(log.data(), 1, log.size(), f), log.size());
+    std::fclose(f);
+
+    Status st;
+    auto store = ShardedStore::Open(
+        cfg, 1, [] { return MakePolicy(Variant::kGreedy); }, &st);
+    EXPECT_EQ(st.code(), c.want) << st.ToString();
+    EXPECT_EQ(store != nullptr, c.want == Status::Code::kOk);
+    if (c.want != Status::Code::kOk) {
+      EXPECT_NE(st.message().find("delta"), std::string::npos)
+          << st.ToString();
+    }
+    if (store != nullptr) {
+      EXPECT_TRUE(store->Contains(0) && store->Contains(1) &&
+                  store->Contains(2));
+    }
+  }
+}
+
 TEST_F(IoBackendTest, ScanMatchesReferenceOnTornAndCorruptLogs) {
   // MDC churn with deletes on a tight device: periodic checkpoints every
   // 8 backend ops plus explicit barriers chain delta records, and the
@@ -1777,7 +1861,39 @@ void ExpectSameStore(const ResolvedStore& got, const ResolvedStore& want) {
   ExpectSameRecords(g, w, "slots");
 }
 
-// Scans shard `shard` of a 2-shard geometry in a fresh backend.
+// The production resolver's answer in the reference's terms.
+ResolvedStore FromResolveRecovery(const ResolvedRecovery& got) {
+  ResolvedStore r;
+  r.max_seq = got.max_seq;
+  r.unow = got.unow;
+  for (const ResolvedRecovery::Slot& slot : got.slots) {
+    const BackendSegmentRecord& rec = slot.record;
+    for (size_t i = 0; i < rec.entries.size(); ++i) {
+      if (slot.wins[i]) {
+        const Segment::Entry& e = rec.entries[i];
+        r.pages[e.page] = ResolvedVersion{e.seq, e.bytes, rec.id, i};
+      }
+    }
+    BackendSegmentRecord compared = rec;
+    compared.unow = 0;
+    compared.ordinal = 0;
+    r.slots[rec.id] = std::move(compared);
+  }
+  for (const ResolvedRecovery::Rehomed& rh : got.rehomed) {
+    for (size_t i = 0; i < rh.record.entries.size(); ++i) {
+      if (rh.wins[i]) {
+        const Segment::Entry& e = rh.record.entries[i];
+        r.pages[e.page] = ResolvedVersion{e.seq, e.bytes, kInvalidSegment, 0};
+        r.rehomed_winners.emplace_back(e.page, e.seq);
+      }
+    }
+  }
+  return r;
+}
+
+// Scans shard `shard` of a 2-shard geometry in a fresh backend and
+// resolves it with the reference, after checking that ResolveRecovery
+// resolves the same scan to the same store.
 ResolvedStore ScanAndResolve(const StoreConfig& cfg, uint32_t shard) {
   FileBackend reader;
   StoreStats stats;
@@ -1785,7 +1901,14 @@ ResolvedStore ScanAndResolve(const StoreConfig& cfg, uint32_t shard) {
   BackendRecovery out;
   EXPECT_TRUE(reader.Scan(&out).ok());
   EXPECT_TRUE(reader.Close().ok());
-  return Resolve(out);
+  ResolvedStore want = Resolve(out);
+  ResolvedRecovery got;
+  EXPECT_TRUE(ResolveRecovery(out, cfg.num_segments, &got).ok());
+  {
+    SCOPED_TRACE("ResolveRecovery against the reference");
+    ExpectSameStore(FromResolveRecovery(got), want);
+  }
+  return want;
 }
 
 // Drives one random record stream into `backends`: seals, full and

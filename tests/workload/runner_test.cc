@@ -219,42 +219,47 @@ TEST(RunnerTest, TraceReplayParallelPreservesPerPageOrder) {
   // leave every page in exactly the state a serial replay through an
   // equally-sharded store leaves it, and every shard's counters must
   // match — any intra-shard reordering would desynchronise cleaning and
-  // show up in gc_pages_written / segments_cleaned / final state.
+  // show up in gc_pages_written / segments_cleaned / final state. Multi-
+  // log runs too: its placement of a page without history reads shard
+  // state, which must not depend on how far the other shards' threads
+  // have got.
   const StoreConfig base = TestConfig();
   const uint32_t shards = 4;
   const uint64_t user_pages = base.UserPagesForFillFactor(0.6);
   Trace t;
   const size_t measure_from = BuildReplayTrace(user_pages, &t);
 
-  auto serial =
-      SerialShardedReplay(base, Variant::kGreedy, t, measure_from, shards);
-  ASSERT_NE(serial, nullptr);
+  for (const Variant v : {Variant::kGreedy, Variant::kMultiLog}) {
+    SCOPED_TRACE(VariantName(v));
+    auto serial = SerialShardedReplay(base, v, t, measure_from, shards);
+    ASSERT_NE(serial, nullptr);
 
-  StoreConfig cfg = base;
-  ApplyVariantConfig(Variant::kGreedy, &cfg);
-  Status st;
-  auto parallel = ShardedStore::Create(
-      cfg, shards, [] { return MakePolicy(Variant::kGreedy); }, &st);
-  ASSERT_NE(parallel, nullptr) << st.ToString();
-  ASSERT_TRUE(ReplayTraceParallel(parallel.get(), t, measure_from).ok());
+    StoreConfig cfg = base;
+    ApplyVariantConfig(v, &cfg);
+    Status st;
+    auto parallel = ShardedStore::Create(
+        cfg, shards, [v] { return MakePolicy(v); }, &st);
+    ASSERT_NE(parallel, nullptr) << st.ToString();
+    ASSERT_TRUE(ReplayTraceParallel(parallel.get(), t, measure_from).ok());
 
-  for (uint32_t s = 0; s < shards; ++s) {
-    const StoreStats a = serial->shard(s).stats();
-    const StoreStats b = parallel->shard(s).stats();
-    EXPECT_EQ(a.user_updates, b.user_updates) << "shard " << s;
-    EXPECT_EQ(a.user_pages_written, b.user_pages_written) << "shard " << s;
-    EXPECT_EQ(a.gc_pages_written, b.gc_pages_written) << "shard " << s;
-    EXPECT_EQ(a.segments_cleaned, b.segments_cleaned) << "shard " << s;
-    EXPECT_EQ(a.deletes, b.deletes) << "shard " << s;
-    EXPECT_DOUBLE_EQ(a.WriteAmplification(), b.WriteAmplification())
-        << "shard " << s;
+    for (uint32_t s = 0; s < shards; ++s) {
+      const StoreStats a = serial->shard(s).stats();
+      const StoreStats b = parallel->shard(s).stats();
+      EXPECT_EQ(a.user_updates, b.user_updates) << "shard " << s;
+      EXPECT_EQ(a.user_pages_written, b.user_pages_written) << "shard " << s;
+      EXPECT_EQ(a.gc_pages_written, b.gc_pages_written) << "shard " << s;
+      EXPECT_EQ(a.segments_cleaned, b.segments_cleaned) << "shard " << s;
+      EXPECT_EQ(a.deletes, b.deletes) << "shard " << s;
+      EXPECT_DOUBLE_EQ(a.WriteAmplification(), b.WriteAmplification())
+          << "shard " << s;
+    }
+    // Per-page final versions (presence + size) must agree everywhere.
+    for (PageId p = 0; p < user_pages; ++p) {
+      ASSERT_EQ(serial->Contains(p), parallel->Contains(p)) << "page " << p;
+      ASSERT_EQ(serial->PageSize(p), parallel->PageSize(p)) << "page " << p;
+    }
+    EXPECT_TRUE(parallel->CheckInvariants().ok());
   }
-  // Per-page final versions (presence + size) must agree everywhere.
-  for (PageId p = 0; p < user_pages; ++p) {
-    ASSERT_EQ(serial->Contains(p), parallel->Contains(p)) << "page " << p;
-    ASSERT_EQ(serial->PageSize(p), parallel->PageSize(p)) << "page " << p;
-  }
-  EXPECT_TRUE(parallel->CheckInvariants().ok());
 }
 
 // A 4-shard replay of a pre-split trace reproduces the golden counters
