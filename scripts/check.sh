@@ -8,7 +8,9 @@
 #   default:  full build + full test suite in ./build, then lssbench
 #             built as its own CMake project (bench/lssbench, the
 #             build BENCHMARK.json's command makes) in
-#             <build-dir>/lssbench and its --selftest
+#             <build-dir>/lssbench, its --selftest and a 1-second
+#             zipf80-1t run whose wamp, device bytes per user byte and
+#             space_amp must equal the values pinned below
 #   --tsan:   rebuild with -fsanitize=thread in ./build-tsan (or the given
 #             build dir) and run the concurrency test suites under
 #             ThreadSanitizer — the data-race gate for ShardedStore
@@ -115,6 +117,27 @@ cmake -S bench/lssbench -B "$BUILD_DIR/lssbench"
 cmake --build "$BUILD_DIR/lssbench" -j "$JOBS"
 "$BUILD_DIR/lssbench/lssbench" --selftest
 echo "check.sh: lssbench selftest green"
+
+# Wamp gate: on the null backend the paper's metric depends only on the
+# seed and the op count (--seconds fixes the count, not the time), so
+# one short zipf80-1t run must print exactly these three ratios. A
+# change that moves a cleaning decision fails here; it re-pins the
+# values and names the old and new ones in CHANGES.md.
+GATE_DIR="$BUILD_DIR/wamp_gate"
+rm -rf "$GATE_DIR"
+GATE_LINE="$("$BUILD_DIR/lssbench/lssbench" --workload zipf80-1t --seed 1 \
+  --seconds 1 --dir "$GATE_DIR" | tail -n 1)"
+rm -rf "$GATE_DIR"
+for pinned in '"wamp": {"value": 0.62738880358244242,' \
+    '"device_bytes_per_user_byte": {"value": 1.627415707236842,' \
+    '"space_amp": {"value": 1.2414621818285856,'; do
+  if ! grep -qF -- "$pinned" <<<"$GATE_LINE"; then
+    echo "check.sh: zipf80-1t Wamp gate: expected $pinned in" >&2
+    echo "$GATE_LINE" >&2
+    exit 1
+  fi
+done
+echo "check.sh: zipf80-1t Wamp gate green"
 
 # Small-scale TPC-C smoke: one-writer trace generation, replay through
 # RunTrace over 2 shards, machine-readable output, then the same run

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "core/types.h"
+#include "util/prefetch.h"
 
 namespace lss {
 
@@ -194,12 +195,18 @@ class Segment {
   /// checks them against the maintained counters.
   bool CheckCountersConsistent() const;
 
- private:
-  uint32_t capacity_;
-  SegmentState state_ = SegmentState::kFree;
-  SegmentSource source_ = SegmentSource::kNone;
-  uint32_t log_ = 0;
+  /// Hints the CPU to fetch what Kill and Up2Estimate read in the
+  /// segment itself: the hot fields at the head of the object. Prefetches
+  /// only; see PrefetchForWrite.
+  void PrefetchHeader() const {
+    PrefetchForWrite(this);
+    PrefetchForWrite(&state_);
+  }
+  /// Hints the CPU to fetch entry `i`'s hot slot for a coming Kill. Reads
+  /// the slot column's address, so call it once the header has arrived.
+  void PrefetchSlot(uint32_t i) const { PrefetchForWrite(slots_.data() + i); }
 
+ private:
   /// Entries are stored as two parallel columns (PAX-style): the hot
   /// column holds what Kill, the cleaner's harvest and reads touch, the
   /// cold column what only records read. A segment stores no orig_page or
@@ -230,15 +237,21 @@ class Segment {
   /// RecordEntry).
   static void FillRecord(const Slot& s, const Cold& c, Entry* e);
 
+  // The fields Kill and Up2Estimate touch come first, within 64 bytes,
+  // so PrefetchHeader's two prefetches cover them.
   std::vector<Slot> slots_;
-  std::vector<Cold> cold_;
-  uint32_t used_bytes_ = 0;   // appended bytes including dead entries
   uint32_t live_bytes_ = 0;   // B - A
   uint32_t live_count_ = 0;   // C
-
   double up2_accum_ = 0;      // sum of appended pages' up2 values
   double up2_ = 0;
   double exact_upf_sum_ = 0;  // over live pages
+  SegmentState state_ = SegmentState::kFree;
+
+  SegmentSource source_ = SegmentSource::kNone;
+  uint32_t capacity_;
+  uint32_t log_ = 0;
+  uint32_t used_bytes_ = 0;   // appended bytes including dead entries
+  std::vector<Cold> cold_;
   UpdateCount open_time_ = 0;
   UpdateCount seal_time_ = 0;
 

@@ -15,6 +15,12 @@ namespace {
 // placements in between instead of stalling the one that remaps it.
 constexpr size_t kPrefetchDistance = 16;
 
+// §5.2.2 "Non-first Write": assume up1 was midway between unow and up2;
+// the prior up1 becomes the new up2.
+double CarryUp2(double old_up2, UpdateCount unow) {
+  return old_up2 + 0.5 * (static_cast<double>(unow) - old_up2);
+}
+
 }  // namespace
 
 StoreShard::StoreShard(const StoreConfig& config,
@@ -119,15 +125,14 @@ double StoreShard::CurrentFillFactor() const {
   for (size_t i = 0; i < buffer_.Count(); ++i) {
     const BufferedWrite& w = buffer_.Get(i);
     if (w.page != kInvalidPage) live += w.bytes;
+    // An unsettled write's previous entry is still counted live above.
+    if (i >= buffer_settled_ && !w.first_write && !w.prev.InBuffer()) {
+      live -= segments_[w.prev.segment].entry_bytes(w.prev.index);
+    }
   }
   const double device = static_cast<double>(config_.num_segments) *
                         static_cast<double>(config_.segment_bytes);
   return static_cast<double>(live) / device;
-}
-
-double StoreShard::CurrentUp2(const PageLocation& loc) const {
-  if (loc.InBuffer()) return buffer_.Get(loc.index).up2;
-  return segments_[loc.segment].Up2Estimate();
 }
 
 void StoreShard::KillOldVersion(PageId page, const PageLocation& loc) {
@@ -161,42 +166,19 @@ Status StoreShard::Write(PageId page, uint32_t bytes) {
   const double exact = oracle_ ? oracle_(page) : 0.0;
   const bool first = !m.loc.Present();
 
-  // Estimate based on the previous update timestamp (multi-log's
-  // estimator); must be computed before last_update is overwritten.
-  double est_upf = exact;
-  if (!oracle_ && !first && unow_ > m.last_update) {
-    est_upf = 1.0 / static_cast<double>(unow_ - m.last_update);
-  }
-
-  double up2 = 0.0;
-  if (!first) {
-    // §5.2.2 "Non-first Write": assume up1 was midway between unow and
-    // up2; the prior up1 becomes the new up2.
-    const double old_up2 = CurrentUp2(m.loc);
-    up2 = old_up2 + 0.5 * (static_cast<double>(unow_) - old_up2);
-    if (m.loc.InBuffer()) {
-      // Paper accounting: the buffer is a queue of writes, so the
-      // superseded copy stays queued and will be flushed as a write that
-      // is dead on arrival (it costs a physical page write and becomes
-      // instant garbage). The page table moves on to the new copy.
-      buffer_.GetMutable(m.loc.index).superseded = true;
-      m.loc = PageLocation{};
-    } else {
-      KillOldVersion(page, m.loc);
-    }
-  }
-  m.bytes = bytes;
-  m.last_update = unow_;
-
   if (config_.write_buffer_segments > 0) {
+    // Only the page table is touched here: the previous version (at
+    // m.loc) is retired when the write is settled (SettleWrite).
     BufferedWrite w;
     w.page = page;
-    w.bytes = bytes;
-    w.up2 = up2;
-    w.first_write = first;
     w.exact_upf = exact;
-    const uint32_t slot = buffer_.Add(w);
-    m.loc = PageLocation{kBufferSegment, slot};
+    w.unow = unow_;
+    w.prev = m.loc;
+    w.bytes = bytes;
+    w.first_write = first;
+    m.loc = PageLocation{kBufferSegment, buffer_.Add(w)};
+    m.bytes = bytes;
+    m.last_update = unow_;
     if (buffer_.Full()) {
       Status s = FlushUserBuffer();
       if (!s.ok()) sticky_error_ = s;
@@ -207,6 +189,19 @@ Status StoreShard::Write(PageId page, uint32_t bytes) {
 
   // Unbuffered: place immediately in arrival order. First writes get the
   // coldest possible estimate (up2 = 0), warming up as they are re-written.
+  // The estimate based on the previous update timestamp (multi-log's
+  // estimator) must be computed before last_update is overwritten.
+  double est_upf = exact;
+  double up2 = 0.0;
+  if (!first) {
+    if (!oracle_ && unow_ > m.last_update) {
+      est_upf = 1.0 / static_cast<double>(unow_ - m.last_update);
+    }
+    up2 = CarryUp2(segments_[m.loc.segment].Up2Estimate(), unow_);
+    KillOldVersion(page, m.loc);
+  }
+  m.bytes = bytes;
+  m.last_update = unow_;
   Status s = PlacePage(page, m, bytes, up2, exact, est_upf, /*is_gc=*/false);
   if (!s.ok()) sticky_error_ = s;
   return s;
@@ -221,6 +216,9 @@ Status StoreShard::Delete(PageId page) {
   }
   assert(OwnsPage(page));
   PageMeta& m = EnsurePage(page);
+  // Kills must run in arrival order (a segment's exact_upf_sum is a
+  // floating-point sum), so the buffered writes' kills go first.
+  SettleBuffered();
   if (m.loc.InBuffer()) {
     BufferedWrite& w = buffer_.GetMutable(m.loc.index);
     // Tombstone the buffer slot; flush skips it. The buffered bytes stay
@@ -290,15 +288,64 @@ Status StoreShard::ReadPage(PageId page, std::vector<uint8_t>* out) const {
                                    m.bytes, out);
 }
 
+void StoreShard::SettleWrite(BufferedWrite* writes, size_t k, size_t end) {
+  // Group prefetching: the previous version's segment header two
+  // distances ahead, and its slot one distance ahead, once the header
+  // holding the slot column's address has arrived.
+  if (k + 2 * kPrefetchDistance < end) {
+    const PageLocation& ahead = writes[k + 2 * kPrefetchDistance].prev;
+    if (ahead.Present() && !ahead.InBuffer()) {
+      segments_[ahead.segment].PrefetchHeader();
+    }
+  }
+  if (k + kPrefetchDistance < end) {
+    const PageLocation& ahead = writes[k + kPrefetchDistance].prev;
+    if (ahead.Present() && !ahead.InBuffer()) {
+      segments_[ahead.segment].PrefetchSlot(ahead.index);
+    }
+  }
+  BufferedWrite& w = writes[k];
+  if (w.first_write) return;
+  double old_up2;
+  if (w.prev.InBuffer()) {
+    // Paper accounting: the buffer is a queue of writes, so the
+    // superseded copy stays queued and is flushed as a write that is dead
+    // on arrival (it costs a physical page write and becomes instant
+    // garbage). Arrival order settled it already, so its up2 is final.
+    BufferedWrite& old = writes[w.prev.index];
+    old_up2 = old.up2;
+    old.superseded = true;
+  } else {
+    Segment& seg = segments_[w.prev.segment];
+    old_up2 = seg.Up2Estimate();
+    seg.Kill(w.prev.index, w.exact_upf);
+  }
+  w.up2 = CarryUp2(old_up2, w.unow);
+}
+
+void StoreShard::SettleBuffered() {
+  const size_t end = buffer_.Count();
+  for (size_t k = buffer_settled_; k < end; ++k) {
+    SettleWrite(buffer_.data(), k, end);
+  }
+  buffer_settled_ = end;
+}
+
 Status StoreShard::FlushUserBuffer() {
   std::vector<BufferedWrite>& batch = flush_batch_;
   buffer_.DrainInto(&batch);
+  const size_t settled = buffer_settled_;
+  buffer_settled_ = 0;
 
-  // §5.2.2 "First Write": first writes get the oldest up2 in the batch
-  // ("pages mostly contain cold data, assigning a up2 that makes the page
-  // 'coldish' is usually appropriate").
+  // Settle the writes Delete has not, in arrival order and before any
+  // placement or cleaning reads a segment. The same pass finds the oldest
+  // up2 for §5.2.2 "First Write": first writes get the oldest up2 in the
+  // batch ("pages mostly contain cold data, assigning a up2 that makes
+  // the page 'coldish' is usually appropriate").
   double oldest = std::numeric_limits<double>::infinity();
-  for (const BufferedWrite& w : batch) {
+  for (size_t k = 0; k < batch.size(); ++k) {
+    if (k >= settled) SettleWrite(batch.data(), k, batch.size());
+    const BufferedWrite& w = batch[k];
     if (w.page != kInvalidPage && !w.first_write) {
       oldest = std::min(oldest, w.up2);
     }
@@ -1314,6 +1361,27 @@ Status StoreShard::CheckInvariants() const {
   // their own shard's segments and are skipped here.)
   uint64_t live_entries = 0;
   for (const Segment& s : segments_) live_entries += s.live_count();
+  // An unsettled buffered write leaves its previous version live: an
+  // earlier buffer slot, or a live entry holding the page, which no
+  // present page points at any more.
+  for (size_t k = buffer_settled_; k < buffer_.Count(); ++k) {
+    const BufferedWrite& w = buffer_.Get(k);
+    if (w.first_write) continue;
+    const PageLocation& prev = w.prev;
+    if (prev.InBuffer()) {
+      if (prev.index >= k || buffer_.Get(prev.index).page != w.page) {
+        return Status::Corruption("pending write's previous slot does not hold page");
+      }
+      continue;
+    }
+    if (prev.segment >= segments_.size() ||
+        segments_[prev.segment].state() == SegmentState::kFree ||
+        prev.index >= segments_[prev.segment].entry_count() ||
+        segments_[prev.segment].live_page(prev.index) != w.page) {
+      return Status::Corruption("pending write's previous entry not live");
+    }
+    --live_entries;
+  }
   uint64_t present_in_segments = 0;
   for (PageId p = 0; p < table_.Size(); ++p) {
     if (!OwnsPage(p)) continue;

@@ -217,13 +217,19 @@ class StoreShard {
   static constexpr uint32_t kUserStream = 0;
   static constexpr uint32_t kGcStream = 1;
 
-  // The up2 value of the current version of a page at `loc` (the
-  // containing segment's estimate, or the buffered value).
-  double CurrentUp2(const PageLocation& loc) const;
-
-  // Kills the old version of `page` at `loc` (segment entry or buffer
-  // slot) prior to rewriting it.
+  // Kills the old version of `page` at segment entry `loc` prior to
+  // rewriting or deleting it.
   void KillOldVersion(PageId page, const PageLocation& loc);
+
+  // Settles buffered write writes[k] of writes[0, end): carries its
+  // previous version's up2 forward (§5.2.2 "Non-first Write") and kills
+  // that version's segment entry, or marks a previous buffered copy
+  // superseded. Writes must be settled in arrival order. Also prefetches
+  // for the writes ahead of k.
+  void SettleWrite(BufferedWrite* writes, size_t k, size_t end);
+
+  // Settles every buffered write not yet settled.
+  void SettleBuffered();
 
   Status FlushUserBuffer();
 
@@ -493,6 +499,14 @@ class StoreShard {
   PageTable& table_;
   size_t page_id_limit_ = 0;
   WriteBuffer buffer_;
+  /// Buffered writes [0, buffer_settled_) are settled (SettleWrite). A
+  /// buffered Write defers the kill of the previous version, so only the
+  /// page table is touched under the caller's lock; the flush settles the
+  /// rest in one prefetched pass. Between flushes, only Delete (which
+  /// settles first, so kills keep arrival order), CheckInvariants and
+  /// CurrentFillFactor (which account for the unsettled writes) read
+  /// segment liveness.
+  size_t buffer_settled_ = 0;
   /// FlushUserBuffer's batch and its placement order, reused across
   /// flushes: the batch trades storage with buffer_ (DrainInto), so
   /// neither regrows. The cleaner runs inside the flush's placement loop

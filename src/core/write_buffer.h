@@ -4,32 +4,48 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/page_table.h"
 #include "core/types.h"
 
 namespace lss {
 
 /// A pending page write held in the user write buffer.
+///
+/// A buffered write leaves its previous version alone: it only records
+/// where that version is (`prev`) and the clock of the write (`unow`).
+/// The flush settles each write in arrival order (StoreShard::SettleWrite)
+/// before it places any: it carries the previous up2 forward and kills the
+/// previous segment entry, or marks a previous buffered copy superseded.
+/// The fields are ordered so the struct packs into 48 bytes.
 struct BufferedWrite {
   PageId page = kInvalidPage;
-  uint32_t bytes = 0;
-  /// Carried penultimate-update estimate; NaN-free: first writes are
-  /// flagged instead (their up2 is resolved at flush time to the oldest
-  /// up2 in the batch, paper §5.2.2 "First Write").
+  /// Penultimate-update estimate (paper §5.2.2). 0 until settled; a first
+  /// write keeps 0 until the flush gives it the oldest up2 in the batch
+  /// ("First Write").
   double up2 = 0;
+  /// Exact oracle frequency (0 when no oracle).
+  double exact_upf = 0;
+  /// Update-count clock at the write.
+  UpdateCount unow = 0;
+  /// The page's previous version when the write arrived: a segment entry,
+  /// a buffer slot, or not present (a first write).
+  PageLocation prev;
+  uint32_t bytes = 0;
   bool first_write = true;
   /// A newer write to the same page is queued behind this one; when
   /// flushed, this copy is placed dead-on-arrival (physical write, no
   /// page-table update).
   bool superseded = false;
-  /// Exact oracle frequency (0 when no oracle).
-  double exact_upf = 0;
 };
+static_assert(sizeof(BufferedWrite) <= 48,
+              "a buffered write must stay within 48 bytes");
 
 /// Buffer that accumulates user page writes so they can be *sorted by
 /// update frequency* before being packed into segments (paper §5.3,
 /// Figure 4). Re-writing a page that is already buffered queues a new
-/// write and marks the buffered copy superseded (paper accounting: every
-/// update is a page write) — the page table points at the newest slot.
+/// write, and the flush marks the buffered copy superseded (paper
+/// accounting: every update is a page write) — the page table points at
+/// the newest slot.
 ///
 /// Slots are stable until Flush drains the buffer.
 class WriteBuffer {
@@ -53,6 +69,8 @@ class WriteBuffer {
 
   const BufferedWrite& Get(uint32_t slot) const { return writes_[slot]; }
   BufferedWrite& GetMutable(uint32_t slot) { return writes_[slot]; }
+  /// All pending writes, in arrival order (Count() of them).
+  BufferedWrite* data() { return writes_.data(); }
 
   bool Full() const { return bytes_ >= capacity_bytes_; }
   bool Empty() const { return writes_.empty(); }

@@ -1,7 +1,9 @@
 #include "core/sharded_store.h"
 
+#include <iterator>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -391,6 +393,151 @@ TEST(StoreTest, MixedWorkloadWithDeletesAndVariableSizes) {
   ASSERT_TRUE(store->Flush().ok());
   EXPECT_EQ(store->LivePageCount(), live);
   EXPECT_TRUE(store->CheckInvariants().ok());
+}
+
+// A buffered MDC-opt store whose previous versions sit in every place a
+// rewrite can find them: a sealed or open segment, or an earlier slot of
+// the write buffer.
+StoreConfig BufferedOracleConfig() {
+  StoreConfig c = SmallConfig();
+  c.segment_bytes = 8 * 4096;
+  c.num_segments = 24;
+  c.write_buffer_segments = 2;
+  ApplyVariantConfig(Variant::kMdcOpt, &c);
+  return c;
+}
+
+double TestOracle(PageId p) {
+  return 0.25 + 0.15 * static_cast<double>((p * 37) % 11);
+}
+
+uint32_t TestPageBytes(Rng& rng) {
+  return 512 + static_cast<uint32_t>(rng.NextBounded(7600));
+}
+
+// Every segment's liveness counters and estimates, and the final
+// counters, after buffered churn that rewrites pages inside the buffer,
+// deletes both buffered and stored pages and checkpoints mid-buffer. The
+// values pin the order and the arithmetic of every kill and up2 carry
+// (exact_upf_sum is a floating-point sum, so a kill moved across another
+// changes its bits).
+TEST(StoreTest, BufferedChurnSegmentStateMatchesGolden) {
+  auto store = MakeStore(BufferedOracleConfig(), Variant::kMdcOpt);
+  store->SetExactFrequencyOracle(TestOracle);
+  constexpr PageId kPages = 96;
+  Rng rng(13);
+  std::vector<bool> present(kPages, false);
+  int buffered_deletes = 0;
+  int stored_deletes = 0;
+  for (int i = 0; i < 4000; ++i) {
+    // Half the ops go to 8 hot pages, so rewrites often find the
+    // previous version still buffered.
+    const PageId p = rng.NextBool(0.5) ? rng.NextBounded(8)
+                                       : rng.NextBounded(kPages);
+    if (present[p] && rng.NextBool(0.08)) {
+      const bool buffered = store->page_table().Get(p).loc.InBuffer();
+      ASSERT_TRUE(store->Delete(p).ok()) << "i=" << i;
+      (buffered ? buffered_deletes : stored_deletes)++;
+      present[p] = false;
+    } else {
+      ASSERT_TRUE(store->Write(p, TestPageBytes(rng)).ok()) << "i=" << i;
+      present[p] = true;
+    }
+    if (i == 1500 || i == 2900) {
+      ASSERT_TRUE(store->Checkpoint().ok()) << "i=" << i;
+    }
+  }
+  EXPECT_GT(buffered_deletes, 0);
+  EXPECT_GT(stored_deletes, 0);
+  ASSERT_TRUE(store->Flush().ok());
+  ASSERT_TRUE(store->CheckInvariants().ok());
+
+  struct Row {
+    uint32_t live_count;
+    uint32_t live_bytes;
+    double exact_upf_sum;
+    double up2;
+  };
+  const Row kGolden[] = {
+      {3, 2859, 0x1.599999999999ap+1, 0x1.b8bdd36775bd2p+11},
+      {1, 6786, 0x1.0000000000001p+0, 0x1.9d0d821a33b07p+11},
+      {5, 16774, 0x1.5cccccccccccdp+2, 0x1.86575993407f1p+11},
+      {2, 10403, 0x1.7333333333334p+1, 0x1.bc7af1d276dedp+11},
+      {6, 24708, 0x1.a666666666666p+2, 0x1.8ca0ba75493c3p+11},
+      {3, 14336, 0x1.1ffffffffffffp+1, 0x1.b9e67774706b3p+11},
+      {3, 10530, 0x1.dfffffffffffep+1, 0x1.a2bad74f4bf65p+11},
+      {6, 29736, 0x1.299999999999ap+2, 0x1.8a8b00ddcad38p+11},
+      {6, 17646, 0x1.8999999999998p+2, 0x1.916223392e88dp+11},
+      {2, 11779, 0x1.d99999999999cp+0, 0x1.873c87d20c20bp+11},
+      {2, 13713, 0x1.b333333333334p+0, 0x1.87446aa031292p+11},
+      {6, 20494, 0x1.0cccccccccccdp+2, 0x1.bb06f4322cc69p+11},
+      {2, 14610, 0x1.ffffffffffffep+0, 0x1.9fa3732b546b7p+11},
+      {6, 26588, 0x1.a666666666666p+2, 0x1.9ba2aae6c9917p+11},
+      {7, 21364, 0x1.4333333333333p+2, 0x1.91bfc4cbbf53bp+11},
+      {4, 16020, 0x1.4p+1, 0x1.a825ab2f8e202p+11},
+      {4, 10130, 0x1.6p+2, 0x1.b752b2aac78adp+11},
+      {2, 14043, 0x1.d99999999999cp+0, 0x1.9d6e4b67e82afp+11},
+      {3, 10612, 0x1.ccccccccccccbp+1, 0x1.aee3d47009ddep+11},
+      {6, 20647, 0x1.7666666666666p+2, 0x1.a4b6148ac48b6p+11},
+      {4, 22674, 0x1.d999999999999p+1, 0x1.a29edaf77e8a3p+11},
+      {4, 19863, 0x1.2666666666667p+2, 0x1.88b2d5395b953p+11},
+      {0, 0, 0x0p+0, 0x0p+0},
+      {0, 0, 0x0p+0, 0x0p+0},
+  };
+  const auto& segs = store->shard(0).segments();
+  ASSERT_EQ(segs.size(), std::size(kGolden));
+  for (size_t i = 0; i < segs.size(); ++i) {
+    EXPECT_EQ(segs[i].live_count(), kGolden[i].live_count) << "segment " << i;
+    EXPECT_EQ(segs[i].live_bytes(), kGolden[i].live_bytes) << "segment " << i;
+    EXPECT_EQ(segs[i].exact_upf_sum(), kGolden[i].exact_upf_sum)
+        << "segment " << i;
+    EXPECT_EQ(segs[i].Up2Estimate(), kGolden[i].up2) << "segment " << i;
+  }
+  const StoreStats s = store->shard(0).stats();
+  EXPECT_EQ(s.user_updates, 3697u);
+  EXPECT_EQ(s.user_pages_written, 3632u);
+  EXPECT_EQ(s.gc_pages_written, 1668u);
+  EXPECT_EQ(s.user_segments_sealed, 524u);
+  EXPECT_EQ(s.gc_segments_sealed, 204u);
+  EXPECT_EQ(s.segments_cleaned, 708u);
+  EXPECT_EQ(s.cleanings, 177u);
+  EXPECT_EQ(s.deletes, 303u);
+  EXPECT_EQ(s.checkpoint_rounds, 2u);
+  EXPECT_EQ(s.user_bytes_written, 15702338u);
+  EXPECT_EQ(s.gc_bytes_written, 6262699u);
+  EXPECT_EQ(s.WriteAmplification(), 0x1.d645ebb350121p-2);
+  EXPECT_EQ(s.MeanCleanEmptiness(), 0x1.75c9850fe8dbdp-1);
+}
+
+// What a caller can observe between flushes while rewrites of stored
+// pages are still buffered: the invariants hold and the fill factor
+// counts each page once, at its newest size.
+TEST(StoreTest, MidBufferObserversSeePendingRewrites) {
+  StoreConfig c = BufferedOracleConfig();
+  c.write_buffer_segments = 4;
+  auto store = MakeStore(c, Variant::kMdcOpt);
+  store->SetExactFrequencyOracle(TestOracle);
+  Rng rng(5);
+  for (PageId p = 0; p < 40; ++p) {
+    ASSERT_TRUE(store->Write(p, TestPageBytes(rng)).ok());
+  }
+  ASSERT_TRUE(store->Flush().ok());
+  // Stored versions now sit in sealed segments (and one open one).
+  for (PageId p = 0; p < 40; p += 3) {
+    ASSERT_TRUE(store->Write(p, TestPageBytes(rng)).ok());
+  }
+  ASSERT_TRUE(store->Write(3, TestPageBytes(rng)).ok());  // rewrite buffered
+  ASSERT_TRUE(store->Write(7, TestPageBytes(rng)).ok());
+  ASSERT_TRUE(store->Delete(4).ok());   // stored page
+  ASSERT_TRUE(store->Delete(9).ok());   // buffered page
+  ASSERT_TRUE(store->Write(10, TestPageBytes(rng)).ok());
+  ASSERT_TRUE(store->page_table().Get(10).loc.InBuffer());
+  EXPECT_TRUE(store->CheckInvariants().ok());
+  EXPECT_EQ(store->CurrentFillFactor(), 0x1.d1f6p-3);
+  EXPECT_EQ(store->LivePageCount(), 38u);
+  ASSERT_TRUE(store->Flush().ok());
+  EXPECT_TRUE(store->CheckInvariants().ok());
+  EXPECT_EQ(store->CurrentFillFactor(), 0x1.cb64p-3);
 }
 
 }  // namespace
