@@ -1,10 +1,10 @@
 // Micro-benchmarks (google-benchmark) for the store's hot paths: write
 // throughput per cleaning policy, sharded writes from 1-4 client threads,
-// page-table lookups, victim-selection cost vs device size, the
-// metadata-log replay a recovering Open pays, the flush's hottest-first
-// ordering of a full write buffer, one flush with its inline cleaning,
-// and Zipfian sampling. Not
-// from the paper — these quantify simulator overheads so the
+// an uncontended shard lock against a plain mutex, page-table lookups,
+// victim-selection cost vs device size, the metadata-log replay a
+// recovering Open pays, the flush's hottest-first ordering of a full
+// write buffer, one flush with its inline cleaning, and Zipfian
+// sampling. Not from the paper — these quantify simulator overheads so the
 // table/figure benches' runtimes are explainable.
 
 #include <benchmark/benchmark.h>
@@ -13,7 +13,9 @@
 #include <chrono>
 #include <cstdlib>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #ifndef _WIN32
@@ -69,7 +71,7 @@ BENCHMARK(BM_StoreWrite)
 
 // Uniform writes from 1, 2 and 4 client threads into one 8-shard store at
 // fill 0.8, so every thread pays inline flushes and cleaning under its
-// shard's mutex. Real time: the threads' aggregate rate is the result.
+// shard's lock. Real time: the threads' aggregate rate is the result.
 void BM_StoreWriteSharded(benchmark::State& state) {
   static std::unique_ptr<ShardedStore> store;
   static uint64_t user_pages = 0;
@@ -101,6 +103,70 @@ BENCHMARK(BM_StoreWriteSharded)
     ->Threads(2)
     ->Threads(4)
     ->UseRealTime();
+
+// An uncontended write through ShardedStore::Write, which takes the
+// shard's ShardLock (one CAS to acquire, one to release), against the
+// same write made on the shard directly under a plain std::mutex. The two
+// arms alternate 4,096-write chunks of uniform page ids on one 1-shard
+// store, so they share its state and flush schedule; which arm goes
+// first alternates too. Counters: ns per write of each arm and the
+// lock's cost over the mutex (`lock_over_mutex_ns`).
+void BM_ShardLockOverMutex(benchmark::State& state) {
+  // glibc's mutex, like the shard lock, skips its atomics until a
+  // process first starts a second thread; start one, so both arms pay
+  // what they pay under a store's client threads.
+  std::thread([] {}).join();
+  StoreConfig cfg;
+  cfg.page_bytes = 4096;
+  cfg.segment_bytes = 128 * 4096;
+  cfg.num_segments = 256;
+  cfg.clean_trigger_segments = 4;
+  cfg.clean_batch_segments = 8;
+  cfg.write_buffer_segments = 8;
+  ApplyVariantConfig(Variant::kMdc, &cfg);
+  auto store =
+      ShardedStore::Create(cfg, 1, [] { return MakePolicy(Variant::kMdc); });
+  const uint64_t user_pages = bench::UserPagesFor(cfg, 0.8);
+  for (PageId p = 0; p < user_pages; ++p) {
+    benchmark::DoNotOptimize(store->Write(p));
+  }
+  std::mutex mu;
+  Rng rng(5);
+  std::vector<PageId> pages(4096);
+  double lock_ns = 0;
+  double mutex_ns = 0;
+  bool lock_first = true;
+  for (auto _ : state) {
+    for (int arm = 0; arm < 2; ++arm) {
+      const bool lock_arm = (arm == 0) == lock_first;
+      state.PauseTiming();
+      for (PageId& p : pages) p = rng.NextBounded(user_pages);
+      const auto start = std::chrono::steady_clock::now();
+      state.ResumeTiming();
+      if (lock_arm) {
+        for (PageId p : pages) benchmark::DoNotOptimize(store->Write(p));
+      } else {
+        for (PageId p : pages) {
+          std::lock_guard<std::mutex> hold(mu);
+          benchmark::DoNotOptimize(store->shard(0).Write(p));
+        }
+      }
+      state.PauseTiming();
+      (lock_arm ? lock_ns : mutex_ns) +=
+          std::chrono::duration<double, std::nano>(
+              std::chrono::steady_clock::now() - start)
+              .count();
+      state.ResumeTiming();
+    }
+    lock_first = !lock_first;
+  }
+  const double writes =
+      static_cast<double>(state.iterations()) * static_cast<double>(pages.size());
+  state.counters["lock_ns_per_write"] = lock_ns / writes;
+  state.counters["mutex_ns_per_write"] = mutex_ns / writes;
+  state.counters["lock_over_mutex_ns"] = (lock_ns - mutex_ns) / writes;
+}
+BENCHMARK(BM_ShardLockOverMutex)->Unit(benchmark::kMicrosecond);
 
 // Random lookups into a table of `range(0)` present pages: the
 // shard-held read a write or a relocation makes.

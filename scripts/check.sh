@@ -14,8 +14,11 @@
 #   --tsan:   rebuild with -fsanitize=thread in ./build-tsan (or the given
 #             build dir) and run the concurrency test suites under
 #             ThreadSanitizer — the data-race gate for ShardedStore
-#             (including the write-behind inbox: the contended
-#             exactly-once, hand-off and deferred-failure cases), the
+#             (including the write-behind ring: the contended
+#             exactly-once, hand-off, full-ring, parked-caller and
+#             deferred-failure cases), the one-word ShardLock itself
+#             (ShardLock* in tests/core/shard_lock_test.cc, including a
+#             release on another thread than the acquire), the
 #             lock-free PageTable, the per-shard seal pipeline (its
 #             threaded executor's unit and sync/async op-sequence tests,
 #             SealPipeline* in tests/core/seal_pipeline_test.cc, and the
@@ -73,12 +76,13 @@ if [[ $TSAN -eq 1 ]]; then
     -DLSS_BUILD_BENCHES=OFF -DLSS_BUILD_EXAMPLES=OFF
   cmake --build "$BUILD_DIR" -j "$JOBS"
   # TSAN_OPTIONS makes any reported race fail the run even if the test
-  # binary would otherwise exit 0. 'Parallel' already covers
+  # binary would otherwise exit 0. 'Sharded' does not match ShardLock*,
+  # so that suite is named on its own. 'Parallel' already covers
   # TraceReplayParallel; it is named anyway so the gate's scope is
   # explicit.
   TSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS" \
-      -R 'Sharded|PageTableConcurrency|Parallel|AsyncSeal|SealPipeline|TraceReplayParallel'
+      -R 'Sharded|ShardLock|PageTableConcurrency|Parallel|AsyncSeal|SealPipeline|TraceReplayParallel'
   echo "check.sh: tsan green"
   exit 0
 fi

@@ -41,7 +41,7 @@ namespace lss {
 /// readable by the concurrent ReadPagePayload path.
 ///
 /// Threading. Enqueue / WaitApplied / Drain / Shutdown are called by the
-/// shard's owner thread (under the shard mutex in a ShardedStore); the
+/// shard's owner thread (under the shard lock in a ShardedStore); the
 /// I/O thread touches only the backend, the queue, and its own stats
 /// block — never shard state — so it takes no shard lock and cannot
 /// deadlock against one. A backend failure is sticky: the inline executor

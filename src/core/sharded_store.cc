@@ -35,23 +35,6 @@ Status ShardedStore::Close() {
   return result;
 }
 
-void ShardedStore::LockedShard::ApplyInbox() {
-  // The hand-off: apply whatever queued meanwhile, and look again after
-  // each batch, until a look under inbox_mu finds nothing.
-  while (!s_.inbox.empty()) {
-    s_.applying.swap(s_.inbox);
-    s_.inbox_mu.unlock();
-    Status failed;
-    for (const QueuedWrite& w : s_.applying) {
-      Status st = s_.shard->Write(w.page, w.bytes);
-      if (!st.ok() && failed.ok()) failed = std::move(st);
-    }
-    s_.applying.clear();
-    s_.inbox_mu.lock();
-    if (!failed.ok() && s_.error.ok()) s_.error = std::move(failed);
-  }
-}
-
 std::unique_ptr<ShardedStore> ShardedStore::Build(
     const StoreConfig& config, uint32_t num_shards,
     const PolicyFactory& policy_factory,
@@ -83,7 +66,7 @@ std::unique_ptr<ShardedStore> ShardedStore::Build(
 
   auto store = std::unique_ptr<ShardedStore>(new ShardedStore());
   store->shard_config_ = shard_cfg;
-  store->inbox_capacity_ =
+  const size_t ring_capacity =
       static_cast<size_t>(shard_cfg.PagesPerSegment()) *
       std::max<uint32_t>(1, shard_cfg.write_buffer_segments);
   store->shards_.reserve(num_shards);
@@ -94,7 +77,7 @@ std::unique_ptr<ShardedStore> ShardedStore::Build(
     }
     std::unique_ptr<SegmentBackend> backend =
         backend_factory ? backend_factory(i) : MakeBackend(shard_cfg);
-    auto slot = std::make_unique<Shard>();
+    auto slot = std::make_unique<Shard>(ring_capacity);
     slot->shard = std::make_unique<StoreShard>(shard_cfg, std::move(policy),
                                                &store->table_, i, num_shards,
                                                std::move(backend));
@@ -119,21 +102,13 @@ void ShardedStore::SetExactFrequencyOracle(const ExactFrequencyFn& oracle) {
 
 Status ShardedStore::Write(PageId page, uint32_t bytes) {
   Shard& s = *shards_[ShardOf(page)];
-  if (!s.mu.try_lock()) {
+  if (!s.lock.TryLock()) {
     Status st = s.shard->CheckWriteArgs(page, bytes);
     if (!st.ok()) return st;
-    {
-      std::lock_guard<std::mutex> inbox(s.inbox_mu);
-      if (!s.error.ok()) return s.error;
-      if (s.held.load(std::memory_order_relaxed) &&
-          s.inbox.size() < inbox_capacity_) {
-        s.inbox.push_back({page, bytes});
-        return Status::OK();
-      }
-    }
-    // The inbox is full, or no holder will look at it again (the holder
-    // is releasing, or try_lock failed spuriously): wait for the mutex.
-    s.mu.lock();
+    if (s.failed.load(std::memory_order_acquire)) return s.error;
+    if (s.lock.TryQueue({page, bytes})) return Status::OK();
+    // The ring is full, or the holder let go meanwhile: take the lock.
+    s.lock.Lock();
   }
   LockedShard shard(s, std::adopt_lock);
   if (!shard.error().ok()) return shard.error();

@@ -12,6 +12,7 @@
 #include "core/config.h"
 #include "core/io_backend.h"
 #include "core/page_table.h"
+#include "core/shard_lock.h"
 #include "core/stats.h"
 #include "core/store_shard.h"
 #include "core/types.h"
@@ -40,24 +41,26 @@ using BackendFactory =
 /// shard — a shard's cleaner only ever selects victims among its own
 /// segments, so shards never contend on a victim or a free list.
 ///
-/// Locking. One mutex per shard serialises all operations routed to it;
-/// cross-shard state is limited to the shared lock-free PageTable (which
-/// publishes its chunks by CAS; each page's fields are owned by its
-/// shard's mutex) and read-side aggregation.
-/// With num_shards comfortably above the thread count, writers mostly
-/// land on distinct shards and proceed in parallel.
+/// Locking. One ShardLock per shard serialises all operations routed to
+/// it: a single atomic word, so an uncontended call costs one CAS to
+/// acquire and one to release. Cross-shard state is limited to the
+/// shared lock-free PageTable (which publishes its chunks by CAS; each
+/// page's fields are owned by its shard's lock) and read-side
+/// aggregation. With num_shards comfortably above the thread count,
+/// writers mostly land on distinct shards and proceed in parallel.
 ///
-/// Write-behind. A Write that finds its shard's mutex held does not wait
-/// for it: it leaves the write in the shard's bounded FIFO inbox and
-/// returns, and the holder applies the inbox in arrival order before it
-/// releases the mutex (flat combining, Hendler et al., SPAA 2010). Every
-/// call that takes a shard mutex is such a holder, so a queued write is
-/// applied before any later call on that shard takes effect, and once
-/// every call has returned no write is left queued. A queued write's
-/// failure becomes the shard's sticky error. The inbox holds one write
-/// buffer's worth of pages (one segment's when unbuffered); a writer
-/// that finds it full waits for the mutex. Uncontended calls never
-/// queue, so one client runs exactly the serial write path.
+/// Write-behind. A Write that finds its shard's lock held does not wait
+/// for it: one CAS on the lock word reserves a slot in the shard's
+/// bounded FIFO ring, the write goes there and the call returns, and the
+/// holder applies the ring in arrival order before its release (flat
+/// combining, Hendler et al., SPAA 2010). Every call that takes a shard
+/// lock is such a holder, so a queued write is applied before any later
+/// call on that shard takes effect, and once every call has returned no
+/// write is left queued. A queued write's failure becomes the shard's
+/// sticky error. The ring holds one write buffer's worth of pages (one
+/// segment's when unbuffered); a writer that finds it full waits for the
+/// lock. Uncontended calls never queue, so one client runs exactly the
+/// serial write path.
 ///
 /// Stats are aggregated on read: AggregatedStats() locks each shard in
 /// turn and merges its counters, so WriteAmplification() over the result
@@ -193,55 +196,35 @@ class ShardedStore {
   Status CheckInvariants() const;
 
  private:
-  // A write left for the shard's lock holder.
-  struct QueuedWrite {
-    PageId page;
-    uint32_t bytes;
-  };
-
-  // Each shard gets its own cache line so neighbouring mutexes do not
+  // Each shard gets its own cache line so neighbouring locks do not
   // false-share under contention.
   struct alignas(64) Shard {
-    std::mutex mu;
+    explicit Shard(size_t ring_capacity) : lock(ring_capacity) {}
+    ShardLock lock;
     std::unique_ptr<StoreShard> shard;
-    // Guards `inbox` and `error`, and orders a writer's look at `held`
-    // against the holder's last look at the inbox.
-    std::mutex inbox_mu;
-    // True while a holder of `mu` has its last look at the inbox ahead of
-    // it. Set on arrival (under `mu` alone), cleared under `inbox_mu`
-    // once that last look finds the inbox empty. A writer reads it under
-    // `inbox_mu`; if it reads true, the store that clears it comes after
-    // the writer's critical section, so that last look finds the write.
-    std::atomic<bool> held{false};
-    std::vector<QueuedWrite> inbox;
     // The first failure of a queued write: the shard's sticky error.
-    // Written under both mutexes, so either one suffices to read it.
+    // Stored once, under the lock, before `failed` is set (release); a
+    // writer about to queue reads `failed` (acquire) first.
     Status error;
-    // Under `mu`: the batch being applied (reused to spare allocations).
-    std::vector<QueuedWrite> applying;
+    std::atomic<bool> failed{false};
   };
 
-  // Holds a shard's mutex for one call. On arrival it marks the shard
-  // held; before releasing the mutex it applies the inbox until it finds
-  // it empty. A write queues only while the shard is marked held, so the
-  // inbox is empty whenever the mutex is free and an arriving holder
-  // finds nothing to apply.
+  // Holds a shard's lock for one call; on release the lock applies every
+  // write queued meanwhile (see ShardLock). A write queues only while the
+  // lock is held, so an arriving holder finds nothing to apply.
   class LockedShard {
    public:
-    explicit LockedShard(Shard& s) : s_(s) {
-      s_.mu.lock();
-      s_.held.store(true, std::memory_order_relaxed);
-    }
-    // Takes over a mutex the caller has already locked.
-    LockedShard(Shard& s, std::adopt_lock_t) : s_(s) {
-      s_.held.store(true, std::memory_order_relaxed);
-    }
+    explicit LockedShard(Shard& s) : s_(s) { s_.lock.Lock(); }
+    // Takes over a lock the caller has already acquired.
+    LockedShard(Shard& s, std::adopt_lock_t) : s_(s) {}
     ~LockedShard() {
-      s_.inbox_mu.lock();
-      if (!s_.inbox.empty()) ApplyInbox();
-      s_.held.store(false, std::memory_order_relaxed);
-      s_.inbox_mu.unlock();
-      s_.mu.unlock();
+      s_.lock.Unlock([this](const ShardLock::QueuedWrite& w) {
+        Status st = s_.shard->Write(w.page, w.bytes);
+        if (!st.ok() && !s_.failed.load(std::memory_order_relaxed)) {
+          s_.error = std::move(st);
+          s_.failed.store(true, std::memory_order_release);
+        }
+      });
     }
 
     LockedShard(const LockedShard&) = delete;
@@ -255,10 +238,6 @@ class ShardedStore {
     const Status& error() const { return s_.error; }
 
    private:
-    // Called with `inbox_mu` held; applies batches until the inbox is
-    // empty and returns with `inbox_mu` held again.
-    void ApplyInbox();
-
     Shard& s_;
   };
 
@@ -272,8 +251,6 @@ class ShardedStore {
 
   PageTable table_;
   StoreConfig shard_config_;
-  // Queued writes a shard's inbox holds at most.
-  size_t inbox_capacity_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
 };
 

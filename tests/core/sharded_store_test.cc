@@ -429,6 +429,92 @@ TEST(ShardedStoreTest, WriteQueuedDuringHandOffIsApplied) {
   EXPECT_EQ(store->shard(0).PageSize(100), 1234u);
 }
 
+// A write that finds the ring full waits for the lock instead of
+// queueing. With the ring filled under a hold, a second thread's further
+// writes wait; after the release every write is applied exactly once, and
+// each page ends at its last write.
+TEST(ShardedStoreTest, WritesBeyondAFullRingWaitAndApplyOnceInOrder) {
+  StoreConfig cfg = SmallConfig();
+  cfg.write_buffer_segments = 0;  // the ring then holds one segment: 16
+  cfg.num_segments = 64;
+  Status st;
+  auto store = ShardedStore::Create(cfg, 1, FactoryFor(Variant::kGreedy), &st);
+  ASSERT_NE(store, nullptr) << st.ToString();
+
+  constexpr uint32_t kWrites = 40;
+  constexpr PageId kPages = 5;
+  std::atomic<uint32_t> returned{0};
+  std::thread writer;
+  store->WithShardLocked(0, [&](StoreShard&) {
+    writer = std::thread([&] {
+      for (uint32_t i = 0; i < kWrites; ++i) {
+        EXPECT_TRUE(store->Write(i % kPages, 4096 - kWrites + i).ok());
+        returned.fetch_add(1);
+      }
+    });
+    while (returned.load() < 16) std::this_thread::yield();
+    // The seventeenth write finds the ring full and waits for the lock.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_EQ(returned.load(), 16u);
+    return 0;
+  });
+  writer.join();
+  EXPECT_EQ(store->shard(0).stats().user_updates, kWrites);
+  for (PageId p = 0; p < kPages; ++p) {
+    EXPECT_EQ(store->shard(0).PageSize(p), 4096 - kPages + p) << "page " << p;
+  }
+  EXPECT_TRUE(store->CheckInvariants().ok());
+}
+
+// A Delete or ReadPage that arrives during a hold waits (well past the
+// spin, so it sleeps) and runs after the release, behind the writes
+// another thread queued before it: the Delete finds the page those
+// writes created, and the read finds its page in the segment they
+// filled and sealed.
+TEST(ShardedStoreTest, ParkedDeleteAndReadRunAfterEarlierQueuedWrites) {
+  StoreConfig cfg = SmallConfig();
+  cfg.write_buffer_segments = 0;  // ReadPage reads sealed pages only
+  cfg.num_segments = 64;
+  Status st;
+  auto store = ShardedStore::Create(cfg, 1, FactoryFor(Variant::kGreedy), &st);
+  ASSERT_NE(store, nullptr) << st.ToString();
+  for (PageId p = 0; p < 6; ++p) ASSERT_TRUE(store->Write(p).ok());
+
+  Status deleted = Status::Corruption("not run");
+  Status read = Status::Corruption("not run");
+  std::vector<uint8_t> data;
+  std::atomic<int> done{0};
+  std::thread deleter;
+  std::thread reader;
+  store->WithShardLocked(0, [&](StoreShard&) {
+    // Pages 7, 8 and 20..29 queue; the 16th page seals the segment.
+    std::thread([&] {
+      EXPECT_TRUE(store->Write(7).ok());
+      EXPECT_TRUE(store->Write(8).ok());
+      for (PageId p = 20; p < 30; ++p) EXPECT_TRUE(store->Write(p).ok());
+    }).join();
+    deleter = std::thread([&] {
+      deleted = store->Delete(7);
+      done.fetch_add(1);
+    });
+    reader = std::thread([&] {
+      read = store->ReadPage(8, &data);
+      done.fetch_add(1);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_EQ(done.load(), 0);
+    return 0;
+  });
+  deleter.join();
+  reader.join();
+  EXPECT_TRUE(deleted.ok()) << deleted.ToString();
+  EXPECT_TRUE(read.ok()) << read.ToString();
+  EXPECT_EQ(data.size(), cfg.page_bytes);
+  EXPECT_FALSE(store->Contains(7));
+  EXPECT_EQ(store->shard(0).stats().user_updates, 18u);
+  EXPECT_TRUE(store->CheckInvariants().ok());
+}
+
 // The same contract under real contention: writers race a checkpointing
 // thread on two shards while shard 1's seals start failing. Once any call
 // has reported the failure, no Checkpoint may return OK again.
