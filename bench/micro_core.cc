@@ -112,9 +112,9 @@ BENCHMARK(BM_StoreWriteSharded)
 // first alternates too. Counters: ns per write of each arm and the
 // lock's cost over the mutex (`lock_over_mutex_ns`).
 void BM_ShardLockOverMutex(benchmark::State& state) {
-  // glibc's mutex, like the shard lock, skips its atomics until a
-  // process first starts a second thread; start one, so both arms pay
-  // what they pay under a store's client threads.
+  // glibc's mutex skips its atomics until a process first starts a
+  // second thread; start one, so the mutex arm pays what it pays under a
+  // store's client threads.
   std::thread([] {}).join();
   StoreConfig cfg;
   cfg.page_bytes = 4096;

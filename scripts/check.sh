@@ -31,7 +31,9 @@
 #   --torture: normal build, then the crash-recovery torture harness
 #             (tests/integration/crash_recovery_test.cc) with extra
 #             randomized kill points per geometry (LSS_TORTURE_ITERS,
-#             default 600 here vs 200 in the tier-1 run). Every
+#             default 600 here vs 200 in the tier-1 run; each test's
+#             300 s ctest TIMEOUT, set in CMakeLists.txt, caps it at
+#             about 3,000 on a 4-vCPU host, where 600 take 52 s). Every
 #             geometry audits strict zero-loss — there is no tolerated
 #             residual window — and the diverting geometries fail
 #             unless withheld-slot reuse goes through entry re-homing

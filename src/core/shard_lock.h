@@ -7,11 +7,6 @@
 #include <memory>
 #include <vector>
 
-#if __has_include(<sys/single_threaded.h>)
-#include <sys/single_threaded.h>
-#define LSS_HAVE_SINGLE_THREADED 1
-#endif
-
 #include "core/types.h"
 
 namespace lss {
@@ -26,8 +21,7 @@ namespace lss {
 /// `head`, the next position to drain, is written only by the holder; the
 /// ring holds positions [head, tail).
 ///
-/// - Acquire: one CAS, free -> held (a plain store while the process has
-///   only one thread; see Alone()).
+/// - Acquire: one CAS, free -> held.
 /// - Queue (TryQueue, a write that finds the lock held): one CAS on the
 ///   same word reserves position `tail`, only while the held bit is set
 ///   and the ring has room. The writer fills the slot and publishes it
@@ -61,17 +55,7 @@ class ShardLock {
 
   /// Acquires the lock if it is free.
   bool TryLock() {
-    if (Alone()) {
-      const uint64_t s = state_.load(std::memory_order_relaxed);
-      if ((s & kHeld) != 0) return false;
-      state_.store(s | kHeld, std::memory_order_relaxed);
-      return true;
-    }
-    // A free lock's word is (tail == head, not held, not parked), so the
-    // CAS guesses it from head rather than loading the word first: a load
-    // just before a locked RMW of the same line costs about as much as a
-    // third atomic.
-    uint64_t s = head_.load(std::memory_order_relaxed) << kTailShift;
+    uint64_t s = state_.load(std::memory_order_relaxed);
     do {
       if ((s & kHeld) != 0) return false;
     } while (!state_.compare_exchange_weak(s, s | kHeld,
@@ -95,15 +79,8 @@ class ShardLock {
   template <typename Fn>
   void Unlock(Fn&& apply) {
     uint64_t head = head_.load(std::memory_order_relaxed);
-    uint64_t s = (head << kTailShift) | kHeld;  // guess: nothing queued
+    uint64_t s = state_.load(std::memory_order_relaxed);
     for (;;) {
-      if (Alone()) {
-        s = state_.load(std::memory_order_relaxed);
-        if ((s >> kTailShift) == head) {
-          state_.store(s & ~kHeld, std::memory_order_relaxed);
-          return;
-        }
-      }
       if ((s >> kTailShift) != head) {
         head = Drain(s >> kTailShift);
         for (const QueuedWrite& w : batch_) apply(w);
@@ -130,19 +107,6 @@ class ShardLock {
     uint32_t bytes = 0;
     PageId page = 0;
   };
-
-  // True while the process has one thread (glibc's flag; false where it
-  // is missing). No other thread can then touch the word, and a thread
-  // started later sees what this one wrote, so acquire and release may
-  // use a plain load and store instead of a CAS, as glibc's own mutex
-  // does. That keeps a one-client store as cheap as under a std::mutex.
-  static bool Alone() {
-#ifdef LSS_HAVE_SINGLE_THREADED
-    return __libc_single_threaded != 0;
-#else
-    return false;
-#endif
-  }
 
   void LockSlow();
   // Sleeps until a release clears the parked bit this call sets; returns
